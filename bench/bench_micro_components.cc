@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the reproduction's hot
  * components: the software store buffer, the Figure 5 cache-line model,
- * the detector pipeline, the MESI directory and the interpreter.
+ * the detector pipeline, the MESI and Dragon coherence backends the
+ * machine runs, and the interpreter.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,8 +13,8 @@
 #include "detect/detector.h"
 #include "isa/assembler.h"
 #include "pebs/monitor.h"
-#include "sim/coherence.h"
 #include "sim/machine.h"
+#include "sim/protocol.h"
 #include "sim/ssb.h"
 #include "util/rng.h"
 
@@ -77,19 +78,22 @@ BM_CacheLineModel(benchmark::State &state)
 }
 BENCHMARK(BM_CacheLineModel);
 
+/** One backend over the same seeded access stream as the other. */
 static void
-BM_CoherenceAccess(benchmark::State &state)
+BM_CoherenceAccess(benchmark::State &state, sim::ProtocolKind kind)
 {
-    sim::CoherenceDirectory dir(4);
+    const std::unique_ptr<sim::CoherenceProtocol> protocol =
+        sim::makeProtocol(kind, 4);
     Rng rng(43);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            dir.access(static_cast<int>(rng.below(4)),
-                       0x1000 + rng.below(128) * 8, rng.chance(0.4),
-                       true));
+            protocol->access(static_cast<int>(rng.below(4)),
+                             0x1000 + rng.below(128) * 8, rng.chance(0.4),
+                             true));
     }
 }
-BENCHMARK(BM_CoherenceAccess);
+BENCHMARK_CAPTURE(BM_CoherenceAccess, mesi, sim::ProtocolKind::Mesi);
+BENCHMARK_CAPTURE(BM_CoherenceAccess, dragon, sim::ProtocolKind::Dragon);
 
 namespace {
 

@@ -193,7 +193,7 @@ SweepRunner::loadOrRunFile(std::uint64_t key,
             ++stats_.diskCacheHits;
             return file;
         }
-        // Missing, corrupt, stale or pre-v3 cache file: fall through
+        // Missing, corrupt, stale or other-version cache file: fall through
         // and rerun (the fresh capture overwrites it).
     }
 

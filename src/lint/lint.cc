@@ -300,7 +300,7 @@ isHeader(const std::string &path)
 bool
 isStatusType(const std::string &text)
 {
-    return text == "TraceStatus" || text == "MigrateFileResult";
+    return text == "TraceStatus";
 }
 
 /**

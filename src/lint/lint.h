@@ -7,13 +7,13 @@
  * Rules (rule names are stable; they appear in output and suppression
  * comments):
  *
- *   unchecked-status   A call to a TraceStatus- or MigrateFileResult-
- *                      returning function used as a bare statement: the
- *                      status is silently dropped. Propagate it, branch
- *                      on it, or suppress with a justification.
- *   nodiscard-status   A header declares a TraceStatus/MigrateFileResult
- *                      returning function without [[nodiscard]], so the
- *                      compiler cannot flag dropped calls.
+ *   unchecked-status   A call to a TraceStatus-returning function used
+ *                      as a bare statement: the status is silently
+ *                      dropped. Propagate it, branch on it, or suppress
+ *                      with a justification.
+ *   nodiscard-status   A header declares a TraceStatus-returning
+ *                      function without [[nodiscard]], so the compiler
+ *                      cannot flag dropped calls.
  *   raw-mutex          std::mutex / std::condition_variable /
  *                      std::lock_guard / std::unique_lock (and friends)
  *                      used outside util/mutex.h. Unannotated locks are

@@ -154,42 +154,6 @@ Histogram::data() const
     return out;
 }
 
-void
-Histogram::Data::merge(const Data &other)
-{
-    if (other.count == 0)
-        return;
-    if (count == 0) {
-        *this = other;
-        return;
-    }
-    std::vector<std::pair<double, std::uint64_t>> merged;
-    merged.reserve(buckets.size() + other.buckets.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < buckets.size() || j < other.buckets.size()) {
-        if (j >= other.buckets.size() ||
-            (i < buckets.size() &&
-             buckets[i].first < other.buckets[j].first)) {
-            merged.push_back(buckets[i++]);
-        } else if (i >= buckets.size() ||
-                   other.buckets[j].first < buckets[i].first) {
-            merged.push_back(other.buckets[j++]);
-        } else {
-            merged.emplace_back(buckets[i].first,
-                                buckets[i].second +
-                                    other.buckets[j].second);
-            ++i;
-            ++j;
-        }
-    }
-    buckets = std::move(merged);
-    count += other.count;
-    sum += other.sum;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-}
-
 double
 Histogram::Data::percentile(double p) const
 {
@@ -325,37 +289,6 @@ Snapshot::toJson() const
     root.set("gauges", std::move(gauges_obj));
     root.set("histograms", std::move(hists_obj));
     return root;
-}
-
-void
-Snapshot::merge(const Snapshot &other)
-{
-    const auto mergeInto = [](auto *ours, const auto &theirs,
-                              const auto &combine) {
-        for (const auto &[name, value] : theirs) {
-            auto it = std::find_if(
-                ours->begin(), ours->end(),
-                [&name = name](const auto &e) { return e.first == name; });
-            if (it == ours->end())
-                ours->emplace_back(name, value);
-            else
-                combine(&it->second, value);
-        }
-        std::sort(ours->begin(), ours->end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-    };
-    mergeInto(&counters, other.counters,
-              [](std::uint64_t *mine, std::uint64_t theirs) {
-                  *mine += theirs;
-              });
-    mergeInto(&gauges, other.gauges,
-              [](double *mine, double theirs) { *mine = theirs; });
-    mergeInto(&histograms, other.histograms,
-              [](Histogram::Data *mine, const Histogram::Data &theirs) {
-                  mine->merge(theirs);
-              });
 }
 
 bool

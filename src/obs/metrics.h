@@ -163,14 +163,6 @@ class Histogram
          */
         double percentile(double p) const;
         double mean() const { return count ? sum / double(count) : 0.0; }
-
-        /**
-         * Fold @p other into this histogram: bucket counts with equal
-         * upper bounds add, the rest merge-join in ascending order.
-         * Both sides share the bucketUpperBound() grid (or round-trip
-         * through it via Snapshot::fromJson), so bounds compare exactly.
-         */
-        void merge(const Data &other);
     };
 
     /** Merge all slots into one Data (no locks; relaxed reads). */
@@ -209,16 +201,6 @@ struct Snapshot
      * series plus _sum and _count.
      */
     std::string toPrometheus() const;
-
-    /**
-     * Fold @p other into this snapshot: counters sum, gauges are
-     * last-write-wins (the pushed value replaces ours), histograms
-     * merge bucket-wise (Histogram::Data::merge). Output stays
-     * name-sorted, so merging an empty snapshot is an identity — the
-     * property that keeps the live /metrics endpoint byte-identical to
-     * the offline exporter until something is actually pushed.
-     */
-    void merge(const Snapshot &other);
 
     /**
      * Rebuild a snapshot from toJson() output (the inverse transform;

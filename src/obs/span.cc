@@ -135,10 +135,9 @@ Span::~Span()
     const double seconds =
         std::chrono::duration<double>(end - start_).count();
 
-    Registry::global()
-        .histogram(std::string("span.") + name_)
-        .record(seconds);
-
+    // The trace event goes first: its timestamp is derived from "now",
+    // and the histogram lookup below may allocate a new histogram,
+    // which would push the event's start past the span's real start.
     SpanCollector &collector = SpanCollector::global();
     if (collector.enabled()) {
         TraceEvent event;
@@ -148,6 +147,10 @@ Span::~Span()
         event.tsUs = collector.nowUs() - event.durUs;
         collector.append(std::move(event));
     }
+
+    Registry::global()
+        .histogram(std::string("span.") + name_)
+        .record(seconds);
 }
 
 } // namespace laser::obs

@@ -1,9 +1,7 @@
 #include "trace/cache.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/metrics.h"
 
@@ -11,26 +9,10 @@ namespace laser::trace {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/** The sweep cache's filename stem for a config hash. */
-std::string
-hexKey(std::uint64_t key)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, key);
-    return buf;
-}
-
-} // namespace
-
 TraceStatus
-readTraceHeader(const std::string &path, std::uint64_t *config_hash,
-                std::uint32_t *version)
+readTraceHeader(const std::string &path, std::uint64_t *config_hash)
 {
     *config_hash = 0;
-    if (version)
-        *version = 0;
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return TraceStatus::IoError;
@@ -44,8 +26,6 @@ readTraceHeader(const std::string &path, std::uint64_t *config_hash,
     if (status != TraceStatus::Ok)
         return status;
     *config_hash = info.configHash;
-    if (version)
-        *version = info.version;
     return TraceStatus::Ok;
 }
 
@@ -71,8 +51,7 @@ listTraceCache(const std::string &dir)
         entry.mtime = de.last_write_time(entry_ec);
         if (entry_ec)
             continue;
-        entry.status =
-            readTraceHeader(entry.path, &entry.configHash, &entry.version);
+        entry.status = readTraceHeader(entry.path, &entry.configHash);
         entries.push_back(std::move(entry));
     }
     std::sort(entries.begin(), entries.end(),
@@ -139,81 +118,6 @@ CacheGcResult
 gcTraceCache(const std::string &dir, std::uint64_t max_bytes)
 {
     return gcTraceCacheFrom(listTraceCache(dir), max_bytes);
-}
-
-MigrateFileResult
-migrateTraceFile(const std::string &path)
-{
-    MigrateFileResult result;
-    result.newPath = path;
-
-    TraceReader reader;
-    result.status = reader.readFile(path);
-    if (result.status != TraceStatus::Ok) {
-        result.error = reader.error();
-        return result;
-    }
-    const std::uint32_t old_version = reader.version();
-    if (old_version == kTraceVersion)
-        return result; // already current
-
-    const Trace trace = reader.takeTrace();
-    const std::uint64_t old_hash =
-        configHashForVersion(trace.meta, old_version);
-    const std::uint64_t new_hash = configHash(trace.meta);
-
-    // Sweep-cache files are named by their (version-scoped) config
-    // hash; re-key those so a post-migration sweep finds them. Anything
-    // else is rewritten under its own name.
-    const fs::path old_path(path);
-    std::string target = path;
-    if (old_path.stem().string() == hexKey(old_hash))
-        target = (old_path.parent_path() /
-                  (hexKey(new_hash) + kTraceExtension))
-                     .string();
-
-    result.status = writeTraceFile(trace, target);
-    if (result.status != TraceStatus::Ok) {
-        result.error = "cannot write " + target;
-        return result;
-    }
-    if (target != path) {
-        std::error_code ec;
-        fs::remove(path, ec); // best-effort; stale v1/v2 keys are inert
-    }
-    result.upgraded = true;
-    result.newPath = target;
-    return result;
-}
-
-CacheMigrateResult
-migrateTraceCache(const std::string &dir)
-{
-    CacheMigrateResult result;
-    for (const CacheEntry &entry : listTraceCache(dir)) {
-        ++result.scanned;
-        result.bytesBefore += entry.bytes;
-        if (entry.status == TraceStatus::Ok &&
-                entry.version == kTraceVersion) {
-            ++result.alreadyCurrent;
-            result.bytesAfter += entry.bytes;
-            continue;
-        }
-        const MigrateFileResult file = migrateTraceFile(entry.path);
-        if (file.status == TraceStatus::Ok && file.upgraded) {
-            ++result.upgraded;
-            std::error_code ec;
-            const std::uintmax_t n = fs::file_size(file.newPath, ec);
-            result.bytesAfter += ec ? 0 : static_cast<std::uint64_t>(n);
-        } else if (file.status == TraceStatus::Ok) {
-            ++result.alreadyCurrent;
-            result.bytesAfter += entry.bytes;
-        } else {
-            ++result.failed;
-            result.bytesAfter += entry.bytes;
-        }
-    }
-    return result;
 }
 
 } // namespace laser::trace

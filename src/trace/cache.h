@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace-cache maintenance: inventory, size budgeting and format
- * migration for long-lived cache directories.
+ * Trace-cache maintenance: inventory and size budgeting for long-lived
+ * cache directories.
  *
  * A sweep cache grows without bound as configurations churn (every
  * config-hash key is a new <hash>.ltrace file), so production cache
@@ -12,9 +12,9 @@
  *
  * Listing reads only each file's fixed-size header (magic, version,
  * config hash) — no payload decode — so inventorying a multi-gigabyte
- * cache stays cheap. Old format versions are valid inventory (they
- * predate a kTraceVersion bump); migrateTraceCache() upgrades them to
- * the current format and re-keys them to their new config hash.
+ * cache stays cheap. A file from another format version lists as
+ * BadVersion ("version mismatch"); a sweep never hits it (the config
+ * hash is version-scoped), and gc evicts it like any other LRU entry.
  *
  * Gc runs concurrently with sweeps using the same directory, so every
  * step tolerates the races that implies: files may vanish between
@@ -44,8 +44,6 @@ struct CacheEntry
     std::filesystem::file_time_type mtime{};
     /** Config hash from the header (0 when the header is unreadable). */
     std::uint64_t configHash = 0;
-    /** Format version from the header (0 when unreadable). */
-    std::uint32_t version = 0;
     /** Header status: Ok means magic/version/endianness check out. */
     TraceStatus status = TraceStatus::Ok;
 };
@@ -53,13 +51,10 @@ struct CacheEntry
 /**
  * Read just the header of @p path: magic, version, endianness and the
  * stored config hash. Returns the same typed statuses as a full parse
- * would for those fields; every supported version (kTraceMinVersion..
- * kTraceVersion) is Ok, with the version reported through @p version
- * when non-null.
+ * would for those fields (any version but kTraceVersion is BadVersion).
  */
-[[nodiscard]] TraceStatus readTraceHeader(
-    const std::string &path, std::uint64_t *config_hash,
-    std::uint32_t *version = nullptr);
+[[nodiscard]] TraceStatus readTraceHeader(const std::string &path,
+                                          std::uint64_t *config_hash);
 
 /**
  * Inventory @p dir's trace files (*.ltrace), oldest mtime first —
@@ -105,44 +100,6 @@ struct CacheGcResult
  */
 [[nodiscard]] CacheGcResult gcTraceCacheFrom(
     const std::vector<CacheEntry> &entries, std::uint64_t max_bytes);
-
-/** Outcome of migrating one trace file to the current format. */
-struct MigrateFileResult
-{
-    TraceStatus status = TraceStatus::Ok;
-    /** True when the file was rewritten (false: already current). */
-    bool upgraded = false;
-    /** Where the trace lives now (re-keyed files move; see below). */
-    std::string newPath;
-    std::string error;
-};
-
-/**
- * Upgrade @p path to kTraceVersion in place. Already-current files are
- * left untouched. Because the config hash is version-scoped, upgrading
- * re-keys the trace: when the filename is the old hash's hex key (the
- * sweep-cache naming scheme), the upgraded file is written under the
- * new hash's key and the old file is removed; any other filename is
- * rewritten in place. The write is atomic (temp + rename), so a crash
- * mid-migration leaves the original readable.
- */
-[[nodiscard]] MigrateFileResult migrateTraceFile(
-    const std::string &path);
-
-/** Outcome of one cache-wide migration pass. */
-struct CacheMigrateResult
-{
-    std::size_t scanned = 0;
-    std::size_t upgraded = 0;
-    std::size_t alreadyCurrent = 0;
-    std::size_t failed = 0;
-    std::uint64_t bytesBefore = 0;
-    std::uint64_t bytesAfter = 0;
-};
-
-/** migrateTraceFile() over every *.ltrace in @p dir. */
-[[nodiscard]] CacheMigrateResult migrateTraceCache(
-    const std::string &dir);
 
 } // namespace laser::trace
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Columnar record encoding for LSRT v3: per-column block codecs and the
+ * Columnar record encoding for LSRT traces: per-column block codecs and the
  * seekable footer block index.
  *
- * A v3 trace stores its record stream as fixed-size blocks (the last one
+ * A trace stores its record stream as fixed-size blocks (the last one
  * ragged). Within a block each record field is a column — pc, data
  * address, core, cycle — and each column is encoded independently with
  * whichever codec compresses it best *for that block*:
  *
- *   DeltaVar      zigzag delta + LEB128 varint (the v2 scheme, per field)
+ *   DeltaVar      zigzag delta + LEB128 varint (the row-wise scheme, per field)
  *   ForPack       frame-of-reference: varint base (min) + fixed-width
  *                 bit-packed offsets — dense cycle/core columns
  *   DictPack      sorted dictionary (delta varints) + either bit-packed
@@ -142,7 +142,7 @@ struct BlockInfo
     }
 };
 
-/** The footer seek structure of a v3 trace. */
+/** The footer seek structure of a trace. */
 struct BlockIndex
 {
     /** Total records across all blocks. */

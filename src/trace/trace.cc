@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include "trace/trace_file.h"
 #include "trace/wire.h"
 
 namespace laser::trace {
@@ -70,10 +71,9 @@ getTiming(ByteReader &r, sim::TimingModel *t)
 }
 
 /** The hashed config section: workload identity + every knob that can
- *  change the record stream or the modeled runtime. Version-dependent:
- *  the VTune/Sheriff blocks joined the section in v2. */
+ *  change the record stream or the modeled runtime. */
 void
-putConfig(ByteWriter &w, const TraceMeta &m, std::uint32_t version)
+putConfig(ByteWriter &w, const TraceMeta &m)
 {
     w.str(m.workload);
     w.str(m.scheme);
@@ -113,9 +113,6 @@ putConfig(ByteWriter &w, const TraceMeta &m, std::uint32_t version)
     w.f64(p.wrongAddrUnmapped);
     w.f64(p.wrongPcInBinary);
 
-    if (version < 2)
-        return;
-
     const baselines::VTuneConfig &v = m.vtune;
     w.f64(v.rateThreshold);
     w.var(v.eventCost);
@@ -132,13 +129,10 @@ putConfig(ByteWriter &w, const TraceMeta &m, std::uint32_t version)
     w.var(s.detectExtraCost);
     w.boolean(s.detectMode);
 
-    if (version < 4)
-        return;
-
-    // v4: coherence protocol + cache geometry + per-protocol costs.
-    // Hashed so trace-cache keys can never collide across protocols or
-    // geometries. The Dragon costs live here, NOT in putTiming: adding
-    // them there would silently change every v1-v3 config hash.
+    // Coherence protocol + cache geometry + per-protocol costs. Hashed
+    // so trace-cache keys can never collide across protocols or
+    // geometries. The Dragon costs sit here rather than in putTiming:
+    // moving them would change every config hash.
     w.u8(static_cast<std::uint8_t>(mc.protocol));
     w.var(mc.geometry.lineBytes);
     w.var(mc.geometry.sets);
@@ -148,8 +142,7 @@ putConfig(ByteWriter &w, const TraceMeta &m, std::uint32_t version)
 }
 
 bool
-getConfig(ByteReader &r, TraceMeta *m, std::uint32_t version,
-          std::string *err)
+getConfig(ByteReader &r, TraceMeta *m, std::string *err)
 {
     m->workload = r.str();
     m->scheme = r.str();
@@ -194,9 +187,6 @@ getConfig(ByteReader &r, TraceMeta *m, std::uint32_t version,
     p.wrongAddrUnmapped = r.f64();
     p.wrongPcInBinary = r.f64();
 
-    if (version < 2)
-        return true; // v1 predates the baseline-config blocks
-
     baselines::VTuneConfig &v = m->vtune;
     v.rateThreshold = r.f64();
     v.eventCost = r.var();
@@ -212,9 +202,6 @@ getConfig(ByteReader &r, TraceMeta *m, std::uint32_t version,
     s.perDirtyPageCost = r.var();
     s.detectExtraCost = r.var();
     s.detectMode = r.boolean();
-
-    if (version < 4)
-        return true; // v1-v3 predate protocol/geometry; defaults apply
 
     const std::uint8_t proto = r.u8();
     if (r.ok &&
@@ -322,21 +309,10 @@ getResults(ByteReader &r, TraceMeta *m)
     m->mapsText = r.str();
 }
 
-/** The v1/v2 row-wise record encoding (kept for encodeLegacyTrace). */
-void
-putRecordDelta(ByteWriter &w, const pebs::PebsRecord &rec,
-               const pebs::PebsRecord &prev)
-{
-    w.zig(static_cast<std::int64_t>(rec.pc - prev.pc));
-    w.zig(static_cast<std::int64_t>(rec.dataAddr - prev.dataAddr));
-    w.var(static_cast<std::uint64_t>(rec.core));
-    w.zig(static_cast<std::int64_t>(rec.cycle - prev.cycle));
-}
-
-/** Wrap a payload image in header + trailer for @p version. */
+/** Wrap a payload image in header + trailer. */
 std::vector<std::uint8_t>
 wrapPayload(const std::vector<std::uint8_t> &payload_bytes,
-            std::uint32_t version, std::uint64_t config_hash)
+            std::uint64_t config_hash)
 {
     std::vector<std::uint8_t> out_bytes;
     ByteWriter out(out_bytes);
@@ -346,7 +322,7 @@ wrapPayload(const std::vector<std::uint8_t> &payload_bytes,
     // range insert of the 4-byte magic array and warns spuriously.
     for (const char c : kTraceMagic)
         out_bytes.push_back(static_cast<std::uint8_t>(c));
-    out.u32(version);
+    out.u32(kTraceVersion);
     out.u32(kTraceEndianMarker);
     out.u64(config_hash);
     out.u64(payload_bytes.size());
@@ -398,19 +374,13 @@ traceStatusName(TraceStatus status)
 }
 
 std::uint64_t
-configHashForVersion(const TraceMeta &meta, std::uint32_t version)
+configHash(const TraceMeta &meta)
 {
     std::vector<std::uint8_t> bytes;
     ByteWriter w(bytes);
-    w.u32(version);
-    putConfig(w, meta, version);
+    w.u32(kTraceVersion);
+    putConfig(w, meta);
     return fnv1a(bytes.data(), bytes.size());
-}
-
-std::uint64_t
-configHash(const TraceMeta &meta)
-{
-    return configHashForVersion(meta, kTraceVersion);
 }
 
 namespace detail {
@@ -431,12 +401,10 @@ parseTraceHeader(const std::uint8_t *data, std::size_t size,
         return TraceStatus::BadMagic;
     }
     ByteReader header(data + 4, kTraceHeaderSize - 4);
-    out->version = header.u32();
-    if (out->version < kTraceMinVersion ||
-            out->version > kTraceVersion) {
-        *err = "trace version " + std::to_string(out->version) +
-               ", reader supports " + std::to_string(kTraceMinVersion) +
-               ".." + std::to_string(kTraceVersion);
+    const std::uint32_t version = header.u32();
+    if (version != kTraceVersion) {
+        *err = "trace version " + std::to_string(version) +
+               ", reader supports only " + std::to_string(kTraceVersion);
         return TraceStatus::BadVersion;
     }
     const std::uint32_t endian = header.u32();
@@ -451,13 +419,12 @@ parseTraceHeader(const std::uint8_t *data, std::size_t size,
 
 TraceStatus
 parseMetaSections(const std::uint8_t *payload, std::size_t size,
-                  std::uint32_t version, TraceMeta *meta,
-                  std::size_t *consumed, std::string *err)
+                  TraceMeta *meta, std::size_t *consumed, std::string *err)
 {
     *consumed = 0;
     ByteReader r(payload, size);
     std::string config_err;
-    if (!getConfig(r, meta, version, &config_err)) {
+    if (!getConfig(r, meta, &config_err)) {
         if (!r.ok) {
             *err = "config section ends mid-structure";
             return TraceStatus::Truncated;
@@ -531,7 +498,7 @@ TraceWriter::finalize() const
 {
     std::vector<std::uint8_t> payload_bytes;
     ByteWriter payload(payload_bytes);
-    putConfig(payload, meta_, kTraceVersion);
+    putConfig(payload, meta_);
     putResults(payload, meta_);
 
     columnar::BlockIndex index = index_;
@@ -553,7 +520,7 @@ TraceWriter::finalize() const
     index.encode(&payload_bytes);
     payload.u64(index_offset);
 
-    return wrapPayload(payload_bytes, kTraceVersion, configHash(meta_));
+    return wrapPayload(payload_bytes, configHash(meta_));
 }
 
 TraceStatus
@@ -593,23 +560,6 @@ writeTraceFile(const Trace &trace, const std::string &path)
     return writer.writeFile(path);
 }
 
-std::vector<std::uint8_t>
-encodeLegacyTrace(const Trace &trace, std::uint32_t version)
-{
-    std::vector<std::uint8_t> payload_bytes;
-    ByteWriter payload(payload_bytes);
-    putConfig(payload, trace.meta, version);
-    putResults(payload, trace.meta);
-    payload.var(trace.records.size());
-    pebs::PebsRecord prev{};
-    for (const pebs::PebsRecord &rec : trace.records) {
-        putRecordDelta(payload, rec, prev);
-        prev = rec;
-    }
-    return wrapPayload(payload_bytes, version,
-                       configHashForVersion(trace.meta, version));
-}
-
 // ---------------------------------------------------------------------
 // TraceReader
 // ---------------------------------------------------------------------
@@ -618,218 +568,55 @@ TraceStatus
 TraceReader::fail(TraceStatus status, std::string detail)
 {
     trace_ = {};
-    version_ = 0;
     error_ = std::move(detail);
     return status;
 }
 
 TraceStatus
-TraceReader::parseLegacyRecords(const std::uint8_t *payload,
-                                std::size_t payload_size,
-                                std::size_t meta_size,
-                                std::uint32_t version)
+TraceReader::parseImage(std::vector<std::uint8_t> bytes)
 {
-    ByteReader r(payload + meta_size, payload_size - meta_size);
-    const std::uint64_t count = r.var();
-    // Every record occupies at least 4 payload bytes (4 varint fields),
-    // which bounds the reserve below against allocation-bomb counts.
-    if (!r.ok || count > r.remaining() / 4)
-        return fail(TraceStatus::Truncated,
-                    "record count exceeds remaining payload");
-    trace_.records.reserve(static_cast<std::size_t>(count));
-    pebs::PebsRecord prev{};
-    for (std::uint64_t i = 0; i < count; ++i) {
-        pebs::PebsRecord rec;
-        rec.pc = prev.pc + static_cast<std::uint64_t>(r.zig());
-        rec.dataAddr = prev.dataAddr + static_cast<std::uint64_t>(r.zig());
-        rec.core = static_cast<int>(r.var());
-        rec.cycle = prev.cycle + static_cast<std::uint64_t>(r.zig());
-        if (!r.ok)
-            return fail(TraceStatus::Truncated,
-                        "record stream ends mid-record at index " +
-                            std::to_string(i));
-        // Canonical streams (v2+) are non-decreasing in cycle;
-        // time-window sharding and every sink's stream contract depend
-        // on it. v1 streams are driver-delivery order — sorted below.
-        if (version >= 2 && rec.cycle < prev.cycle)
-            return fail(TraceStatus::NonMonotonic,
-                        "record " + std::to_string(i) + " cycle " +
-                            std::to_string(rec.cycle) +
-                            " precedes previous record's cycle " +
-                            std::to_string(prev.cycle));
-        trace_.records.push_back(rec);
-        prev = rec;
+    trace_ = {};
+    error_.clear();
+
+    TraceFile file;
+    const TraceStatus open_status = file.openBytes(std::move(bytes));
+    if (open_status != TraceStatus::Ok)
+        return fail(open_status, file.error());
+    if (!file.payloadChecksumOk())
+        return fail(TraceStatus::Corrupt, "payload checksum mismatch");
+
+    switch (file.readAll(&trace_)) {
+      case TraceStatus::Ok:
+        return TraceStatus::Ok;
+      case TraceStatus::NonMonotonic:
+        return fail(TraceStatus::NonMonotonic,
+                    "a record's cycle precedes the previous record's "
+                    "cycle");
+      default:
+        return fail(TraceStatus::Corrupt,
+                    "a record block fails its checksum or does not "
+                    "decode to its index entry");
     }
-    if (r.remaining() != 0)
-        return fail(TraceStatus::Corrupt,
-                    std::to_string(r.remaining()) +
-                        " unconsumed payload bytes after records");
-    if (version < 2)
-        analysis::sortByCycle(&trace_.records);
-    return TraceStatus::Ok;
-}
-
-TraceStatus
-TraceReader::parseColumnarRecords(const std::uint8_t *payload,
-                                  std::size_t payload_size,
-                                  std::size_t meta_size)
-{
-    if (payload_size < meta_size + 8)
-        return fail(TraceStatus::Truncated,
-                    "payload too small for the index offset");
-    ByteReader tail(payload + payload_size - 8, 8);
-    const std::uint64_t index_offset = tail.u64();
-    if (index_offset < meta_size || index_offset > payload_size - 8)
-        return fail(TraceStatus::Corrupt,
-                    "block index offset out of range");
-
-    columnar::BlockIndex index;
-    std::string index_err;
-    if (!index.decode(payload + index_offset,
-                      payload_size - 8 - index_offset, &index_err))
-        return fail(TraceStatus::Corrupt,
-                    "block index: " + index_err);
-    if (index.blobOffset != meta_size)
-        return fail(TraceStatus::Corrupt,
-                    "block index blob offset does not match the meta "
-                    "sections");
-    if (index.metaChecksum != wire::fnv1a(payload, meta_size))
-        return fail(TraceStatus::Corrupt,
-                    "meta-section checksum mismatch");
-    if (index.blobBytes() != index_offset - meta_size)
-        return fail(TraceStatus::Corrupt,
-                    "block sizes do not cover the record blob");
-
-    const std::uint8_t *blob = payload + meta_size;
-    // No up-front reserve of index.records: columnar blocks can be
-    // sub-byte per record, so a crafted index could declare counts far
-    // beyond the file size; geometric growth caps the damage to the
-    // bytes a decode actually yields (per-block counts are bounded by
-    // kMaxBlockRecords).
-    std::uint64_t prev_cycle = 0;
-    std::uint64_t rec_idx = 0;
-    std::vector<std::uint64_t> cols[columnar::kColumnCount];
-    for (std::size_t bi = 0; bi < index.blocks.size(); ++bi) {
-        const columnar::BlockInfo &b = index.blocks[bi];
-        const std::uint8_t *bp = blob + b.blobOffset;
-        if (wire::fnv1a(bp, static_cast<std::size_t>(b.blobBytes())) !=
-                b.checksum)
-            return fail(TraceStatus::Corrupt,
-                        "block " + std::to_string(bi) +
-                            " checksum mismatch");
-        for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
-            if (!columnar::decodeColumn(
-                    b.codec[c], bp + b.columnOffset(c),
-                    static_cast<std::size_t>(b.columnBytes[c]),
-                    static_cast<std::size_t>(b.records), &cols[c]))
-                return fail(TraceStatus::Corrupt,
-                            "block " + std::to_string(bi) + " column " +
-                                columnar::columnName(c) + " malformed");
-        }
-        if (cols[columnar::kColCycle].front() != b.firstCycle ||
-                cols[columnar::kColCycle].back() != b.lastCycle)
-            return fail(TraceStatus::Corrupt,
-                        "block " + std::to_string(bi) +
-                            " cycle range does not match its records");
-        for (std::size_t i = 0; i < b.records; ++i) {
-            pebs::PebsRecord rec;
-            rec.pc = cols[columnar::kColPc][i];
-            rec.dataAddr = cols[columnar::kColAddr][i];
-            rec.core = static_cast<int>(static_cast<std::int64_t>(
-                cols[columnar::kColCore][i]));
-            rec.cycle = cols[columnar::kColCycle][i];
-            if (rec_idx > 0 && rec.cycle < prev_cycle)
-                return fail(
-                    TraceStatus::NonMonotonic,
-                    "record " + std::to_string(rec_idx) + " cycle " +
-                        std::to_string(rec.cycle) +
-                        " precedes previous record's cycle " +
-                        std::to_string(prev_cycle));
-            trace_.records.push_back(rec);
-            prev_cycle = rec.cycle;
-            ++rec_idx;
-        }
-    }
-    return TraceStatus::Ok;
 }
 
 TraceStatus
 TraceReader::parse(const std::uint8_t *data, std::size_t size)
 {
-    trace_ = {};
-    version_ = 0;
-    error_.clear();
-
-    if (size < kTraceHeaderSize + kTraceTrailerSize)
-        return fail(TraceStatus::Truncated,
-                    "file shorter than header + trailer (" +
-                        std::to_string(size) + " bytes)");
-    detail::HeaderInfo header;
-    std::string header_err;
-    const TraceStatus header_status =
-        detail::parseTraceHeader(data, size, &header, &header_err);
-    if (header_status != TraceStatus::Ok)
-        return fail(header_status, std::move(header_err));
-
-    if (header.payloadSize > size - kTraceHeaderSize - kTraceTrailerSize)
-        return fail(TraceStatus::Truncated,
-                    "payload declares " +
-                        std::to_string(header.payloadSize) +
-                        " bytes but only " +
-                        std::to_string(size - kTraceHeaderSize -
-                                       kTraceTrailerSize) +
-                        " present");
-    if (header.payloadSize < size - kTraceHeaderSize - kTraceTrailerSize)
-        return fail(TraceStatus::Corrupt,
-                    "trailing bytes after payload + checksum");
-
-    const std::uint8_t *payload = data + kTraceHeaderSize;
-    const std::size_t payload_size =
-        static_cast<std::size_t>(header.payloadSize);
-    ByteReader trailer(payload + payload_size, kTraceTrailerSize);
-    const std::uint64_t stored_sum = trailer.u64();
-    if (stored_sum != fnv1a(payload, payload_size))
-        return fail(TraceStatus::Corrupt, "payload checksum mismatch");
-
-    std::size_t meta_size = 0;
-    std::string meta_err;
-    const TraceStatus meta_status = detail::parseMetaSections(
-        payload, payload_size, header.version, &trace_.meta, &meta_size,
-        &meta_err);
-    if (meta_status != TraceStatus::Ok)
-        return fail(meta_status, std::move(meta_err));
-
-    const TraceStatus records_status =
-        header.version >= 3
-            ? parseColumnarRecords(payload, payload_size, meta_size)
-            : parseLegacyRecords(payload, payload_size, meta_size,
-                                 header.version);
-    if (records_status != TraceStatus::Ok)
-        return records_status;
-
-    if (configHashForVersion(trace_.meta, header.version) !=
-            header.configHash)
-        return fail(TraceStatus::Corrupt,
-                    "header config hash does not match config section");
-    version_ = header.version;
-    return TraceStatus::Ok;
+    return parseImage(std::vector<std::uint8_t>(data, data + size));
 }
 
 TraceStatus
 TraceReader::parse(const std::vector<std::uint8_t> &bytes)
 {
-    return parse(bytes.data(), bytes.size());
+    return parseImage(bytes);
 }
 
 TraceStatus
 TraceReader::readFile(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        trace_ = {};
-        error_ = "cannot open " + path;
-        return TraceStatus::IoError;
-    }
+    if (!f)
+        return fail(TraceStatus::IoError, "cannot open " + path);
     std::vector<std::uint8_t> bytes;
     std::uint8_t chunk[1 << 16];
     std::size_t n;
@@ -837,12 +624,9 @@ TraceReader::readFile(const std::string &path)
         bytes.insert(bytes.end(), chunk, chunk + n);
     const bool read_error = std::ferror(f) != 0;
     std::fclose(f);
-    if (read_error) {
-        trace_ = {};
-        error_ = "read error on " + path;
-        return TraceStatus::IoError;
-    }
-    return parse(bytes);
+    if (read_error)
+        return fail(TraceStatus::IoError, "read error on " + path);
+    return parseImage(std::move(bytes));
 }
 
 } // namespace laser::trace

@@ -45,27 +45,20 @@
  * blocks for a record range or cycle window, and decodes only the
  * overlapping blocks — no prefix decode and no whole-file checksum pass
  * on the seek path (the meta/index/block checksums cover every byte it
- * reads). A full TraceReader parse remains fully strict: it verifies
- * the whole-payload checksum first and then cross-checks the index
- * against every decoded record.
+ * reads). A full TraceReader parse adds the whole-payload checksum and
+ * then decodes every block through that same TraceFile path, so there
+ * is exactly one record decoder.
  *
  * Within the payload, integers are LEB128 varints (signed values
  * zigzag-encoded), doubles are fixed 8-byte IEEE bit patterns, strings
  * are length-prefixed.
  *
- * Older formats still parse (read-side compatibility; `laser_trace
- * migrate` upgrades files in place): v3 lacked the coherence-protocol /
- * cache-geometry tail of the config section (a v3 parse yields the
- * default MESI 64-byte-line configuration), v2 stored records row-wise
- * as interleaved zigzag deltas, v1 additionally lacked the
- * VTune/Sheriff config sections and stored records in driver-delivery
- * order (a v1 parse restores canonical order with
- * analysis::sortByCycle). The
- * config hash is version-scoped — configHashForVersion() reproduces the
- * key an old writer stored — and the write side always emits
- * kTraceVersion.
+ * Only kTraceVersion is read: every other version is BadVersion. The
+ * config hash is version-scoped, so a format bump re-keys every cache;
+ * a sweep cache treats a stale file as a miss, re-simulates and
+ * overwrites it.
  *
- * Parsing is strict: wrong magic, foreign endianness, unknown version,
+ * Parsing is strict: wrong magic, foreign endianness, any other version,
  * short files, checksum/hash mismatches and non-monotonic record cycle
  * streams each yield a typed TraceStatus, never undefined behaviour. A
  * trace that parses Ok round-trips byte-exactly (codec choice is
@@ -91,8 +84,6 @@
 namespace laser::trace {
 
 constexpr std::uint32_t kTraceVersion = 4;
-/** Oldest version the read side still parses. */
-constexpr std::uint32_t kTraceMinVersion = 1;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */
@@ -106,7 +97,7 @@ enum class TraceStatus : std::uint8_t {
     Ok,
     IoError,       ///< file unreadable/unwritable
     BadMagic,      ///< not a LASER trace
-    BadVersion,    ///< produced by an incompatible format version
+    BadVersion,    ///< any format version other than kTraceVersion
     BadEndianness, ///< produced on a foreign-endian machine
     Truncated,     ///< stream ends mid-structure
     Corrupt,       ///< checksum/hash mismatch or malformed content
@@ -146,15 +137,11 @@ struct TraceMeta
  * Content hash of a capture configuration: the cache key under which a
  * trace is stored. Computable before running anything (only the config
  * section of @p meta is read), and stored in the file header so a cache
- * can index traces without decoding payloads. Version-scoped: bumping
- * kTraceVersion re-keys every cache (`laser_trace migrate` re-keys old
- * cache files to their new hash).
+ * can index traces without decoding payloads. Version-scoped (it
+ * hashes u32(kTraceVersion) ahead of the config section): bumping
+ * kTraceVersion re-keys every cache.
  */
 std::uint64_t configHash(const TraceMeta &meta);
-
-/** The config hash a version-@p version writer would have stored. */
-std::uint64_t configHashForVersion(const TraceMeta &meta,
-                                   std::uint32_t version);
 
 /** A decoded trace: metadata + records in canonical cycle order. */
 struct Trace
@@ -233,19 +220,11 @@ class TraceWriter : public analysis::RecordSink
                                          const std::string &path);
 
 /**
- * Encode @p trace as an older format version (1 or 2) — the row-wise
- * interleaved-delta encodings v3 replaced. Exists for migration tests
- * and for measuring v3's compression against v2; the write path proper
- * always emits kTraceVersion.
- */
-std::vector<std::uint8_t> encodeLegacyTrace(const Trace &trace,
-                                            std::uint32_t version);
-
-/**
- * Strict trace decoder (reads every supported version; see the header
- * comment for the compatibility rules). All entry points return a
- * TraceStatus; trace() is only meaningful after an Ok parse. error()
- * carries a human-readable detail string for every failure.
+ * Strict whole-trace decoder: TraceFile's validation and block decode
+ * (trace/trace_file.h) plus the whole-payload checksum. All entry
+ * points return a TraceStatus; trace() is only meaningful after an Ok
+ * parse. error() carries a human-readable detail string for every
+ * failure.
  */
 class TraceReader
 {
@@ -258,23 +237,16 @@ class TraceReader
     const Trace &trace() const { return trace_; }
     /** Move the parsed trace out (reader resets to empty). */
     Trace takeTrace() { return std::move(trace_); }
-    /** Format version of the last Ok parse. */
-    std::uint32_t version() const { return version_; }
     /** Detail message for the last non-Ok status ("" after Ok). */
     const std::string &error() const { return error_; }
 
   private:
     [[nodiscard]] TraceStatus fail(TraceStatus status,
                                    std::string detail);
-    [[nodiscard]] TraceStatus parseLegacyRecords(
-        const std::uint8_t *payload, std::size_t payload_size,
-        std::size_t meta_size, std::uint32_t version);
-    [[nodiscard]] TraceStatus parseColumnarRecords(
-        const std::uint8_t *payload, std::size_t payload_size,
-        std::size_t meta_size);
+    /** parse() over an image the reader owns (no copy on readFile). */
+    [[nodiscard]] TraceStatus parseImage(std::vector<std::uint8_t> bytes);
 
     Trace trace_;
-    std::uint32_t version_ = 0;
     std::string error_;
 };
 
@@ -283,13 +255,12 @@ namespace detail {
 /** Parsed fixed header fields. */
 struct HeaderInfo
 {
-    std::uint32_t version = 0;
     std::uint64_t configHash = 0;
     std::uint64_t payloadSize = 0;
 };
 
 /**
- * Validate the fixed 28-byte header (magic, supported version,
+ * Validate the fixed 28-byte header (magic, version == kTraceVersion,
  * endianness) and extract its fields. Shared by the full reader, the
  * seekable TraceFile and the cache's header-only inventory so all
  * three reject foreign files identically.
@@ -300,13 +271,12 @@ struct HeaderInfo
                                            std::string *err);
 
 /**
- * Parse the config + results sections at the start of a payload
- * (version-dependent: v1 lacks the VTune/Sheriff config blocks).
+ * Parse the config + results sections at the start of a payload.
  * On Ok, *consumed is the meta-section size in bytes.
  */
 [[nodiscard]] TraceStatus parseMetaSections(
-    const std::uint8_t *payload, std::size_t size, std::uint32_t version,
-    TraceMeta *meta, std::size_t *consumed, std::string *err);
+    const std::uint8_t *payload, std::size_t size, TraceMeta *meta,
+    std::size_t *consumed, std::string *err);
 
 } // namespace detail
 

@@ -118,9 +118,15 @@ class FileCursor : public RecordCursor
         }
         // The index's cycle range must describe the records it points
         // at, or window selection would silently skip/include records.
-        if (cols_[columnar::kColCycle].front() != b.firstCycle ||
-                cols_[columnar::kColCycle].back() != b.lastCycle) {
+        const std::vector<std::uint64_t> &cycles = cols_[columnar::kColCycle];
+        if (cycles.front() != b.firstCycle || cycles.back() != b.lastCycle) {
             status_ = TraceStatus::Corrupt;
+            return false;
+        }
+        // Window cursors stop at the first record past the window, so a
+        // cycle that goes backwards inside a block would hide records.
+        if (!std::is_sorted(cycles.begin(), cycles.end())) {
+            status_ = TraceStatus::NonMonotonic;
             return false;
         }
         FileMetrics::get().bytesRead.inc(bytes);
@@ -238,11 +244,6 @@ TraceFile::validate()
         trace::detail::parseTraceHeader(data_, size_, &header, &err);
     if (header_status != TraceStatus::Ok)
         return fail(header_status, std::move(err));
-    if (header.version < 3)
-        return fail(TraceStatus::BadVersion,
-                    "format v" + std::to_string(header.version) +
-                        " has no block index and is not seekable; "
-                        "upgrade it with `laser_trace migrate`");
     if (size_ < kTraceHeaderSize + kTraceTrailerSize)
         return fail(TraceStatus::Truncated,
                     "file shorter than header + trailer");
@@ -284,20 +285,21 @@ TraceFile::validate()
 
     std::size_t consumed = 0;
     const TraceStatus meta_status = trace::detail::parseMetaSections(
-        payload(), metaSize_, header.version, &meta_, &consumed, &err);
+        payload(), metaSize_, &meta_, &consumed, &err);
     if (meta_status != TraceStatus::Ok)
         return fail(meta_status, std::move(err));
     if (consumed != metaSize_)
         return fail(TraceStatus::Corrupt,
                     "meta sections do not end at the record blob");
-    if (configHashForVersion(meta_, header.version) != header.configHash)
+    if (configHash(meta_) != header.configHash)
         return fail(TraceStatus::Corrupt,
                     "header config hash does not match config section");
     // Seeking binary-searches block cycle ranges; an unordered index
     // cannot serve a window correctly, so refuse it up front.
     if (!index_.cyclesOrdered())
         return fail(TraceStatus::NonMonotonic,
-                    "block cycle ranges are not ordered");
+                    "block cycle ranges are not ordered: a block's cycle "
+                    "precedes an earlier one");
 
     // Everything read so far: header, meta sections, index, trailing
     // index offset. Record blocks are charged as cursors decode them.
@@ -332,6 +334,16 @@ TraceFile::cursorForCycles(std::uint64_t begin, std::uint64_t end) const
     index_.blocksForCycles(begin, end, &first_block, &end_block);
     return std::make_unique<FileCursor>(
         this, first_block, end_block, 0, index_.records, begin, end);
+}
+
+bool
+TraceFile::payloadChecksumOk() const
+{
+    if (!open_)
+        return false;
+    const std::size_t payload_size = static_cast<std::size_t>(payloadSize_);
+    wire::ByteReader trailer(payload() + payload_size, kTraceTrailerSize);
+    return trailer.u64() == wire::fnv1a(payload(), payload_size);
 }
 
 TraceStatus

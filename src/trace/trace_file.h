@@ -1,7 +1,8 @@
 /**
  * @file
- * Seekable v3 trace reader: verify-and-decode only the bytes a replay
- * actually touches.
+ * Seekable trace reader: verify-and-decode only the bytes a replay
+ * actually touches. Also the one record decoder: TraceReader's full
+ * parse is openBytes() + readAll() plus the whole-payload checksum.
  *
  * TraceFile::open() maps the file (openBytes() adopts an in-memory
  * image), validates the fixed header, reads the trailing index offset,
@@ -17,7 +18,9 @@
  *     ranges for the window and skips boundary records outside it;
  *
  * each verifying a block's FNV-1a checksum before trusting its bytes,
- * so every byte actually read is still integrity-checked. A cursor
+ * so every byte actually read is still integrity-checked, and checking
+ * the decoded cycles against the block's index range and for
+ * non-decreasing order (NonMonotonic otherwise). A cursor
  * holds one decoded block at a time (O(block) memory, reported through
  * the trace/source.h buffered-records accounting) and latches a typed
  * TraceStatus if a block is corrupt mid-stream.
@@ -27,8 +30,7 @@
  * bytes) and trace.file.blocks_decoded — the windowed-replay acceptance
  * checks are written against them.
  *
- * Only format v3 is seekable; open() returns BadVersion for v1/v2
- * files (upgrade them with `laser_trace migrate`).
+ * Only kTraceVersion files open; any other version is BadVersion.
  */
 
 #ifndef LASER_TRACE_TRACE_FILE_H
@@ -85,6 +87,10 @@ class TraceFile : public RecordSource
      * whole-payload checksum (block checksums cover the same bytes).
      */
     [[nodiscard]] TraceStatus readAll(Trace *out) const;
+
+    /** Whether the trailer matches a checksum of the whole payload
+     *  (false when not open). Reads every payload byte. */
+    bool payloadChecksumOk() const;
 
   private:
     friend class FileCursor;

@@ -101,7 +101,6 @@ class CondVar
         lk.release();
     }
 
-    void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 
   private:

@@ -182,35 +182,6 @@ class ThreadPool
         std::rethrow_exception(error);
     }
 
-    /**
-     * Enqueue one fire-and-forget task (the stats server's connection
-     * handlers, etc.); returns immediately. Exceptions the task throws
-     * are swallowed into pool.exceptions_suppressed — a post()ed task
-     * has no caller left to rethrow into. Tasks still queued when the
-     * pool is destroyed are drained by the workers before they join.
-     */
-    void
-    post(std::function<void()> fn)
-    {
-        {
-            MutexLock lock(&mu_);
-            queue_.push_back(
-                {[fn = std::move(fn)] {
-                     try {
-                         fn();
-                     } catch (...) {
-                         static obs::Counter &suppressed =
-                             obs::Registry::global().counter(
-                                 "pool.exceptions_suppressed");
-                         suppressed.inc();
-                     }
-                 },
-                 clock::now()});
-        }
-        queueDepthGauge().add(1.0);
-        cv_.notifyOne();
-    }
-
   private:
     using clock = std::chrono::steady_clock;
 

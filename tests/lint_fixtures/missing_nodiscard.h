@@ -5,10 +5,9 @@
 #define LASER_LINT_FIXTURES_MISSING_NODISCARD_H
 
 struct TraceStatus;
-struct MigrateFileResult;
 
-TraceStatus unmarked();               // FLAG line 10
-MigrateFileResult alsoUnmarked(int);  // FLAG line 11
+TraceStatus unmarked();          // FLAG line 9
+TraceStatus alsoUnmarked(int);   // FLAG line 10
 
 [[nodiscard]] TraceStatus marked();            // ok
 [[nodiscard]] inline TraceStatus alsoMarked(); // ok
@@ -16,7 +15,7 @@ MigrateFileResult alsoUnmarked(int);  // FLAG line 11
 struct Api
 {
     [[nodiscard]] virtual TraceStatus status() const = 0; // ok
-    TraceStatus memberUnmarked(); // FLAG line 19
+    TraceStatus memberUnmarked(); // FLAG line 18
     virtual ~Api() = default;
 };
 

@@ -121,9 +121,9 @@ TEST(NodiscardStatus, FlagsUnmarkedHeaderDeclarations)
 {
     const auto got = lineRules(lintFixture("missing_nodiscard.h"));
     const std::vector<std::pair<int, std::string>> want = {
+        {9, "nodiscard-status"},
         {10, "nodiscard-status"},
-        {11, "nodiscard-status"},
-        {19, "nodiscard-status"},
+        {18, "nodiscard-status"},
     };
     EXPECT_EQ(got, want);
 }

@@ -291,7 +291,7 @@ TEST_F(ObsTest, PrometheusTextFormat)
 }
 
 // ---------------------------------------------------------------------
-// Snapshot merge / fromJson (the /push and laser_statsd machinery)
+// Prometheus label escaping and Snapshot::fromJson (`laser_trace stats FILE`)
 // ---------------------------------------------------------------------
 
 TEST_F(ObsTest, PromEscapeLabelQuotesTheTextFormatSpecials)
@@ -300,67 +300,6 @@ TEST_F(ObsTest, PromEscapeLabelQuotesTheTextFormatSpecials)
     EXPECT_EQ(promEscapeLabel("a\\b"), "a\\\\b");
     EXPECT_EQ(promEscapeLabel("say \"hi\""), "say \\\"hi\\\"");
     EXPECT_EQ(promEscapeLabel("two\nlines"), "two\\nlines");
-}
-
-TEST_F(ObsTest, SnapshotMergeSumsCountersAndOverwritesGauges)
-{
-    Registry a, b;
-    a.counter("shared").inc(10);
-    a.counter("only_a").inc(1);
-    a.gauge("depth").set(2.0);
-    b.counter("shared").inc(5);
-    b.counter("only_b").inc(3);
-    b.gauge("depth").set(7.0);
-
-    Snapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    ASSERT_EQ(merged.counters.size(), 3u);
-    EXPECT_EQ(merged.counters[0].first, "only_a");
-    EXPECT_EQ(merged.counters[1].first, "only_b");
-    EXPECT_EQ(merged.counters[2].first, "shared");
-    EXPECT_EQ(merged.counters[2].second, 15u);
-    ASSERT_EQ(merged.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(merged.gauges[0].second, 7.0); // pushed value wins
-}
-
-TEST_F(ObsTest, SnapshotMergeFoldsHistogramsBucketWise)
-{
-    Registry a, b;
-    for (double v : {0.5, 0.5, 2.0})
-        a.histogram("h").record(v);
-    for (double v : {0.5, 8.0})
-        b.histogram("h").record(v);
-
-    Snapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    ASSERT_EQ(merged.histograms.size(), 1u);
-    const Histogram::Data &d = merged.histograms[0].second;
-    EXPECT_EQ(d.count, 5u);
-    EXPECT_DOUBLE_EQ(d.sum, 11.5);
-    EXPECT_DOUBLE_EQ(d.min, 0.5);
-    EXPECT_DOUBLE_EQ(d.max, 8.0);
-    // 0.5s recorded on both sides lands in one bucket with count 3.
-    std::uint64_t total = 0, maxBucket = 0;
-    for (const auto &[upper, count] : d.buckets) {
-        total += count;
-        maxBucket = std::max(maxBucket, count);
-    }
-    EXPECT_EQ(total, 5u);
-    EXPECT_EQ(maxBucket, 3u);
-}
-
-TEST_F(ObsTest, SnapshotMergeOfEmptyIsIdentity)
-{
-    // The property the live /metrics endpoint rides on: until someone
-    // pushes, serving merge(live, empty) is byte-identical to the
-    // offline exporter.
-    Registry reg;
-    reg.counter("c").inc(2);
-    reg.gauge("g").set(1.5);
-    reg.histogram("h").record(0.25);
-    Snapshot merged = reg.snapshot();
-    merged.merge(Snapshot{});
-    EXPECT_EQ(merged.toPrometheus(), reg.snapshot().toPrometheus());
 }
 
 TEST_F(ObsTest, SnapshotFromJsonRoundTripsIncludingOverflowBucket)
@@ -381,10 +320,8 @@ TEST_F(ObsTest, SnapshotFromJsonRoundTripsIncludingOverflowBucket)
     // The round-trip must preserve the exposition text exactly —
     // DBL_MAX-saturated bucket bounds turn back into +Inf.
     EXPECT_EQ(back.toPrometheus(), orig.toPrometheus());
-    Snapshot twice = orig;
-    twice.merge(back);
-    ASSERT_EQ(twice.histograms.size(), 1u);
-    EXPECT_EQ(twice.histograms[0].second.count, 4u);
+    ASSERT_EQ(back.histograms.size(), 1u);
+    EXPECT_EQ(back.histograms[0].second.count, 2u);
 }
 
 TEST_F(ObsTest, SnapshotFromJsonRejectsNonSnapshotDocuments)

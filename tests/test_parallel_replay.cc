@@ -215,7 +215,7 @@ TEST(ParallelReplay, IdenticalToSerialForEveryWorkload)
 
 TEST(ParallelReplay, FileBackedCursorsIdenticalToSerialForEveryWorkload)
 {
-    // The streaming path: every workload written to a v3 file, mmapped
+    // The streaming path: every workload written to a trace file, mmapped
     // back, and sharded over per-shard block cursors. The merged report
     // must stay field-identical to the serial in-memory replay — the
     // index-based shard split sees the same record boundaries whether

@@ -20,6 +20,7 @@
 #include "trace/capture.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
+#include "trace/trace_file.h"
 
 namespace laser::trace {
 namespace {
@@ -67,6 +68,14 @@ encode(const Trace &t)
     TraceWriter writer(t.meta);
     writer.appendAll(t.records);
     return writer.finalize();
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
 void
@@ -142,10 +151,27 @@ TEST(TraceFormat, RejectsBadMagic)
 
 TEST(TraceFormat, RejectsVersionMismatch)
 {
-    std::vector<std::uint8_t> bytes = encode(syntheticTrace());
-    bytes[4] = static_cast<std::uint8_t>(kTraceVersion + 1);
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::BadVersion);
+    // Only kTraceVersion is read: an older or a newer version is
+    // BadVersion from the full reader, the seekable reader and the
+    // cache's header-only inventory alike.
+    const std::vector<std::uint8_t> pristine = encode(syntheticTrace());
+    const std::string path =
+        (fs::temp_directory_path() / "laser_badversion.ltrace").string();
+    for (const std::uint8_t version : {3, 5}) {
+        std::vector<std::uint8_t> bytes = pristine;
+        bytes[4] = version;
+        TraceReader reader;
+        EXPECT_EQ(reader.parse(bytes), TraceStatus::BadVersion)
+            << "v" << int(version);
+        TraceFile file;
+        EXPECT_EQ(file.openBytes(bytes), TraceStatus::BadVersion)
+            << "v" << int(version);
+        writeBytes(path, bytes);
+        std::uint64_t hash = 0;
+        EXPECT_EQ(readTraceHeader(path, &hash), TraceStatus::BadVersion)
+            << "v" << int(version);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceFormat, RejectsForeignEndianness)
@@ -195,17 +221,31 @@ TEST(TraceFormat, RejectsNonMonotonicCycles)
     // Sharding splits streams into contiguous time windows, so the
     // canonical stream must be non-decreasing in cycle; a decreasing
     // step is a typed error, not a silently accepted stream.
-    Trace t = syntheticTrace();
-    t.records[2].cycle = t.records[1].cycle - 1;
+    // `ends_low` makes the block's last cycle precede its first, which
+    // the index check at open catches; `dips` regresses inside a block
+    // whose first and last cycles are still ordered, which only the
+    // block decode sees.
+    Trace ends_low = syntheticTrace();
+    ends_low.records[2].cycle = ends_low.records[1].cycle - 1;
+    Trace dips = syntheticTrace();
+    dips.records[1].cycle = dips.records[0].cycle - 1;
     TraceReader reader;
-    EXPECT_EQ(reader.parse(encode(t)), TraceStatus::NonMonotonic);
-    EXPECT_NE(reader.error().find("precedes"), std::string::npos);
+    for (const Trace *t : {&ends_low, &dips}) {
+        EXPECT_EQ(reader.parse(encode(*t)), TraceStatus::NonMonotonic);
+        EXPECT_NE(reader.error().find("precedes"), std::string::npos)
+            << reader.error();
+    }
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(encode(ends_low)), TraceStatus::NonMonotonic);
+    ASSERT_EQ(file.openBytes(encode(dips)), TraceStatus::Ok);
+    Trace decoded;
+    EXPECT_EQ(file.readAll(&decoded), TraceStatus::NonMonotonic);
 
     // The writer refuses to persist such a stream in the first place
-    // (finalize() still encodes it, so the reader path above is
+    // (finalize() still encodes it, so the reader paths above are
     // testable).
-    TraceWriter writer(t.meta);
-    writer.appendAll(t.records);
+    TraceWriter writer(dips.meta);
+    writer.appendAll(dips.records);
     EXPECT_FALSE(writer.monotonic());
     EXPECT_EQ(writer.writeFile(
                   (fs::temp_directory_path() / "laser_nonmono.ltrace")
@@ -666,20 +706,45 @@ TEST(SweepRunner, CorruptCacheFileIsResimulatedAndRepaired)
     const CaptureOptions opt;
     const std::uint64_t key = configHash(makeCaptureMeta(*kmeans, opt));
 
+    // Junk, and a valid image of this very capture stamped with a stale
+    // format version (a cache written before a format bump).
+    const std::string junk = "not a trace";
+    std::vector<std::uint8_t> stale = encode(captureTrace(*kmeans, opt));
+    stale[4] = 3;
+    const std::vector<std::vector<std::uint8_t>> poisons = {
+        {junk.begin(), junk.end()}, stale};
+
     core::SweepRunner::Config cfg;
     cfg.cacheDir = dir.string();
-    core::SweepRunner runner(cfg);
-    {
-        std::ofstream poison(runner.cachePath(key), std::ios::binary);
-        poison << "not a trace";
-    }
-    runner.capture(*kmeans, opt);
-    EXPECT_EQ(runner.stats().machineRuns, 1u);
-    EXPECT_EQ(runner.stats().diskCacheHits, 0u);
+    const auto load = [&](core::SweepRunner &runner, bool as_file) {
+        if (as_file)
+            EXPECT_NE(runner.captureFile(*kmeans, opt), nullptr);
+        else
+            EXPECT_NE(runner.capture(*kmeans, opt), nullptr);
+    };
+    for (const std::vector<std::uint8_t> &poison : poisons) {
+        for (const bool as_file : {false, true}) {
+            SCOPED_TRACE(std::string(poison == stale ? "stale version"
+                                                     : "junk") +
+                         (as_file ? " via captureFile()" : " via capture()"));
+            core::SweepRunner runner(cfg);
+            writeBytes(runner.cachePath(key), poison);
+            load(runner, as_file);
+            EXPECT_EQ(runner.stats().machineRuns, 1u);
+            EXPECT_EQ(runner.stats().diskCacheHits, 0u);
 
-    // The poisoned file was overwritten with a valid trace.
-    TraceReader reader;
-    EXPECT_EQ(reader.readFile(runner.cachePath(key)), TraceStatus::Ok);
+            // The poisoned file was overwritten with a current trace...
+            TraceReader reader;
+            EXPECT_EQ(reader.readFile(runner.cachePath(key)),
+                      TraceStatus::Ok)
+                << reader.error();
+            // ...which the next runner serves from disk.
+            core::SweepRunner next(cfg);
+            load(next, as_file);
+            EXPECT_EQ(next.stats().machineRuns, 0u);
+            EXPECT_EQ(next.stats().diskCacheHits, 1u);
+        }
+    }
     fs::remove_all(dir);
 }
 

@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests for the LSRT v3 columnar layer: per-column codec round-trips
- * and strict rejection, block-index bomb bounds, seek-window decode
- * equivalence, streaming-replay memory bounds, legacy (v1/v2) parse
- * compatibility, cache migration, and the gc-vs-disk-hit race paths.
+ * Tests for the LSRT columnar layer: per-column codec round-trips and
+ * strict rejection, block-index bomb bounds, seek-window decode
+ * equivalence, streaming-replay memory bounds, and the gc-vs-disk-hit
+ * race paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
-#include "core/sweep_runner.h"
 #include "detect/types.h"
 #include "trace/cache.h"
 #include "trace/capture.h"
@@ -193,7 +191,7 @@ TEST(BlockIndex, RejectsRecordCountBombs)
 // Seekable file: window decode, corruption, read volume
 // ---------------------------------------------------------------------
 
-/** A multi-block v3 image (small blocks force many index entries). */
+/** A multi-block image (small blocks force many index entries). */
 std::vector<std::uint8_t>
 multiBlockImage(const std::vector<pebs::PebsRecord> &recs,
                 std::size_t block_records = 256)
@@ -421,98 +419,6 @@ TEST(StreamingReplay, PeakBufferedRecordsIsBlockBound)
 }
 
 // ---------------------------------------------------------------------
-// Legacy compatibility and migration
-// ---------------------------------------------------------------------
-
-TEST(LegacyTrace, V1AndV2StillParse)
-{
-    const auto *kmeans = workloads::findWorkload("kmeans");
-    ASSERT_NE(kmeans, nullptr);
-    const Trace captured = captureTrace(*kmeans);
-
-    for (const std::uint32_t version : {1u, 2u}) {
-        const std::vector<std::uint8_t> legacy =
-            encodeLegacyTrace(captured, version);
-        TraceReader reader;
-        ASSERT_EQ(reader.parse(legacy), TraceStatus::Ok)
-            << "v" << version << ": " << reader.error();
-        EXPECT_EQ(reader.version(), version);
-        EXPECT_TRUE(recordsEqual(reader.trace().records,
-                                 captured.records))
-            << "v" << version;
-        EXPECT_EQ(reader.trace().meta.workload, captured.meta.workload);
-
-        // The seekable reader has no index to seek: typed BadVersion
-        // pointing at the migration path, not a parse attempt.
-        TraceFile file;
-        EXPECT_EQ(file.openBytes(legacy), TraceStatus::BadVersion);
-        EXPECT_NE(file.error().find("migrate"), std::string::npos);
-    }
-}
-
-TEST(LegacyTrace, MigrateUpgradesAndRekeysCacheFiles)
-{
-    const auto *kmeans = workloads::findWorkload("kmeans");
-    const Trace captured = captureTrace(*kmeans);
-
-    const fs::path dir =
-        fs::temp_directory_path() / "laser_codec_migrate";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    // A sweep-cache file named by its old (v2-scoped) config hash.
-    const std::uint64_t old_hash = configHashForVersion(captured.meta, 2);
-    char old_name[32];
-    std::snprintf(old_name, sizeof old_name, "%016llx%s",
-                  (unsigned long long)old_hash, kTraceExtension);
-    const fs::path old_path = dir / old_name;
-    {
-        const std::vector<std::uint8_t> legacy =
-            encodeLegacyTrace(captured, 2);
-        std::ofstream out(old_path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(legacy.data()),
-                  std::streamsize(legacy.size()));
-    }
-
-    const MigrateFileResult result =
-        migrateTraceFile(old_path.string());
-    ASSERT_EQ(result.status, TraceStatus::Ok) << result.error;
-    EXPECT_TRUE(result.upgraded);
-    EXPECT_FALSE(fs::exists(old_path)) << "old key not removed";
-
-    char new_name[32];
-    std::snprintf(new_name, sizeof new_name, "%016llx%s",
-                  (unsigned long long)configHash(captured.meta),
-                  kTraceExtension);
-    EXPECT_EQ(fs::path(result.newPath).filename().string(), new_name);
-
-    // The migrated file is current-version and replays bit-identically.
-    TraceReader reader;
-    ASSERT_EQ(reader.readFile(result.newPath), TraceStatus::Ok)
-        << reader.error();
-    EXPECT_EQ(reader.version(), kTraceVersion);
-    EXPECT_TRUE(recordsEqual(reader.trace().records, captured.records));
-    TraceReplayer before(captured);
-    TraceReplayer after(reader.trace());
-    ASSERT_TRUE(before.ok() && after.ok());
-    EXPECT_TRUE(detect::reportsIdentical(before.replayAtThreshold(1000),
-                                         after.replayAtThreshold(1000)));
-
-    // Migrating a current file is a no-op.
-    const MigrateFileResult again =
-        migrateTraceFile(result.newPath);
-    EXPECT_EQ(again.status, TraceStatus::Ok);
-    EXPECT_FALSE(again.upgraded);
-
-    // And the directory-level sweep reports what happened.
-    const CacheMigrateResult cache = migrateTraceCache(dir.string());
-    EXPECT_EQ(cache.scanned, 1u);
-    EXPECT_EQ(cache.alreadyCurrent, 1u);
-    EXPECT_EQ(cache.failed, 0u);
-    fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
 // Cache gc vs concurrent use: spared and vanished entries
 // ---------------------------------------------------------------------
 
@@ -581,35 +487,6 @@ TEST(TraceCacheGc, SparesEntriesTouchedByConcurrentDiskHits)
     EXPECT_TRUE(fs::exists(oldest)) << "just-used entry was evicted";
     EXPECT_EQ(gc.evicted, 1u);
     EXPECT_FALSE(fs::exists(newer));
-    fs::remove_all(dir);
-}
-
-TEST(TraceCacheGc, ListingsReportHeaderVersions)
-{
-    const fs::path dir = fs::temp_directory_path() / "laser_gc_ver";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const auto now = fs::file_time_type::clock::now();
-    writeCacheTrace(dir, "current", now);
-    {
-        Trace t;
-        t.meta = syntheticMeta();
-        t.records = syntheticRecords(10);
-        const std::vector<std::uint8_t> legacy = encodeLegacyTrace(t, 2);
-        std::ofstream out(dir / ("legacy" + std::string(kTraceExtension)),
-                          std::ios::binary);
-        out.write(reinterpret_cast<const char *>(legacy.data()),
-                  std::streamsize(legacy.size()));
-    }
-
-    std::uint32_t versions[2] = {};
-    for (const CacheEntry &entry : listTraceCache(dir.string())) {
-        EXPECT_EQ(entry.status, TraceStatus::Ok) << entry.path;
-        const std::string stem = fs::path(entry.path).stem().string();
-        versions[stem == "legacy" ? 0 : 1] = entry.version;
-    }
-    EXPECT_EQ(versions[0], 2u);
-    EXPECT_EQ(versions[1], kTraceVersion);
     fs::remove_all(dir);
 }
 

@@ -14,10 +14,10 @@
  *       trace-cache key.
  *
  *   laser_trace info FILE
- *       Decode and print a trace's header, configuration and stats.
- *       For v3+ (columnar) traces also prints the compression report:
- *       per-column compressed/uncompressed bytes, which codec each
- *       block chose per column, and block-index/seek statistics.
+ *       Print a trace's header, configuration and stats plus the
+ *       compression report: per-column compressed/uncompressed bytes,
+ *       which codec each block chose per column, and block-index/seek
+ *       statistics. Reads only the header, meta sections and index.
  *
  *   laser_trace replay FILE [--threshold F | --thresholds t1,t2,...]
  *                      [--shards N] [--cycles BEGIN:END]
@@ -28,14 +28,9 @@
  *       --thresholds replays several configurations from one digest
  *       (multi-config single-pass). --cycles replays only the records
  *       in a cycle window, decoding only the blocks that overlap it
- *       (v3+ traces; prints how many payload bytes the seek touched).
+ *       (prints how many payload bytes the seek touched).
  *       VTune and Sheriff traces replay through their own offline
  *       analyzers.
- *
- *   laser_trace migrate PATH
- *       Upgrade a trace file — or, when PATH is a directory, every
- *       *.ltrace in it — to the current format version, re-keying
- *       cache files to their new (version-scoped) config hash.
  *
  *   laser_trace sweep [--workloads a,b,...] [--thresholds t1,t2,...]
  *                     [--cache-dir DIR] [-j N] [--shards N]
@@ -111,7 +106,6 @@ usage()
         "  info FILE\n"
         "  replay FILE [--threshold F | --thresholds t1,t2,...]\n"
         "         [--shards N] [--cycles BEGIN:END]\n"
-        "  migrate PATH            (trace file, or cache directory)\n"
         "  sweep [--workloads a,b,...] [--thresholds t1,t2,...]\n"
         "        [--cache-dir DIR] [-j N] [--shards N]\n"
         "        [--protocol mesi|dragon] [--line-bytes N]\n"
@@ -355,17 +349,13 @@ cmdRecord(int argc, char **argv)
 }
 
 void
-printMetaInfo(const char *path, std::uint32_t version,
-              const trace::TraceMeta &meta, std::size_t records)
+printMetaInfo(const char *path, const trace::TraceMeta &meta,
+              std::size_t records)
 {
     std::printf("trace file:    %s\n", path);
-    std::printf("format:        LSRT v%u%s\n", version,
-                version < 3 ? " (row-wise legacy; run `laser_trace "
-                              "migrate` to upgrade)"
-                            : " (columnar)");
+    std::printf("format:        LSRT v%u (columnar)\n", trace::kTraceVersion);
     std::printf("config hash:   %016llx\n",
-                (unsigned long long)trace::configHashForVersion(meta,
-                                                                version));
+                (unsigned long long)trace::configHash(meta));
     std::printf("workload:      %s (scheme %s)\n", meta.workload.c_str(),
                 meta.scheme.c_str());
     std::printf("capture:       sav=%u threads=%d machine-seed=%llx "
@@ -391,7 +381,7 @@ printMetaInfo(const char *path, std::uint32_t version,
     std::printf("maps text:     %zu bytes\n", meta.mapsText.size());
 }
 
-/** The v3+ compression/seek report: per-column bytes + codec mix. */
+/** The compression/seek report: per-column bytes + codec mix. */
 void
 printColumnarInfo(const trace::TraceFile &file)
 {
@@ -451,33 +441,18 @@ cmdInfo(int argc, char **argv)
     if (argc < 3)
         return usage();
 
-    // v3+ files: header + meta + index only (no record decode needed
-    // for an inventory view). v1/v2 fall back to the full reader.
+    // Header + meta + index only: no record decode needed for an
+    // inventory view.
     trace::TraceFile file;
-    const trace::TraceStatus seek_status = file.open(argv[2]);
-    if (seek_status == trace::TraceStatus::Ok) {
-        printMetaInfo(argv[2], trace::kTraceVersion, file.meta(),
-                      static_cast<std::size_t>(file.recordCount()));
-        printColumnarInfo(file);
-        return 0;
-    }
-    if (seek_status != trace::TraceStatus::BadVersion) {
-        std::fprintf(stderr, "laser_trace: %s: %s (%s)\n", argv[2],
-                     trace::traceStatusName(seek_status),
-                     file.error().c_str());
-        return 2;
-    }
-
-    trace::TraceReader reader;
-    const trace::TraceStatus status = reader.readFile(argv[2]);
+    const trace::TraceStatus status = file.open(argv[2]);
     if (status != trace::TraceStatus::Ok) {
         std::fprintf(stderr, "laser_trace: %s: %s (%s)\n", argv[2],
-                     trace::traceStatusName(status),
-                     reader.error().c_str());
+                     trace::traceStatusName(status), file.error().c_str());
         return 2;
     }
-    printMetaInfo(argv[2], reader.version(), reader.trace().meta,
-                  reader.trace().records.size());
+    printMetaInfo(argv[2], file.meta(),
+                  static_cast<std::size_t>(file.recordCount()));
+    printColumnarInfo(file);
     return 0;
 }
 
@@ -828,8 +803,8 @@ cmdCache(int argc, char **argv)
             return usage();
         const std::vector<trace::CacheEntry> entries =
             trace::listTraceCache(dir);
-        TablePrinter table({"trace", "config hash", "ver", "size",
-                            "age (s)", "header"});
+        TablePrinter table(
+            {"trace", "config hash", "size", "age (s)", "header"});
         const auto now =
             std::filesystem::file_time_type::clock::now();
         std::uint64_t total = 0;
@@ -843,9 +818,6 @@ cmdCache(int argc, char **argv)
             table.addRow({
                 std::filesystem::path(entry.path).filename().string(),
                 entry.status == trace::TraceStatus::Ok ? hash : "-",
-                entry.status == trace::TraceStatus::Ok
-                    ? "v" + std::to_string(entry.version)
-                    : "-",
                 humanBytes(entry.bytes),
                 fmtDouble(age < 0 ? 0.0 : age, 0),
                 trace::traceStatusName(entry.status),
@@ -889,51 +861,6 @@ cmdCache(int argc, char **argv)
         return 0;
     }
     return usage();
-}
-
-int
-cmdMigrate(int argc, char **argv)
-{
-    if (argc != 3)
-        return usage();
-    const std::string path = argv[2];
-    std::error_code ec;
-    if (std::filesystem::is_directory(path, ec)) {
-        const trace::CacheMigrateResult result =
-            trace::migrateTraceCache(path);
-        std::printf("scanned %zu traces: %zu upgraded to v%u, %zu "
-                    "already current, %zu failed\n",
-                    result.scanned, result.upgraded,
-                    trace::kTraceVersion, result.alreadyCurrent,
-                    result.failed);
-        std::printf("cache size %s -> %s\n",
-                    humanBytes(result.bytesBefore).c_str(),
-                    humanBytes(result.bytesAfter).c_str());
-        return result.failed == 0 ? 0 : 2;
-    }
-
-    const trace::MigrateFileResult result =
-        trace::migrateTraceFile(path);
-    if (result.status != trace::TraceStatus::Ok) {
-        std::fprintf(stderr, "laser_trace: %s: %s (%s)\n", path.c_str(),
-                     trace::traceStatusName(result.status),
-                     result.error.c_str());
-        return 2;
-    }
-    if (!result.upgraded) {
-        std::printf("%s is already v%u\n", path.c_str(),
-                    trace::kTraceVersion);
-        return 0;
-    }
-    if (result.newPath != path)
-        std::printf("upgraded %s -> %s (re-keyed to the v%u config "
-                    "hash)\n",
-                    path.c_str(), result.newPath.c_str(),
-                    trace::kTraceVersion);
-    else
-        std::printf("upgraded %s to v%u in place\n", path.c_str(),
-                    trace::kTraceVersion);
-    return 0;
 }
 
 int
@@ -1006,8 +933,7 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     if (cmd != "record" && cmd != "info" && cmd != "replay" &&
-        cmd != "sweep" && cmd != "cache" && cmd != "migrate" &&
-        cmd != "stats")
+        cmd != "sweep" && cmd != "cache" && cmd != "stats")
         return usage();
 
     // Every invocation is one telemetry record: BENCH_laser_trace_<cmd>
@@ -1026,8 +952,6 @@ main(int argc, char **argv)
         rc = cmdSweep(argc, argv);
     else if (cmd == "cache")
         rc = cmdCache(argc, argv);
-    else if (cmd == "migrate")
-        rc = cmdMigrate(argc, argv);
     else if (cmd == "stats")
         rc = cmdStats(argc, argv);
 
