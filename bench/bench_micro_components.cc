@@ -3,7 +3,9 @@
  * google-benchmark microbenchmarks for the reproduction's hot
  * components: the software store buffer, the Figure 5 cache-line model,
  * the detector pipeline, the MESI and Dragon coherence backends the
- * machine runs, and the interpreter.
+ * machine runs, the interpreter, and whole-program machine runs.
+ * BENCH_micro_components records ns_per_item for every benchmark that
+ * counts items (ns per simulated instruction for the machine runs).
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include "sim/protocol.h"
 #include "sim/ssb.h"
 #include "util/rng.h"
+#include "workloads/workload.h"
 
 using namespace laser;
 using namespace laser::isa;
@@ -149,6 +152,64 @@ BM_InterpreterThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_InterpreterThroughput);
 
+/** One whole corpus program on one protocol backend. */
+static void
+BM_MachineRun(benchmark::State &state, const char *workload,
+              sim::ProtocolKind kind)
+{
+    const workloads::WorkloadBuild build =
+        workloads::findWorkload(workload)->build({});
+    sim::MachineConfig mc;
+    mc.protocol = kind;
+    std::int64_t instructions = 0;
+    for (auto _ : state) {
+        sim::Machine m(build.program, mc);
+        build.applyTo(m);
+        const sim::MachineStats stats = m.run();
+        benchmark::DoNotOptimize(stats.cycles);
+        instructions += static_cast<std::int64_t>(stats.instructions);
+    }
+    state.SetItemsProcessed(instructions);
+}
+BENCHMARK_CAPTURE(BM_MachineRun, histogram_alt_mesi, "histogram'",
+                  sim::ProtocolKind::Mesi)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MachineRun, histogram_alt_dragon, "histogram'",
+                  sim::ProtocolKind::Dragon)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MachineRun, kmeans_mesi, "kmeans",
+                  sim::ProtocolKind::Mesi)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MachineRun, kmeans_dragon, "kmeans",
+                  sim::ProtocolKind::Dragon)
+    ->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/** Console output plus ns_per_item of every item-counting benchmark. */
+class TelemetryReporter final : public benchmark::ConsoleReporter
+{
+  public:
+    explicit TelemetryReporter(obs::Json &results) : results_(results) {}
+
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        ConsoleReporter::ReportRuns(runs);
+        for (const Run &run : runs) {
+            const auto it = run.counters.find("items_per_second");
+            if (it != run.counters.end() && it->second.value > 0)
+                results_.set(run.benchmark_name() + ".ns_per_item",
+                             obs::Json(1e9 / it->second.value));
+        }
+    }
+
+  private:
+    obs::Json &results_;
+};
+
+} // namespace
+
 // Expanded BENCHMARK_MAIN so the run also emits BENCH_micro_components
 // telemetry (per-benchmark wall times land in the registry snapshot via
 // span histograms recorded by the instrumented components themselves).
@@ -159,7 +220,8 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     obs::BenchReport telemetry("micro_components");
-    const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
+    TelemetryReporter reporter(telemetry.results());
+    const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     telemetry.results().set("benchmarks_run",
                             obs::Json(std::uint64_t(ran)));

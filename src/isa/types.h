@@ -142,6 +142,20 @@ opAccessesMemory(Op op)
     return opReadsMemory(op) || opWritesMemory(op);
 }
 
+/**
+ * True if executing the op touches only its own thread's state
+ * (registers, pc, clock): no memory, coherence protocol, store buffer,
+ * PMU callback or store-visibility event. Such instructions commute
+ * with every other thread's instructions, which is what lets the
+ * machine run a thread ahead over them without a scheduling decision.
+ */
+constexpr bool
+opIsThreadLocal(Op op)
+{
+    return !opAccessesMemory(op) && op != Op::Fence &&
+           op != Op::SsbFlush && op != Op::AliasCheck;
+}
+
 /** True for atomic read-modify-write operations (full fence semantics). */
 constexpr bool
 opIsAtomic(Op op)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace laser::sim {
 
@@ -18,6 +20,11 @@ Machine::Machine(isa::Program prog, MachineConfig cfg)
       globals_(mem::Layout::kGlobalsBase, mem::Layout::kGlobalsSize),
       proto_(makeProtocol(cfg.protocol, cfg.numCores, cfg.geometry))
 {
+    if (!cfg.geometry.valid())
+        throw std::invalid_argument(
+            "invalid cache line size " +
+            std::to_string(cfg.geometry.lineBytes) +
+            " (must be a power of two in [8, 128])");
     heap_.perturb(cfg.heapPerturbation);
     threads_.reserve(cfg.numCores);
     for (int t = 0; t < cfg.numCores; ++t) {
@@ -474,15 +481,35 @@ Machine::run()
         return stats_;
     ran_ = true;
 
+    // Run-ahead is exact only if every instruction costs at least one
+    // cycle (the guard below counts on it); with a zero base cost every
+    // instruction gets its own scheduling decision.
+    const bool run_ahead = cfg_.timing.base > 0;
     while (stats_.instructions < cfg_.maxInstructions) {
         ThreadCtx *best = nullptr;
+        std::uint64_t runnable = 0;
         for (ThreadCtx &t : threads_) {
-            if (!t.halted && (!best || t.clock < best->clock))
+            if (t.halted)
+                continue;
+            ++runnable;
+            if (!best || t.clock < best->clock)
                 best = &t;
         }
         if (!best)
             break;
-        execute(*best);
+        ThreadCtx &t = *best;
+        const std::uint64_t pick_clock = t.clock;
+        const std::uint64_t others = runnable - 1;
+        execute(t);
+        // Keep running while the next instruction is thread-local and
+        // the single-step order would also run it before the cut: each
+        // other thread has at most (t.clock - pick_clock + 1)
+        // instructions that order runs first.
+        while (run_ahead && !t.halted &&
+               stats_.instructions + others * (t.clock - pick_clock + 1) <
+                   cfg_.maxInstructions &&
+               isa::opIsThreadLocal(prog_.code[t.pc].op))
+            execute(t);
     }
 
     if (stats_.instructions >= cfg_.maxInstructions)

@@ -5,12 +5,32 @@
  * MachineConfig::protocol), a cycle cost model, SSB-aware execution,
  * and PMU callbacks.
  *
- * Scheduling is event-driven lowest-clock-first: at every step the
- * runnable thread with the smallest core clock executes one instruction
- * and advances its clock by that instruction's cost. This makes timing
- * feedback shape interleavings the way real contention does (a core
- * stalled on a HITM transfer falls behind and its rival gets ahead),
- * while staying fully deterministic.
+ * Scheduling is event-driven lowest-clock-first: the defining order runs
+ * one instruction at a time, always from the runnable thread with the
+ * smallest (core clock, thread id) key, and advances that clock by the
+ * instruction's cost. This makes timing feedback shape interleavings the
+ * way real contention does (a core stalled on a HITM transfer falls
+ * behind and its rival gets ahead), while staying fully deterministic.
+ *
+ * The machine runs that order without a decision per instruction. After
+ * picking the lowest-key thread it keeps executing it while the next
+ * instruction is thread-local (isa::opIsThreadLocal: no memory,
+ * protocol, store buffer, PMU callback or visibility event). Such an
+ * instruction commutes with every other thread's instructions, and keys
+ * only grow, so a shared instruction still runs only when its key is the
+ * global minimum: every coherence access, HITM, PEBS sample, sync
+ * callback and TSO event keeps its order and cycle stamp.
+ *
+ * Only the maxInstructions cut could tell the difference: running ahead
+ * past it would execute instructions the one-at-a-time order never
+ * reaches. Every instruction costs at least timing.base >= 1 cycle, so
+ * each of the other runnable threads has at most
+ * (clock - pickClock + 1) instructions that order runs before the
+ * run-ahead thread's next one. Run-ahead continues only while
+ * instructions + others * (clock - pickClock + 1) < maxInstructions, and
+ * a truncated run therefore executes exactly the same instructions. With
+ * timing.base == 0 the bound fails and every instruction is scheduled
+ * singly.
  */
 
 #ifndef LASER_SIM_MACHINE_H

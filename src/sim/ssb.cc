@@ -115,7 +115,9 @@ SoftwareStoreBuffer::drain()
                 }
                 out.push_back(e);
                 a += take;
-                v >>= 8 * take;
+                // A whole 8-byte piece ends the store; shifting a 64-bit
+                // value by 64 would be undefined.
+                v = take < 8 ? v >> (8 * take) : 0;
                 remaining -= take;
             }
         }

@@ -3,13 +3,17 @@
  * Integration tests for the full LASER system: the accuracy evaluator,
  * the experiment runner's schemes, and the headline end-to-end
  * properties (zero false negatives across the suite, repair behaviour,
- * Sheriff compatibility/costs, VTune baseline).
+ * Sheriff compatibility/costs, VTune baseline), and golden results of
+ * the LASER and Sheriff-Protect runs on the buggy programs.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/accuracy.h"
 #include "core/experiment.h"
+#include "machine_digest.h"
 
 namespace laser::core {
 namespace {
@@ -218,6 +222,59 @@ TEST(System, SheriffReportsAllocationSiteForReverseIndex)
     ASSERT_EQ(sdet.sheriff.reportedSites.size(), 1u);
     // The allocation site, not the contending code (Section 7.1).
     EXPECT_EQ(sdet.sheriff.reportedSites[0], "malloc_wrapper.c:12");
+}
+
+/**
+ * Golden results per buggy program: the LASER run (monitored phase, and
+ * the SSB-instrumented re-run when repair fires) and the Sheriff-Protect
+ * run (the threadsAsProcesses machine; 0 cycles when Sheriff crashes or
+ * cannot run the program). laserStats is statsDigest() of the run's
+ * MachineStats.
+ */
+struct SchemeGolden
+{
+    const char *workload;
+    std::uint64_t laserRuntimeCycles;
+    bool laserRepairApplied;
+    std::uint64_t laserStats;
+    std::uint64_t sheriffProtectRuntimeCycles;
+};
+
+constexpr SchemeGolden kSchemeGoldens[] = {
+    {"bodytrack", 492948ULL, false, 0xf2f2562d023b6d4cULL, 0ULL},
+    {"dedup", 448923ULL, false, 0xfc8e68151870cfe8ULL, 0ULL},
+    {"histogram'", 1643830ULL, true, 0x27b8aa4d5dd0ad3fULL, 364025ULL},
+    {"kmeans", 518678ULL, false, 0xaf676b4224aa0a97ULL, 0ULL},
+    {"linear_regression", 647815ULL, true, 0x43b8a00f39707564ULL, 126139ULL},
+    {"lu_ncb", 473824ULL, false, 0xf1798a15c5f62e86ULL, 386975ULL},
+    {"reverse_index", 397352ULL, false, 0xf79a4d624aad6438ULL, 143627ULL},
+    {"streamcluster", 369636ULL, true, 0x2cf231bb0cb45467ULL, 0ULL},
+    {"volrend", 527828ULL, false, 0x1cfdaf0ef6355656ULL, 0ULL},
+};
+
+TEST(System, BuggyProgramRunsMatchGoldens)
+{
+    const auto buggy = workloads::buggyWorkloads();
+    ASSERT_EQ(buggy.size(), std::size(kSchemeGoldens));
+    ExperimentRunner runner;
+    for (const SchemeGolden &golden : kSchemeGoldens) {
+        const workloads::WorkloadDef *w =
+            workloads::findWorkload(golden.workload);
+        ASSERT_NE(w, nullptr) << golden.workload;
+        EXPECT_FALSE(w->info.bugs.empty()) << golden.workload;
+        const RunResult laser = runner.run(*w, Scheme::Laser);
+        const RunResult sheriff = runner.run(*w, Scheme::SheriffProtect);
+        EXPECT_EQ(laser.runtimeCycles, golden.laserRuntimeCycles)
+            << golden.workload;
+        EXPECT_EQ(laser.repairApplied, golden.laserRepairApplied)
+            << golden.workload;
+        EXPECT_EQ(sim::statsDigest(laser.stats), golden.laserStats)
+            << golden.workload << " 0x" << std::hex
+            << sim::statsDigest(laser.stats);
+        EXPECT_EQ(sheriff.runtimeCycles,
+                  golden.sheriffProtectRuntimeCycles)
+            << golden.workload;
+    }
 }
 
 TEST(System, SchemeNamesArePrintable)

@@ -2,8 +2,9 @@
  * @file
  * Tests for the protocol-pluggable coherence layer (sim/protocol.h):
  * the cross-protocol identity guarantee (MESI behind the interface must
- * reproduce the pre-refactor directory's HITM stream bit-for-bit),
- * outcome equivalence fuzzing against the retained CoherenceDirectory,
+ * reproduce the pre-refactor directory's HITM stream bit-for-bit), the
+ * Dragon machine's golden HITM streams, outcome equivalence fuzzing
+ * against the retained CoherenceDirectory,
  * Dragon transition semantics, invariant property fuzzing over random
  * interleavings of both protocols, and cache-geometry behaviour
  * (line indexing, bounded-MESI eviction).
@@ -12,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <vector>
 
+#include "machine_digest.h"
 #include "sim/coherence.h"
 #include "sim/machine.h"
 #include "sim/protocol.h"
@@ -31,36 +34,27 @@ namespace {
 // ---------------------------------------------------------------------
 
 /**
- * Order-sensitive FNV-1a digest over every HITM event's full payload.
- * Field order and the (non-standard, historical) offset basis must not
- * change: the golden table below was captured with exactly this sink
- * running against the pre-refactor directory-MESI machine.
+ * Order-sensitive FNV-1a digest (Fnv64) over every HITM event's full
+ * payload. Field order must not change: the golden table below was
+ * captured with exactly this sink running against the pre-refactor
+ * directory-MESI machine.
  */
 struct HashingSink final : PmuSink
 {
-    std::uint64_t hash = 1469598103934665603ULL;
+    Fnv64 h;
     std::uint64_t count = 0;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 1099511628211ULL;
-        }
-    }
 
     std::uint64_t
     onHitm(const HitmEvent &e) override
     {
         ++count;
-        mix(static_cast<std::uint64_t>(e.core));
-        mix(e.pcIndex);
-        mix(e.vaddr);
-        mix(e.accessSize);
-        mix(e.isLoadUop ? 1 : 0);
-        mix(e.isStore ? 1 : 0);
-        mix(e.cycle);
+        h.mix(static_cast<std::uint64_t>(e.core));
+        h.mix(e.pcIndex);
+        h.mix(e.vaddr);
+        h.mix(e.accessSize);
+        h.mix(e.isLoadUop ? 1 : 0);
+        h.mix(e.isStore ? 1 : 0);
+        h.mix(e.cycle);
         return 0;
     }
 };
@@ -134,7 +128,78 @@ TEST(ProtocolIdentity, MesiReproducesPreRefactorHitmStreams)
         const MachineStats stats = machine.run();
 
         EXPECT_EQ(sink.count, golden.hitmCount) << golden.workload;
-        EXPECT_EQ(sink.hash, golden.streamHash) << golden.workload;
+        EXPECT_EQ(sink.h.hash, golden.streamHash) << golden.workload;
+        EXPECT_EQ(stats.hitmTotal(), golden.hitmCount)
+            << golden.workload;
+    }
+}
+
+/**
+ * The same digests for the Dragon backend (default BuildOptions, default
+ * MachineConfig with protocol = Dragon). They pin the update-protocol
+ * machine path, which the MESI table above never runs.
+ */
+constexpr Golden kGoldenDragonHitmStreams[] = {
+    {"barnes", 385ULL, 0x39426c6864636542ULL},
+    {"blackscholes", 2ULL, 0xdf63ed2005760603ULL},
+    {"bodytrack", 6ULL, 0xc6ac71704246eaa0ULL},
+    {"canneal", 0ULL, 0x14650fb0739d0383ULL},
+    {"dedup", 95ULL, 0x2c256a46f4fb05c1ULL},
+    {"facesim", 0ULL, 0x14650fb0739d0383ULL},
+    {"ferret", 3ULL, 0xb57970875ef9a0a1ULL},
+    {"fft", 32ULL, 0xeb6c75fd2089a1c6ULL},
+    {"fluidanimate", 768ULL, 0x9ccc12bcbfb3ab3dULL},
+    {"fmm", 0ULL, 0x14650fb0739d0383ULL},
+    {"freqmine", 0ULL, 0x14650fb0739d0383ULL},
+    {"histogram", 0ULL, 0x14650fb0739d0383ULL},
+    {"histogram'", 4ULL, 0x50082c008108cb5fULL},
+    {"kmeans", 333ULL, 0xb316aa27d22c40ceULL},
+    {"linear_regression", 4ULL, 0x39d379de997159efULL},
+    {"lu_cb", 0ULL, 0x14650fb0739d0383ULL},
+    {"lu_ncb", 19ULL, 0xf73992c5b3d03864ULL},
+    {"matrix_multiply", 0ULL, 0x14650fb0739d0383ULL},
+    {"ocean_cp", 0ULL, 0x14650fb0739d0383ULL},
+    {"ocean_ncp", 0ULL, 0x14650fb0739d0383ULL},
+    {"pca", 0ULL, 0x14650fb0739d0383ULL},
+    {"radiosity", 0ULL, 0x14650fb0739d0383ULL},
+    {"radix", 6ULL, 0x94dac1ca0857fac1ULL},
+    {"raytrace.parsec", 3ULL, 0xb8053b443e228a41ULL},
+    {"raytrace.splash2x", 3ULL, 0x3d0ddd3fad39ba4eULL},
+    {"reverse_index", 3ULL, 0x2aa626480e4ded9cULL},
+    {"streamcluster", 3ULL, 0xd6b612b7190aca51ULL},
+    {"string_match", 0ULL, 0x14650fb0739d0383ULL},
+    {"swaptions", 0ULL, 0x14650fb0739d0383ULL},
+    {"vips", 0ULL, 0x14650fb0739d0383ULL},
+    {"volrend", 0ULL, 0x14650fb0739d0383ULL},
+    {"water_nsquared", 193ULL, 0x2725ee23b3a6ffdaULL},
+    {"water_spatial", 194ULL, 0x407b310ae6c2844aULL},
+    {"word_count", 3ULL, 0x786796f9f3629180ULL},
+    {"x264", 0ULL, 0x14650fb0739d0383ULL},
+};
+
+TEST(ProtocolIdentity, DragonHitmStreamsMatchGoldens)
+{
+    ASSERT_EQ(workloads::allWorkloads().size(),
+              std::size(kGoldenDragonHitmStreams));
+
+    for (const Golden &golden : kGoldenDragonHitmStreams) {
+        const workloads::WorkloadDef *def =
+            workloads::findWorkload(golden.workload);
+        ASSERT_NE(def, nullptr) << golden.workload;
+
+        workloads::WorkloadBuild build = def->build({});
+        MachineConfig mc;
+        mc.protocol = ProtocolKind::Dragon;
+        Machine machine(std::move(build.program), mc);
+        build.applyTo(machine);
+        HashingSink sink;
+        machine.setPmuSink(&sink);
+        const MachineStats stats = machine.run();
+
+        EXPECT_EQ(sink.count, golden.hitmCount) << golden.workload;
+        EXPECT_EQ(sink.h.hash, golden.streamHash)
+            << golden.workload << " " << sink.count << " 0x" << std::hex
+            << sink.h.hash;
         EXPECT_EQ(stats.hitmTotal(), golden.hitmCount)
             << golden.workload;
     }

@@ -2,16 +2,22 @@
  * @file
  * Unit and property tests for the simulator: MESI outcomes and invariants,
  * interpreter semantics, HITM generation, SSB behaviour and TSO
- * visibility, and machine determinism.
+ * visibility, machine determinism, and golden digests of runs cut short
+ * by the maxInstructions guard.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <stdexcept>
+
 #include "isa/assembler.h"
+#include "machine_digest.h"
 #include "sim/coherence.h"
 #include "sim/machine.h"
 #include "sim/ssb.h"
 #include "util/rng.h"
+#include "workloads/workload.h"
 
 namespace laser::sim {
 namespace {
@@ -678,6 +684,146 @@ TEST(Machine, HeapPerturbationShiftsAllocations)
     Machine shifted(p, cfg);
     EXPECT_EQ(native.heap().alloc(64) % 64, 16u);
     EXPECT_EQ(shifted.heap().alloc(64) % 64, 0u);
+}
+
+TEST(Machine, RejectsInvalidCacheGeometry)
+{
+    const isa::Program p = tidGate([](Asm &a) { a.nop(); });
+    MachineConfig cfg;
+    cfg.geometry.lineBytes = 48; // not a power of two
+    EXPECT_THROW(Machine m(p, cfg), std::invalid_argument);
+    cfg.geometry.lineBytes = 256; // would overflow HitmEvent::accessSize
+    EXPECT_THROW(Machine m(p, cfg), std::invalid_argument);
+    cfg.geometry.lineBytes = 128;
+    EXPECT_NO_THROW(Machine m(p, cfg));
+}
+
+// ---------------------------------------------------------------------
+// Truncated runs: the maxInstructions guard
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kTruncationLimits[] = {1,     7,      1000,  12345,
+                                               54321, 100001, 250000};
+
+struct TruncationGolden
+{
+    const char *workload;
+    ProtocolKind protocol;
+    std::uint64_t digest[std::size(kTruncationLimits)];
+};
+
+/**
+ * Per-limit digests of a run stopped by maxInstructions: every
+ * MachineStats field, all registers of every thread, and the ordered
+ * onHitm / onMemop / onSync stream. Captured with a machine that made
+ * one scheduling pick per instruction (the defining order), they pin
+ * exactly which instructions a truncated run executes, so run-ahead past
+ * the cut moves them.
+ */
+constexpr TruncationGolden kTruncationGoldens[] = {
+    {"histogram'",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0x01427c414599f457ULL, 0x7da78046f1b5073cULL,
+      0x5db5b5e6e6daa38dULL, 0x4b5232df4f19ed27ULL, 0xf12c2a0ac4cdd06eULL,
+      0x68af7c4121b89b2aULL}},
+    {"histogram'",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0x01427c414599f457ULL, 0xc1138972bff8a8c5ULL,
+      0x19fe67fce07d04d3ULL, 0x5c7b4c65af8c55c7ULL, 0xe336e1351c539bcaULL,
+      0xb52adc3debf7cd19ULL}},
+    {"kmeans",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0x3e2ac2a7e76711d0ULL, 0xaa6b38414b8db8edULL,
+      0x373e2746ebb133e8ULL, 0x3f99880a3ccdbed8ULL, 0xdb35a17c6e941b5aULL,
+      0xd5e827725cca7029ULL}},
+    {"kmeans",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0x3e2ac2a7e76711d0ULL, 0x3855a0bbc7cf8b4cULL,
+      0xf93d0e7b3a7ed3e0ULL, 0xdf413cb892308467ULL, 0x9cd94567191ffe36ULL,
+      0x1f05567869a3749aULL}},
+    {"water_nsquared",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0x3ecab5773bdebed4ULL, 0xa3815de1f1567017ULL,
+      0x20e8b488c4b5a9bfULL, 0x4716eb63585b9bb0ULL, 0x92a1a3d9374027acULL,
+      0x7d0891d8183fffb6ULL}},
+    {"water_nsquared",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0x3ecab5773bdebed4ULL, 0xa3815de1f1567017ULL,
+      0xd96a7ec93b5183d3ULL, 0x25bff48305ec1b51ULL, 0x248132a8ad9763adULL,
+      0xf347820c511606e6ULL}},
+    {"x264",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0x149198ac35d06a53ULL, 0x715d79eb9cede0a6ULL,
+      0x6d0eb4c13dddeabeULL, 0x17f54701f4d77621ULL, 0xa3724badcc7f4f86ULL,
+      0xfd861e8406cf6b35ULL}},
+    {"x264",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0x149198ac35d06a53ULL, 0x715d79eb9cede0a6ULL,
+      0x2050473d1cfa32ccULL, 0x8747885480569387ULL, 0x08236ce2bd3018ebULL,
+      0x1485c6a3547cadc7ULL}},
+    {"lu_ncb",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0xd444c0fb63c3ed5aULL, 0x6c0aa405bbbaae60ULL,
+      0x23290b02ab33ffdeULL, 0x5f82a28bed5f7d9eULL, 0x847adab7ff17b99eULL,
+      0x95eb68ab7370e8fbULL}},
+    {"lu_ncb",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0xd444c0fb63c3ed5aULL, 0x6c0aa405bbbaae60ULL,
+      0xdc7ffbbd64633c95ULL, 0x2c9a9b9bfbc8059aULL, 0xc41f8c54ed09c252ULL,
+      0x70a2ae84167b34a7ULL}},
+    {"dedup",
+     ProtocolKind::Mesi,
+     {0x79e13af7c1063d9fULL, 0x320280a258f8d91bULL, 0xe9197fb157a0fbadULL,
+      0x9c92b4b668c50bf3ULL, 0xe1c1877ab88d0b57ULL, 0x86b66170bb420a5eULL,
+      0xf1be60550f3b68f1ULL}},
+    {"dedup",
+     ProtocolKind::Dragon,
+     {0x79e13af7c1063d9fULL, 0x320280a258f8d91bULL, 0x69f561fcda1fbcfdULL,
+      0x87ca997e24393d53ULL, 0xb4be66cd7d6574c8ULL, 0x1c847d57e3036a4fULL,
+      0xa2addae0474dfd17ULL}},
+};
+
+std::uint64_t
+truncatedRunDigest(const workloads::WorkloadDef &def, ProtocolKind kind,
+                   std::uint64_t max_instructions)
+{
+    workloads::WorkloadBuild build = def.build({});
+    MachineConfig mc;
+    mc.protocol = kind;
+    mc.maxInstructions = max_instructions;
+    Machine machine(std::move(build.program), mc);
+    build.applyTo(machine);
+    StreamHashSink sink;
+    machine.setPmuSink(&sink);
+    const MachineStats stats = machine.run();
+    EXPECT_LE(stats.instructions, max_instructions);
+    EXPECT_EQ(stats.truncated, stats.instructions == max_instructions);
+
+    Fnv64 h = sink.h;
+    h.mix(statsDigest(stats));
+    for (int tid = 0; tid < mc.numCores; ++tid) {
+        for (isa::Reg r = 0; r < isa::kNumRegs; ++r)
+            h.mix(static_cast<std::uint64_t>(machine.reg(tid, r)));
+    }
+    return h.hash;
+}
+
+TEST(Machine, TruncatedRunsMatchGoldens)
+{
+    for (const TruncationGolden &golden : kTruncationGoldens) {
+        const workloads::WorkloadDef *def =
+            workloads::findWorkload(golden.workload);
+        ASSERT_NE(def, nullptr) << golden.workload;
+        for (std::size_t i = 0; i < std::size(kTruncationLimits); ++i) {
+            const std::uint64_t got = truncatedRunDigest(
+                *def, golden.protocol, kTruncationLimits[i]);
+            EXPECT_EQ(got, golden.digest[i])
+                << golden.workload << " "
+                << protocolName(golden.protocol) << " maxInstructions="
+                << kTruncationLimits[i] << " digest 0x" << std::hex
+                << got;
+        }
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/experiment.h"
@@ -354,6 +355,18 @@ TEST(TraceFormat, RejectsInvalidLineSize)
     EXPECT_NE(reader.error().find("invalid cache line size"),
               std::string::npos)
         << reader.error();
+}
+
+TEST(TraceFormat, CaptureRejectsInvalidLineSize)
+{
+    // The machine refuses the geometry up front: simulating 64-byte
+    // lines under a 48-byte label would write an image the reader then
+    // rejects as corrupt.
+    const auto *w = workloads::findWorkload("histogram'");
+    ASSERT_NE(w, nullptr);
+    CaptureOptions opt;
+    opt.geometry.lineBytes = 48;
+    EXPECT_THROW(captureTrace(*w, opt), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
