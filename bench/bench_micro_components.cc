@@ -3,9 +3,11 @@
  * google-benchmark microbenchmarks for the reproduction's hot
  * components: the software store buffer, the Figure 5 cache-line model,
  * the detector pipeline, the MESI and Dragon coherence backends the
- * machine runs, the interpreter, and whole-program machine runs.
+ * machine runs, the interpreter, whole-program machine runs, and one
+ * report-many sweep point of offline re-analysis.
  * BENCH_micro_components records ns_per_item for every benchmark that
- * counts items (ns per simulated instruction for the machine runs).
+ * counts items (ns per simulated instruction for the machine runs, ns
+ * per configuration for the sweep point).
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +20,9 @@
 #include "sim/machine.h"
 #include "sim/protocol.h"
 #include "sim/ssb.h"
+#include "trace/capture.h"
+#include "trace/parallel_replay.h"
+#include "trace/replay.h"
 #include "util/rng.h"
 #include "workloads/workload.h"
 
@@ -183,6 +188,37 @@ BENCHMARK_CAPTURE(BM_MachineRun, kmeans_mesi, "kmeans",
 BENCHMARK_CAPTURE(BM_MachineRun, kmeans_dragon, "kmeans",
                   sim::ProtocolKind::Dragon)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Report-many: replay(cfg) at Figure 9's thresholds over one digest of
+ * a histogram' SAV-1 capture. One item per configuration, so
+ * ns_per_item is the cost of one sweep point.
+ */
+static void
+BM_ReplayReport(benchmark::State &state)
+{
+    trace::CaptureOptions opt;
+    opt.sav = 1;
+    const trace::Trace trace =
+        trace::captureTrace(*workloads::findWorkload("histogram'"), opt);
+    const trace::TraceReplayer env(trace);
+    const trace::ParallelReplayer digest(env);
+    const std::vector<double> thresholds = {32,   64,   128,  256,
+                                            512,  1000, 2000, 4000,
+                                            8000, 16000, 32000, 64000};
+    std::int64_t configs = 0;
+    for (auto _ : state) {
+        for (double threshold : thresholds) {
+            detect::DetectorConfig cfg;
+            cfg.rateThreshold = threshold;
+            cfg.sav = opt.sav;
+            benchmark::DoNotOptimize(digest.replay(cfg));
+        }
+        configs += static_cast<std::int64_t>(thresholds.size());
+    }
+    state.SetItemsProcessed(configs);
+}
+BENCHMARK(BM_ReplayReport)->Unit(benchmark::kMicrosecond);
 
 namespace {
 

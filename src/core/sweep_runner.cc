@@ -395,8 +395,9 @@ thresholdSweep(SweepRunner &runner,
     }
     result.digestSeconds = secondsSince(digest_start);
 
-    // Phase 3: every sweep point is a rate scan + report build over the
-    // merged digest (report-many).
+    // Phase 3: every sweep point scans the digest's cached rate-check
+    // windows and filters its cached line aggregates — O(windows +
+    // lines) per point, no pass over the events (report-many).
     std::vector<std::vector<ThresholdSweepRow>> cells(
         nt, std::vector<ThresholdSweepRow>(nw));
     const auto replay_start = std::chrono::steady_clock::now();

@@ -25,8 +25,13 @@
  *  3. The online repair trigger (Section 4.4) is a sequential scan over
  *     (cycle, outcome) pairs of the filtered stream. Shards collect
  *     those pairs as RateEvents; after the window-order merge patches
- *     outcomes, scanRateEvents() replays the serial state machine over
- *     the concatenation, preserving online repair-trigger semantics.
+ *     outcomes, the merged stream is summarised into RateWindows and
+ *     scanRateWindows() runs the serial state machine window by window,
+ *     preserving online repair-trigger semantics. A window's boundaries
+ *     depend only on the event cycles and rateCheckInterval — never on
+ *     the thresholds — so one summary serves every configuration with
+ *     that interval, and each extra configuration costs O(windows), not
+ *     a scan over every event.
  */
 
 #ifndef LASER_DETECT_DETECTOR_STATE_H
@@ -113,9 +118,53 @@ struct RateScanState
 };
 
 /**
+ * The rate-check windows of one event stream at one rateCheckInterval:
+ * everything the repair-trigger scan reads, without the per-event
+ * detail. Threshold-free, so built once and scanned per configuration.
+ */
+struct RateWindows
+{
+    /** One closed window, with counts cumulative from the stream start. */
+    struct Window
+    {
+        std::uint64_t start = 0;
+        /** Cycle of the event whose arrival closed the window. */
+        std::uint64_t close = 0;
+        /** Records/TS/FS from the stream start through that event. */
+        std::uint64_t records = 0;
+        std::uint64_t ts = 0;
+        std::uint64_t fs = 0;
+    };
+
+    std::uint64_t interval = 0;
+    std::vector<Window> windows;
+    /** Stream totals (the last window's counts plus the open window's). */
+    std::uint64_t records = 0;
+    std::uint64_t ts = 0;
+    std::uint64_t fs = 0;
+};
+
+/**
+ * Split @p events into rate-check windows of @p interval cycles: a
+ * window closes at the first event with cycle >= start + interval, and
+ * the next one starts at that event's cycle. One O(events) pass.
+ */
+RateWindows summarizeRateEvents(const std::vector<RateEvent> &events,
+                                std::uint64_t interval);
+
+/**
+ * Run the online repair-trigger scan over @p windows: the same trigger
+ * decision, epoch samples and final state as RateScanState::step per
+ * event at windows.interval, in O(windows up to the trigger). Reads
+ * every @p cfg field except rateCheckInterval.
+ */
+RateScanState scanRateWindows(const RateWindows &windows,
+                              const DetectorConfig &cfg);
+
+/**
  * Replay the online repair-trigger scan over a merged event stream —
  * the sequential merge-time pass that gives sharded replay the exact
- * serial repair semantics.
+ * serial repair semantics. Summarises, then scans the windows.
  */
 RateScanState scanRateEvents(const std::vector<RateEvent> &events,
                              const DetectorConfig &cfg);

@@ -155,21 +155,9 @@ DetectorPipeline::finish(std::uint64_t total_cycles) const
     return buildReport(ctx_, cfg_, state_, scan_, total_cycles);
 }
 
-DetectionReport
-buildReport(const DetectorContext &ctx, const DetectorConfig &cfg,
-            const DetectorState &state, const RateScanState &scan,
-            std::uint64_t total_cycles)
+std::vector<LineReport>
+aggregateLines(const DetectorContext &ctx, const DetectorState &state)
 {
-    DetectionReport report;
-    report.totalRecords = state.totalRecords;
-    report.droppedPcFilter = state.droppedPc;
-    report.droppedStackData = state.droppedStack;
-    report.seconds = sim::representedSeconds(total_cycles);
-    report.repairRequested = scan.repairRequested;
-    report.repairTriggerCycle = scan.repairTriggerCycle;
-    report.detectorCycles =
-        state.totalRecords * std::uint64_t(ctx.timing.detectorPerRecord);
-
     // Aggregate per-PC stats into per-source-line findings.
     struct LineAgg
     {
@@ -185,33 +173,65 @@ buildReport(const DetectorContext &ctx, const DetectorConfig &cfg,
         agg.ts += ps.ts;
         agg.fs += ps.fs;
     }
-
+    std::vector<LineReport> lines;
+    lines.reserve(by_line.size());
     for (const auto &[loc, agg] : by_line) {
-        LineReport lr;
+        LineReport &lr = lines.emplace_back();
         lr.loc = loc;
         lr.location = ctx.prog.locString(loc);
         lr.library = loc.file < ctx.prog.files.size() &&
                      ctx.prog.files[loc.file].isLibrary;
         lr.records = agg.records;
-        lr.hitmRate = report.seconds > 0.0
-                          ? double(agg.records) * cfg.sav / report.seconds
-                          : 0.0;
         lr.tsEvents = agg.ts;
         lr.fsEvents = agg.fs;
+    }
+    return lines;
+}
 
-        const std::uint64_t classified = agg.ts + agg.fs;
+DetectionReport
+buildReport(const DetectorContext &ctx, const DetectorConfig &cfg,
+            const DetectorState &state, const RateScanState &scan,
+            std::uint64_t total_cycles)
+{
+    return buildReport(ctx, cfg, state, aggregateLines(ctx, state), scan,
+                       total_cycles);
+}
+
+DetectionReport
+buildReport(const DetectorContext &ctx, const DetectorConfig &cfg,
+            const DetectorState &state,
+            const std::vector<LineReport> &lines,
+            const RateScanState &scan, std::uint64_t total_cycles)
+{
+    DetectionReport report;
+    report.totalRecords = state.totalRecords;
+    report.droppedPcFilter = state.droppedPc;
+    report.droppedStackData = state.droppedStack;
+    report.seconds = sim::representedSeconds(total_cycles);
+    report.repairRequested = scan.repairRequested;
+    report.repairTriggerCycle = scan.repairTriggerCycle;
+    report.detectorCycles =
+        state.totalRecords * std::uint64_t(ctx.timing.detectorPerRecord);
+
+    for (const LineReport &line : lines) {
+        const double rate =
+            report.seconds > 0.0
+                ? double(line.records) * cfg.sav / report.seconds
+                : 0.0;
+        if (!(rate >= cfg.rateThreshold)) // a NaN threshold reports none
+            continue;
+        LineReport &lr = report.lines.emplace_back(line);
+        lr.hitmRate = rate;
+        const std::uint64_t classified = lr.tsEvents + lr.fsEvents;
         if (classified < cfg.minClassifiedEvents ||
                 double(classified) <
-                    cfg.minClassifiedFraction * double(agg.records)) {
+                    cfg.minClassifiedFraction * double(lr.records)) {
             lr.type = ContentionType::Unknown;
-        } else if (agg.fs > agg.ts) {
+        } else if (lr.fsEvents > lr.tsEvents) {
             lr.type = ContentionType::FalseSharing;
         } else {
             lr.type = ContentionType::TrueSharing;
         }
-
-        if (lr.hitmRate >= cfg.rateThreshold)
-            report.lines.push_back(std::move(lr));
     }
 
     // Tie-break equal rates on location so the report order is stable

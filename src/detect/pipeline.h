@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "analysis/sink.h"
 #include "detect/cacheline_model.h"
@@ -116,10 +117,29 @@ class DetectorPipeline final : public analysis::RecordSink
 };
 
 /**
- * Build the DetectionReport from a digested state and a completed rate
- * scan. Pure: serial and shard-merged paths call the same function, so
- * their reports can only differ if their states differ.
+ * The threshold-free half of report building: @p state's per-PC stats
+ * summed per source line (loc, location, library flag, records, TS,
+ * FS), in source-location order. hitmRate and type are left for the
+ * per-configuration step, so one aggregation serves every threshold.
  */
+std::vector<LineReport> aggregateLines(const DetectorContext &ctx,
+                                       const DetectorState &state);
+
+/**
+ * Build the DetectionReport for @p cfg from a digested state, its
+ * aggregateLines() result and a completed rate scan: per-line rate and
+ * type, the threshold filter, the sort and the repair PCs. Pure:
+ * serial and shard-merged paths call the same function, so their
+ * reports can only differ if their states differ.
+ */
+DetectionReport buildReport(const DetectorContext &ctx,
+                            const DetectorConfig &cfg,
+                            const DetectorState &state,
+                            const std::vector<LineReport> &lines,
+                            const RateScanState &scan,
+                            std::uint64_t total_cycles);
+
+/** aggregateLines() then the per-configuration buildReport(). */
 DetectionReport buildReport(const DetectorContext &ctx,
                             const DetectorConfig &cfg,
                             const DetectorState &state,

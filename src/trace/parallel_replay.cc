@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/sink.h"
 #include "obs/metrics.h"
@@ -100,7 +101,12 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
         opt.pool->parallelFor(static_cast<std::size_t>(shards_),
                               digest_shard);
     } else if (shards_ > 1) {
-        util::ThreadPool local(shards_);
+        // Shards queue on the pool, so more shards than cores never
+        // needs more threads than cores.
+        util::ThreadPool local(std::min(
+            shards_,
+            std::max(1, static_cast<int>(
+                            std::thread::hardware_concurrency()))));
         local.parallelFor(static_cast<std::size_t>(shards_),
                           digest_shard);
     } else {
@@ -135,6 +141,12 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
                 std::chrono::steady_clock::now() - merge_start)
                 .count());
     }
+
+    // The threshold-free halves of every replay(cfg): built once here,
+    // read-only afterwards.
+    windows_ = detect::summarizeRateEvents(
+        merged_.rateEvents, detect::DetectorConfig{}.rateCheckInterval);
+    lines_ = detect::aggregateLines(env.context(), merged_);
 }
 
 detect::DetectionReport
@@ -143,8 +155,10 @@ ParallelReplayer::replay(const detect::DetectorConfig &cfg) const
     LASER_SPAN("replay.report");
     ReplayMetrics::get().reports.inc();
     const detect::RateScanState scan =
-        detect::scanRateEvents(merged_.rateEvents, cfg);
-    return detect::buildReport(env_->context(), cfg, merged_, scan,
+        cfg.rateCheckInterval == windows_.interval
+            ? detect::scanRateWindows(windows_, cfg)
+            : detect::scanRateEvents(merged_.rateEvents, cfg);
+    return detect::buildReport(env_->context(), cfg, merged_, lines_, scan,
                                env_->meta().runtimeCycles);
 }
 

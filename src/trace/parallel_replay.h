@@ -21,10 +21,14 @@
  * argument).
  *
  * Because the digest is config-independent, it runs once per trace and
- * is reused by every replay(cfg) call: a threshold sweep over a
- * captured trace pays the stream cost once and each additional
- * configuration costs only a rate scan plus report aggregation
- * (digest-once / report-many).
+ * is reused by every replay(cfg) call (digest-once / report-many). The
+ * threshold-free parts of each report are built once with it too: the
+ * rate-check windows at the default rateCheckInterval and the
+ * per-source-line aggregates. A threshold sweep over a captured trace
+ * therefore pays the stream cost once, and each additional
+ * configuration costs O(windows + lines) — not a rate scan over every
+ * event. A configuration with another rateCheckInterval summarises the
+ * merged events for its own interval on the spot.
  */
 
 #ifndef LASER_TRACE_PARALLEL_REPLAY_H
@@ -51,7 +55,7 @@ class ParallelReplayer
         int shards = 4;
         /**
          * Pool to digest shards on; nullptr runs shards on a transient
-         * pool sized to the shard count.
+         * pool of min(shards, hardware concurrency) workers.
          */
         util::ThreadPool *pool = nullptr;
     };
@@ -65,8 +69,9 @@ class ParallelReplayer
 
     /**
      * Build the report for one configuration from the merged digest.
-     * Cheap relative to the digest: a sequential rate scan over the
-     * merged events plus report aggregation.
+     * Cheap relative to the digest: a scan of the cached rate-check
+     * windows plus a pass over the cached line aggregates. Safe to call
+     * concurrently.
      */
     detect::DetectionReport
     replay(const detect::DetectorConfig &cfg) const;
@@ -81,6 +86,10 @@ class ParallelReplayer
     const TraceReplayer *env_;
     int shards_ = 1;
     detect::DetectorState merged_;
+    /** merged_.rateEvents at DetectorConfig{}.rateCheckInterval. */
+    detect::RateWindows windows_;
+    /** detect::aggregateLines(merged_). */
+    std::vector<detect::LineReport> lines_;
 };
 
 /** Outcome of one serial-vs-sharded comparison run. */

@@ -12,6 +12,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
@@ -19,6 +23,7 @@
 #include "detect/detector_state.h"
 #include "detect/pipeline.h"
 #include "isa/assembler.h"
+#include "obs/metrics.h"
 #include "trace/capture.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
@@ -314,6 +319,208 @@ TEST(ParallelReplay, SharedExternalPool)
             cfg.sav = trace.meta.pebs.sav;
             return cfg;
         }())));
+}
+
+TEST(ParallelReplay, NonDefaultRateIntervalMatchesSerial)
+{
+    // A rate-check interval other than the default one the replayer
+    // prepares for: replay() must still reproduce the streaming
+    // detector's report (repair trigger included).
+    for (const char *name : {"histogram'", "linear_regression"}) {
+        const auto *w = workloads::findWorkload(name);
+        ASSERT_NE(w, nullptr) << name;
+        const Trace trace = captureTrace(*w);
+        TraceReplayer env(trace);
+        ASSERT_TRUE(env.ok()) << name;
+        ParallelReplayer::Options opt;
+        opt.shards = 3;
+        ParallelReplayer parallel(env, opt);
+        for (double threshold : {32.0, 1000.0}) {
+            detect::DetectorConfig cfg;
+            cfg.rateThreshold = threshold;
+            cfg.sav = trace.meta.pebs.sav;
+            cfg.rateCheckInterval = 100'000;
+            EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+                                                 parallel.replay(cfg)))
+                << name << " threshold " << threshold;
+        }
+    }
+}
+
+TEST(ParallelReplay, OneShardPerRecordWithoutPool)
+{
+    // The transient pool is capped at the hardware concurrency however
+    // many shards there are; the record-index split is unchanged.
+    const auto *w = workloads::findWorkload("histogram'");
+    ASSERT_NE(w, nullptr);
+    const Trace trace = captureTrace(*w);
+    TraceReplayer env(trace);
+    ASSERT_TRUE(env.ok());
+    ASSERT_GT(trace.records.size(), 1u);
+
+    ParallelReplayer::Options opt;
+    opt.shards = static_cast<int>(trace.records.size());
+    ParallelReplayer parallel(env, opt);
+    EXPECT_EQ(parallel.shards(), opt.shards);
+    detect::DetectorConfig cfg;
+    cfg.sav = trace.meta.pebs.sav;
+    EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+                                         parallel.replay(cfg)));
+}
+
+// ---------------------------------------------------------------------
+// Rate scan: the offline scan == RateScanState::step per event
+// ---------------------------------------------------------------------
+
+/** The per-event reference the offline scan must reproduce. */
+detect::RateScanState
+stepLoop(const std::vector<detect::RateEvent> &events,
+         const detect::DetectorConfig &cfg)
+{
+    detect::RateScanState scan;
+    for (const detect::RateEvent &ev : events)
+        scan.step(ev.cycle, ev.outcome, cfg);
+    return scan;
+}
+
+/** "" when equal, else the first differing field. */
+std::string
+scanDiff(const detect::RateScanState &want,
+         const detect::RateScanState &got)
+{
+    const auto field = [](const char *name, std::uint64_t a,
+                          std::uint64_t b) {
+        return a == b ? std::string()
+                      : std::string(name) + " " + std::to_string(a) +
+                            " != " + std::to_string(b);
+    };
+    for (const std::string &d : {
+             field("windowStart", want.windowStart, got.windowStart),
+             field("windowRecords", want.windowRecords,
+                   got.windowRecords),
+             field("windowFs", want.windowFs, got.windowFs),
+             field("windowTs", want.windowTs, got.windowTs),
+             field("repairRequested", want.repairRequested,
+                   got.repairRequested),
+             field("repairTriggerCycle", want.repairTriggerCycle,
+                   got.repairTriggerCycle),
+         })
+        if (!d.empty())
+            return d;
+    return {};
+}
+
+/** detect.epoch_cycles (count, sum) — the scan's per-window samples. */
+using EpochSamples = std::pair<std::uint64_t, double>;
+
+EpochSamples
+epochSamples()
+{
+    const obs::Histogram::Data d =
+        obs::Registry::global().histogram("detect.epoch_cycles").data();
+    return {d.count, d.sum};
+}
+
+/**
+ * Samples recorded between two snapshots. Epoch spans are whole cycle
+ * counts, so the double sums stay exact.
+ */
+EpochSamples
+samplesBetween(const EpochSamples &before, const EpochSamples &after)
+{
+    return {after.first - before.first, after.second - before.second};
+}
+
+TEST(RateScan, WindowScanMatchesStepLoop)
+{
+    core::SweepRunner runner;
+    const auto &all = workloads::allWorkloads();
+    ASSERT_FALSE(all.empty());
+    const std::vector<std::uint32_t> savs = {1, 19};
+
+    // Every workload at SAV 1 and 19, digested with 3 shards.
+    const std::size_t n = all.size() * savs.size();
+    std::vector<std::shared_ptr<const Trace>> traces(n);
+    std::vector<std::unique_ptr<TraceReplayer>> envs(n);
+    std::vector<std::unique_ptr<ParallelReplayer>> digests(n);
+    runner.parallelFor(n, [&](std::size_t i) {
+        CaptureOptions opt;
+        opt.sav = savs[i % savs.size()];
+        traces[i] = runner.capture(all[i / savs.size()], opt);
+        envs[i] = std::make_unique<TraceReplayer>(*traces[i]);
+        if (!envs[i]->ok())
+            throw std::runtime_error(envs[i]->error());
+        ParallelReplayer::Options popt;
+        popt.shards = 3;
+        digests[i] = std::make_unique<ParallelReplayer>(*envs[i], popt);
+    });
+
+    // Serial from here: the epoch histogram is process-global.
+    std::uint64_t cases = 0;
+    std::uint64_t triggered = 0;
+    std::uint64_t mismatches = 0;
+    std::vector<std::string> failures;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<detect::RateEvent> &events =
+            digests[i]->state().rateEvents;
+        for (std::uint64_t interval :
+             {0ull, 1ull, 1000ull, 100'000ull, 150'000ull, 1'000'000ull})
+            for (double fs_rate : {0.0, 500.0, 3500.0, 1e9})
+                for (double hitm_rate : {0.0, 4000.0, 16000.0, 1e12})
+                    for (std::uint32_t sav : savs) {
+                        detect::DetectorConfig cfg;
+                        cfg.rateCheckInterval = interval;
+                        cfg.repairFsRateThreshold = fs_rate;
+                        cfg.repairHitmRateThreshold = hitm_rate;
+                        cfg.sav = sav;
+                        ++cases;
+
+                        const auto e0 = epochSamples();
+                        const detect::RateScanState want =
+                            stepLoop(events, cfg);
+                        const auto e1 = epochSamples();
+                        const detect::RateScanState got =
+                            detect::scanRateEvents(events, cfg);
+                        const auto e2 = epochSamples();
+                        const detect::DetectionReport report =
+                            digests[i]->replay(cfg);
+                        const auto e3 = epochSamples();
+                        triggered += want.repairRequested;
+
+                        detect::RateScanState replayed = want;
+                        replayed.repairRequested = report.repairRequested;
+                        replayed.repairTriggerCycle =
+                            report.repairTriggerCycle;
+                        std::string diff = scanDiff(want, got);
+                        if (diff.empty())
+                            diff = scanDiff(want, replayed);
+                        if (diff.empty() &&
+                                (samplesBetween(e1, e2) !=
+                                     samplesBetween(e0, e1) ||
+                                 samplesBetween(e2, e3) !=
+                                     samplesBetween(e0, e1)))
+                            diff = "detect.epoch_cycles samples differ";
+                        if (diff.empty())
+                            continue;
+                        ++mismatches;
+                        if (failures.size() < 10)
+                            failures.push_back(
+                                all[i / savs.size()].info.name +
+                                " sav " +
+                                std::to_string(traces[i]->meta.pebs.sav) +
+                                " interval " + std::to_string(interval) +
+                                " fs " + std::to_string(fs_rate) +
+                                " hitm " + std::to_string(hitm_rate) +
+                                " cfg.sav " + std::to_string(sav) +
+                                ": " + diff);
+                    }
+    }
+    EXPECT_EQ(cases, n * 6 * 4 * 4 * 2);
+    EXPECT_GT(triggered, 0u);
+    EXPECT_LT(triggered, cases);
+    EXPECT_EQ(mismatches, 0u);
+    for (const std::string &failure : failures)
+        ADD_FAILURE() << failure;
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/accuracy.h"
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
 #include "obs/metrics.h"
@@ -466,6 +467,54 @@ TEST(SweepRunner, SecondSweepPerformsZeroMachineRuns)
                   second.rows[i].falseNegatives);
         EXPECT_EQ(first.rows[i].falsePositives,
                   second.rows[i].falsePositives);
+    }
+}
+
+TEST(SweepRunner, Fig09SweepMatchesGoldenAndSerialReplay)
+{
+    // Figure 9 over the whole corpus: the digest-once sweep must give
+    // the recorded table and the rows a serial streaming replay gives
+    // at each threshold.
+    const std::vector<double> thresholds = {32,   64,   128,  256,
+                                            512,  1000, 2000, 4000,
+                                            8000, 16000, 32000, 64000};
+    const std::vector<int> golden_fn = {0, 0, 0, 0, 0, 0,
+                                        3, 6, 7, 9, 9, 9};
+    const std::vector<int> golden_fp = {350, 313, 157, 111, 64, 31,
+                                        10,  4,   0,   0,   0,  0};
+    std::vector<const workloads::WorkloadDef *> defs;
+    for (const auto &w : workloads::allWorkloads())
+        defs.push_back(&w);
+    const CaptureOptions opt;
+
+    core::SweepRunner runner;
+    const core::ThresholdSweepResult sweep =
+        core::thresholdSweep(runner, defs, thresholds, opt);
+    ASSERT_EQ(sweep.rows.size(), thresholds.size());
+
+    std::vector<int> serial_fn(thresholds.size(), 0);
+    std::vector<int> serial_fp(thresholds.size(), 0);
+    for (const workloads::WorkloadDef *def : defs) {
+        const auto trace = runner.capture(*def, opt);
+        TraceReplayer env(*trace);
+        ASSERT_TRUE(env.ok()) << def->info.name;
+        for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
+            detect::DetectorConfig cfg;
+            cfg.rateThreshold = thresholds[ti];
+            cfg.sav = opt.sav;
+            const core::AccuracyResult acc = core::evaluateAccuracy(
+                def->info, core::reportLocations(env.replay(cfg)));
+            serial_fn[ti] += acc.falseNegatives;
+            serial_fp[ti] += acc.falsePositives;
+        }
+    }
+    for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
+        const core::ThresholdSweepRow &row = sweep.rows[ti];
+        EXPECT_EQ(row.threshold, thresholds[ti]);
+        EXPECT_EQ(row.falseNegatives, golden_fn[ti]) << thresholds[ti];
+        EXPECT_EQ(row.falsePositives, golden_fp[ti]) << thresholds[ti];
+        EXPECT_EQ(row.falseNegatives, serial_fn[ti]) << thresholds[ti];
+        EXPECT_EQ(row.falsePositives, serial_fp[ti]) << thresholds[ti];
     }
 }
 

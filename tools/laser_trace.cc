@@ -61,6 +61,7 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -144,12 +145,15 @@ numArg(const std::string &v, const char *flag)
     std::exit(1);
 }
 
-/** Parse a non-negative integer value (unsigned flags) or exit. */
+/**
+ * Parse a non-negative integer value (unsigned flags) no larger than
+ * @p max, or exit.
+ */
 std::uint64_t
-uintArg(const std::string &v, const char *flag)
+uintArg(const std::string &v, const char *flag, double max = 1.8e19)
 {
     const double d = numArg(v, flag);
-    if (d < 0.0 || d > 1.8e19 || d != std::floor(d)) {
+    if (d < 0.0 || d > max || d != std::floor(d)) {
         std::fprintf(stderr,
                      "laser_trace: %s: expected a non-negative integer, "
                      "got \"%s\"\n",
@@ -157,6 +161,13 @@ uintArg(const std::string &v, const char *flag)
         std::exit(1);
     }
     return static_cast<std::uint64_t>(d);
+}
+
+/** uintArg for int-typed flags: values above INT_MAX are rejected. */
+int
+intArg(const std::string &v, const char *flag)
+{
+    return static_cast<int>(uintArg(v, flag, INT_MAX));
 }
 
 /** Apply a --protocol value to @p opt or exit with a clean error. */
@@ -319,7 +330,7 @@ cmdRecord(int argc, char **argv)
         else if (nextArg(argc, argv, &i, "--heap-shift", &v))
             opt.heapShift = uintArg(v, "--heap-shift");
         else if (nextArg(argc, argv, &i, "--threads", &v))
-            opt.numThreads = int(uintArg(v, "--threads"));
+            opt.numThreads = intArg(v, "--threads");
         else if (nextArg(argc, argv, &i, "--scale", &v))
             opt.scale = numArg(v, "--scale");
         else if (nextArg(argc, argv, &i, "--protocol", &v))
@@ -622,7 +633,7 @@ cmdReplay(int argc, char **argv)
             for (const std::string &s : splitCommas(v))
                 thresholds.push_back(numArg(s, "--thresholds"));
         } else if (nextArg(argc, argv, &i, "--shards", &v))
-            shards = int(uintArg(v, "--shards"));
+            shards = intArg(v, "--shards");
         else if (nextArg(argc, argv, &i, "--cycles", &v)) {
             const std::size_t colon = v.find(':');
             if (colon == std::string::npos) {
@@ -728,9 +739,9 @@ cmdSweep(int argc, char **argv)
         } else if (nextArg(argc, argv, &i, "--cache-dir", &v))
             rc.cacheDir = v;
         else if (nextArg(argc, argv, &i, "-j", &v))
-            rc.numWorkers = int(uintArg(v, "-j"));
+            rc.numWorkers = intArg(v, "-j");
         else if (nextArg(argc, argv, &i, "--shards", &v))
-            shards = int(uintArg(v, "--shards"));
+            shards = intArg(v, "--shards");
         else if (nextArg(argc, argv, &i, "--protocol", &v))
             protocolArg(v, &opt);
         else if (nextArg(argc, argv, &i, "--line-bytes", &v))
