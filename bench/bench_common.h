@@ -18,7 +18,6 @@
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
 #include "obs/export.h"
-#include "obs/ledger.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workloads/workload.h"
@@ -58,9 +57,9 @@ sweepConfig()
 
 /**
  * Write a bench's telemetry artifacts (BENCH_<name>.json plus the
- * registry snapshot/span trace) when LASER_METRICS_OUT is set, append
- * the run-ledger record when LASER_LEDGER is set, folding in the sweep
- * runner's cache counters, and tell the user where everything went.
+ * registry snapshot/span trace) when LASER_METRICS_OUT is set, folding
+ * in the sweep runner's cache counters, and tell the user where they
+ * went.
  * Benches without a sweep runner pass nullptr.
  */
 inline void
@@ -72,10 +71,6 @@ writeTelemetry(obs::BenchReport &report, const core::SweepStats *stats)
     if (report.write())
         std::printf("\ntelemetry: wrote %s (+ METRICS/TRACE artifacts)\n",
                     report.path().c_str());
-    const std::string ledger = obs::ledgerPath();
-    if (!ledger.empty())
-        std::printf("ledger: appended %s run to %s\n",
-                    report.name().c_str(), ledger.c_str());
 }
 
 /** Paper's Figure 10 LASER bars where readable (by workload name). */

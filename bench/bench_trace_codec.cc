@@ -185,8 +185,8 @@ main()
     obs::BenchReport telemetry("trace_codec");
 
     // ---- Corpus compression: columnar vs the row-wise baseline ----
-    // The totals keep their historical v2_/v3_ result keys so ledger
-    // history stays comparable.
+    // The totals keep their historical v2_/v3_ result keys so archived
+    // BENCH_trace_codec.json files stay comparable.
     core::SweepRunner runner(bench::sweepConfig());
     std::shared_ptr<const trace::Trace> biggest;
     std::uint64_t row_bytes = 0, columnar_bytes = 0;

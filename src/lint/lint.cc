@@ -287,7 +287,6 @@ const char *kRawMutex = "raw-mutex";
 const char *kRawNewDelete = "raw-new-delete";
 const char *kIncludeGuard = "include-guard";
 const char *kHeaderHygiene = "header-hygiene";
-const char *kRawFdClose = "raw-fd-close";
 
 bool
 isHeader(const std::string &path)
@@ -483,55 +482,6 @@ checkRawNewDelete(const std::string &path, const LexedFile &f,
     }
 }
 
-/** Directories whose descriptors must be owned by util::UniqueFd. */
-bool
-inFdRuleScope(const std::string &path)
-{
-    static const std::vector<std::string> dirs = {"src/obs/",
-                                                  "src/util/", "tools/"};
-    for (const std::string &d : dirs)
-        if (path.size() > d.size() && path.compare(0, d.size(), d) == 0)
-            return true;
-    return false;
-}
-
-void
-checkRawFdClose(const std::string &path, const LexedFile &f,
-                std::vector<Finding> *out)
-{
-    if (!inFdRuleScope(path))
-        return;
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!t[i].ident || t[i].text != "close" ||
-                t[i + 1].text != "(")
-            continue;
-        if (i > 0) {
-            const std::string &prev = t[i - 1].text;
-            if (prev == "." || prev == "->")
-                continue; // member call on an owning object
-            if (prev == "::") {
-                if (i > 1 && t[i - 2].ident)
-                    continue; // Foo::close — qualified, not the libc call
-            } else if (t[i - 1].ident) {
-                // `return close(fd)` is still the libc call; any other
-                // identifier prefix is a declaration (`void close(`).
-                static const std::set<std::string> callCtx = {
-                    "return", "else", "do",
-                    "co_return", "co_await", "co_yield",
-                };
-                if (!callCtx.count(prev))
-                    continue;
-            }
-        }
-        out->push_back(
-            {path, t[i].line, kRawFdClose,
-             "raw close() of a file descriptor; own it with "
-             "util::UniqueFd (util/fd.h) so early returns cannot "
-             "leak or double-close it"});
-    }
-}
-
 /** LASER_<SUBPATH>_H guard expected for @p path. */
 std::string
 expectedGuard(const std::string &path)
@@ -650,9 +600,6 @@ rules()
          "header guard missing or not the canonical LASER_<PATH>_H "
          "pair"},
         {kHeaderHygiene, "'using namespace' at header scope"},
-        {kRawFdClose,
-         "bare close() of a file descriptor under src/obs/, src/util/ "
-         "or tools/ (own it with util::UniqueFd)"},
     };
     return kRules;
 }
@@ -704,8 +651,6 @@ lintFiles(const std::vector<SourceFile> &files, const Options &options)
             checkIncludeGuard(path, f, &raw);
         if (runs(kHeaderHygiene))
             checkHeaderHygiene(path, f, &raw);
-        if (runs(kRawFdClose))
-            checkRawFdClose(path, f, &raw);
         for (Finding &finding : raw) {
             const auto it = f.allows.find(finding.line);
             if (it != f.allows.end() && it->second.count(finding.rule))

@@ -28,12 +28,6 @@
  *                      trailing #endif.
  *   header-hygiene     `using namespace` in a header leaks into every
  *                      includer.
- *   raw-fd-close       A bare close() call (plain or `::`-qualified)
- *                      in the fd-owning trees src/obs/, src/util/ and
- *                      tools/. Descriptors there must be owned by
- *                      util::UniqueFd (util/fd.h); member `.close()` /
- *                      `->close()` calls and close() declarations are
- *                      exempt.
  *
  * Suppression: a comment `laser-lint: allow(rule-a, rule-b)` silences
  * the listed rules on its own line and on the next line of code, so it

@@ -1,15 +1,52 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <ctime>
 #include <filesystem>
+#include <vector>
 
-#include "obs/ledger.h"
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include "obs/span.h"
+
+extern char **environ; // hashed into RunContext::configHash
 
 namespace laser::obs {
 
 namespace {
+
+std::uint64_t
+fnv1a(std::uint64_t h, const char *data, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= static_cast<unsigned char>(data[i]);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
+ * LASER_* variables that name telemetry *destinations* rather than
+ * affecting what a run computes; excluded from the config hash so runs
+ * written to different metrics/trace paths still compare as the same
+ * configuration.
+ */
+bool
+isTelemetryDestination(const char *env)
+{
+    static const char *const kPrefixes[] = {
+        "LASER_METRICS_OUT=",
+        "LASER_TRACE_EVENTS=",
+    };
+    for (const char *prefix : kPrefixes)
+        if (std::strncmp(env, prefix, std::strlen(prefix)) == 0)
+            return true;
+    return false;
+}
 
 bool
 writeFileAtomicEnough(const std::string &path, const std::string &body)
@@ -51,6 +88,58 @@ metricsDir()
 {
     const char *dir = std::getenv("LASER_METRICS_OUT");
     return dir ? dir : "";
+}
+
+RunContext
+currentRunContext()
+{
+    RunContext ctx;
+
+    const char *sha = std::getenv("LASER_GIT_SHA");
+    if (!sha || !*sha)
+        sha = std::getenv("GITHUB_SHA");
+    ctx.gitSha = (sha && *sha) ? sha : "unknown";
+
+    char host[256] = {};
+    if (gethostname(host, sizeof host - 1) == 0 && host[0] != '\0')
+        ctx.hostname = host;
+    else
+        ctx.hostname = "unknown";
+
+    // Configuration fingerprint: FNV-1a over the sorted LASER_*
+    // environment (minus telemetry destinations), so two runs hash
+    // equal exactly when every behavior-affecting knob matches.
+    std::vector<std::string> vars;
+    for (char **env = environ; env && *env; ++env)
+        if (std::strncmp(*env, "LASER_", 6) == 0 &&
+            !isTelemetryDestination(*env))
+            vars.emplace_back(*env);
+    std::sort(vars.begin(), vars.end());
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::string &v : vars) {
+        h = fnv1a(h, v.data(), v.size());
+        h = fnv1a(h, "\n", 1);
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    ctx.configHash = hex;
+
+    ctx.unixTime = static_cast<std::int64_t>(std::time(nullptr));
+    return ctx;
+}
+
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return 0.0;
+    const auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               1e-6 * static_cast<double>(tv.tv_usec);
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 bool
@@ -105,8 +194,7 @@ bool
 BenchReport::write(const Registry &reg)
 {
     const std::string dir = preparedMetricsDir();
-    const std::string ledger = ledgerPath();
-    if (dir.empty() && ledger.empty())
+    if (dir.empty())
         return false;
 
     Json root = Json::object();
@@ -130,28 +218,17 @@ BenchReport::write(const Registry &reg)
     sweep.set("disk_cache_hits", Json(diskCacheHits_));
     root.set("sweep", std::move(sweep));
     root.set("results", results_);
-    if (!dir.empty()) {
-        Json artifacts = Json::object();
-        artifacts.set("bench_json", Json(path()));
-        artifacts.set("metrics_json",
-                      Json(dir + "/METRICS_" + name_ + ".json"));
-        artifacts.set("metrics_prom",
-                      Json(dir + "/METRICS_" + name_ + ".prom"));
-        if (SpanCollector::global().eventCount() > 0)
-            artifacts.set("trace_json",
-                          Json(traceEventPath(dir, name_)));
-        root.set("artifacts", std::move(artifacts));
-    }
+    Json artifacts = Json::object();
+    artifacts.set("bench_json", Json(path()));
+    artifacts.set("metrics_json",
+                  Json(dir + "/METRICS_" + name_ + ".json"));
+    artifacts.set("metrics_prom",
+                  Json(dir + "/METRICS_" + name_ + ".prom"));
+    if (SpanCollector::global().eventCount() > 0)
+        artifacts.set("trace_json", Json(traceEventPath(dir, name_)));
+    root.set("artifacts", std::move(artifacts));
     root.set("metrics", reg.snapshot().toJson());
 
-    // Run ledger first: it must record the invocation even when the
-    // per-run artifact directory is off or unwritable.
-    if (!ledger.empty() && !appendLedgerRecord(ledger, root))
-        std::fprintf(stderr, "obs: ledger append to %s failed: %s\n",
-                     ledger.c_str(), name_.c_str());
-
-    if (dir.empty())
-        return false;
     const bool ok =
         writeFileAtomicEnough(path(), root.dump(2) + "\n");
     exportProcessMetrics(name_, reg);

@@ -23,21 +23,16 @@
  *     "wall_seconds": <number >= 0>,
  *     "run": {"git_sha": "...", "config_hash": "...",    // v2: run
  *             "hostname": "...", "unix_time": N,         // context
- *             "cpu_seconds": <number >= 0>},             // (obs/ledger.h)
+ *             "cpu_seconds": <number >= 0>},             // (RunContext)
  *     "sweep": {"machine_runs": N, "memory_cache_hits": N,
  *               "disk_cache_hits": N},          // all integers >= 0
  *     "results": { ... bench-specific scalars/arrays ... },
- *     "artifacts": { ... resolved artifact paths ... },  // v2, optional
+ *     "artifacts": { ... resolved artifact paths ... },
  *     "metrics": { registry snapshot }
  *   }
  *
- * Independently of LASER_METRICS_OUT, LASER_LEDGER=<file> makes write()
- * append the same document as one JSONL line to the persistent run
- * ledger (obs/ledger.h), which tools/laser_report mines for perf
- * trajectories and regression gating.
- *
- * With neither variable in the environment the whole layer is inert:
- * write() returns false and touches no files.
+ * Without LASER_METRICS_OUT in the environment the whole layer is
+ * inert: write() returns false and touches no files.
  */
 
 #ifndef LASER_OBS_EXPORT_H
@@ -57,6 +52,21 @@ inline constexpr int kBenchSchemaVersion = 2;
 
 /** $LASER_METRICS_OUT, or "" when telemetry is off. */
 std::string metricsDir();
+
+/** Identity of one run, stamped into every BENCH document. */
+struct RunContext
+{
+    std::string gitSha;     ///< $LASER_GIT_SHA / $GITHUB_SHA / "unknown"
+    std::string configHash; ///< 16-hex FNV-1a over the LASER_* environment
+    std::string hostname;   ///< gethostname(), "unknown" on failure
+    std::int64_t unixTime = 0; ///< seconds since the epoch
+};
+
+/** Best-effort context for the current process and environment. */
+RunContext currentRunContext();
+
+/** Cumulative process CPU seconds, user + system (getrusage). */
+double processCpuSeconds();
 
 /**
  * Write METRICS_<name>.json/.prom (and the span trace, if any events
@@ -93,11 +103,9 @@ class BenchReport
                   std::uint64_t disk_cache_hits);
 
     /**
-     * Write BENCH_<name>.json plus the METRICS_/TRACE_ artifacts, and
-     * append the same document to the run ledger when LASER_LEDGER is
-     * set. Returns true when the bench file was written (false when
-     * LASER_METRICS_OUT is unset or on I/O error; a ledger-only
-     * configuration still appends its record).
+     * Write BENCH_<name>.json plus the METRICS_/TRACE_ artifacts.
+     * Returns true when the bench file was written (false when
+     * LASER_METRICS_OUT is unset or on I/O error).
      */
     bool write(const Registry &reg = Registry::global());
 

@@ -37,8 +37,8 @@ double median(std::vector<double> xs);
 
 /**
  * Linear-interpolated quantile for @p q in [0, 1] (q=0.5 matches
- * median); 0 for empty samples. Used by the regression gate's IQR
- * computation (obs/ledger.h).
+ * median); 0 for empty samples. bench_pipeline reports its per-item
+ * p50/p90 latencies through it.
  */
 double quantile(std::vector<double> xs, double q);
 

@@ -45,19 +45,18 @@ lintFixture(const std::string &name)
 // Rule metadata
 // ---------------------------------------------------------------------
 
-TEST(LintRules, ListsAllSevenRules)
+TEST(LintRules, ListsAllSixRules)
 {
     std::set<std::string> names;
     for (const RuleInfo &r : rules())
         names.insert(r.name);
-    EXPECT_EQ(names.size(), 7u);
+    EXPECT_EQ(names.size(), 6u);
     EXPECT_TRUE(isRule("unchecked-status"));
     EXPECT_TRUE(isRule("nodiscard-status"));
     EXPECT_TRUE(isRule("raw-mutex"));
     EXPECT_TRUE(isRule("raw-new-delete"));
     EXPECT_TRUE(isRule("include-guard"));
     EXPECT_TRUE(isRule("header-hygiene"));
-    EXPECT_TRUE(isRule("raw-fd-close"));
     EXPECT_FALSE(isRule("no-such-rule"));
 }
 
@@ -236,51 +235,6 @@ TEST(HeaderHygiene, FlagsUsingNamespaceButNotUsingDeclarations)
         {8, "header-hygiene"},
     };
     EXPECT_EQ(got, want);
-}
-
-// ---------------------------------------------------------------------
-// raw-fd-close
-// ---------------------------------------------------------------------
-
-TEST(RawFdClose, FlagsBareAndGlobalQualifiedCallsInScope)
-{
-    // The rule is path-scoped, so lint the fixture's content under a
-    // synthetic src/obs/ path (its real tests/lint_fixtures/ path is
-    // outside the fd-owning trees).
-    SourceFile f;
-    ASSERT_TRUE(
-        loadFile(LASER_SOURCE_DIR, "tests/lint_fixtures/raw_close.cc",
-                 &f));
-    const auto got = lineRules(lintSource("src/obs/raw_close.cc",
-                                          f.content));
-    const std::vector<std::pair<int, std::string>> want = {
-        {18, "raw-fd-close"},
-        {19, "raw-fd-close"},
-        {25, "raw-fd-close"}, // `return close(fd)` is still the call
-    };
-    EXPECT_EQ(got, want);
-}
-
-TEST(RawFdClose, OnlyAppliesToFdOwningTrees)
-{
-    const std::string src = "void f(int fd) { ::close(fd); }\n";
-    EXPECT_EQ(lintSource("src/obs/a.cc", src).size(), 1u);
-    EXPECT_EQ(lintSource("src/util/a.cc", src).size(), 1u);
-    EXPECT_EQ(lintSource("tools/a.cc", src).size(), 1u);
-    EXPECT_TRUE(lintSource("src/trace/a.cc", src).empty());
-    EXPECT_TRUE(lintSource("bench/a.cc", src).empty());
-}
-
-TEST(RawFdClose, ExemptsMemberCallsQualifiedCallsAndDeclarations)
-{
-    const std::string src =
-        "struct S { void close(); static void close(int); };\n"
-        "void f(S &s, S *p, int fd) {\n"
-        "    s.close();\n"
-        "    p->close();\n"
-        "    S::close(fd);\n"
-        "}\n";
-    EXPECT_TRUE(lintSource("src/obs/a.cc", src).empty());
 }
 
 // ---------------------------------------------------------------------

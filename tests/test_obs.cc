@@ -2,16 +2,24 @@
  * @file
  * Unit tests for the observability layer: JSON round-trips, lock-free
  * counter exactness under contention, histogram percentile accuracy,
- * span nesting and the trace-event / Prometheus export formats.
+ * span nesting, the trace-event / Prometheus export formats, run
+ * identity and the BENCH_<name>.json document BenchReport writes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "obs/export.h"
 #include "obs/json.h"
@@ -422,6 +430,174 @@ TEST_F(ObsTest, SpansSkippedWhenDisabled)
     col.disable();
     EXPECT_EQ(col.eventCount(), 0u);
     col.clear();
+}
+
+// ---------------------------------------------------------------------
+// Run identity and BENCH documents
+// ---------------------------------------------------------------------
+
+/** Sets (or, with nullopt, unsets) an environment variable for one
+ *  scope and restores its previous value on exit. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, std::optional<std::string> value)
+        : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        set(value);
+    }
+    ~ScopedEnv() { set(old_); }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    void
+    set(const std::optional<std::string> &value)
+    {
+        if (value)
+            setenv(name_, value->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+/** Fresh, empty directory under the system temp dir. */
+std::filesystem::path
+freshDir(const std::string &tag)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("laser_test_obs_" + tag + "_" + std::to_string(getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+TEST(Export, RunContextIsFullyPopulated)
+{
+    const RunContext ctx = currentRunContext();
+    EXPECT_FALSE(ctx.gitSha.empty());
+    EXPECT_FALSE(ctx.hostname.empty());
+    EXPECT_GT(ctx.unixTime, 1577836800); // after 2020-01-01
+    ASSERT_EQ(ctx.configHash.size(), 16u);
+    for (char c : ctx.configHash)
+        EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
+            << ctx.configHash;
+}
+
+TEST(Export, ConfigHashTracksBehaviorKnobsNotTelemetryPaths)
+{
+    const std::string before = currentRunContext().configHash;
+    {
+        // A behavior-affecting LASER_* knob changes the fingerprint...
+        ScopedEnv knob("LASER_TEST_KNOB", "42");
+        const std::string withKnob = currentRunContext().configHash;
+        EXPECT_NE(withKnob, before);
+
+        // ...but telemetry destinations are excluded, so writing the
+        // same run's artifacts somewhere else keeps runs comparable.
+        ScopedEnv metrics("LASER_METRICS_OUT", "/tmp/elsewhere");
+        ScopedEnv trace("LASER_TRACE_EVENTS", "/tmp/elsewhere.json");
+        EXPECT_EQ(currentRunContext().configHash, withKnob);
+    }
+    EXPECT_EQ(currentRunContext().configHash, before);
+}
+
+TEST(Export, ProcessCpuSecondsIsNonNegativeAndMonotonic)
+{
+    const double a = processCpuSeconds();
+    EXPECT_GE(a, 0.0);
+    // Burn a little CPU; the counter must not go backwards.
+    volatile double sink = 0.0;
+    for (int i = 0; i < 1000000; ++i)
+        sink = sink + i * 1e-9;
+    EXPECT_GE(processCpuSeconds(), a);
+}
+
+TEST(Export, BenchReportWritesSchemaV2Document)
+{
+    const std::filesystem::path dir = freshDir("bench");
+    {
+        ScopedEnv metrics("LASER_METRICS_OUT", dir.string());
+        BenchReport report("test_obs_write");
+        report.results().set("answer", Json(42));
+        report.setSweep(3, 2, 1);
+        ASSERT_TRUE(report.write());
+        EXPECT_EQ(report.path(),
+                  (dir / "BENCH_test_obs_write.json").string());
+
+        std::ifstream in(report.path());
+        ASSERT_TRUE(in) << report.path();
+        std::stringstream text;
+        text << in.rdbuf();
+        Json doc;
+        std::string err;
+        ASSERT_TRUE(Json::parse(text.str(), &doc, &err)) << err;
+
+        EXPECT_EQ(doc.find("schema_version")->asNumber(),
+                  kBenchSchemaVersion);
+        EXPECT_EQ(kBenchSchemaVersion, 2);
+        EXPECT_EQ(doc.find("bench")->asString(), "test_obs_write");
+        EXPECT_GE(doc.find("wall_seconds")->asNumber(-1.0), 0.0);
+
+        const Json *run = doc.find("run");
+        ASSERT_NE(run, nullptr);
+        ASSERT_TRUE(run->isObject());
+        for (const char *key : {"git_sha", "config_hash", "hostname"}) {
+            const Json *v = run->find(key);
+            ASSERT_NE(v, nullptr) << key;
+            EXPECT_TRUE(v->isString()) << key;
+            EXPECT_FALSE(v->asString().empty()) << key;
+        }
+        EXPECT_EQ(run->find("config_hash")->asString(),
+                  currentRunContext().configHash);
+        EXPECT_GT(run->find("unix_time")->asNumber(), 1577836800);
+        EXPECT_GE(run->find("cpu_seconds")->asNumber(-1.0), 0.0);
+
+        const Json *sweep = doc.find("sweep");
+        ASSERT_NE(sweep, nullptr);
+        EXPECT_EQ(sweep->find("machine_runs")->asNumber(), 3);
+        EXPECT_EQ(sweep->find("memory_cache_hits")->asNumber(), 2);
+        EXPECT_EQ(sweep->find("disk_cache_hits")->asNumber(), 1);
+        EXPECT_EQ(doc.find("results")->find("answer")->asNumber(), 42);
+
+        const Json *artifacts = doc.find("artifacts");
+        ASSERT_NE(artifacts, nullptr);
+        EXPECT_EQ(artifacts->find("bench_json")->asString(),
+                  report.path());
+        for (const char *key : {"metrics_json", "metrics_prom"})
+            EXPECT_TRUE(std::filesystem::exists(
+                artifacts->find(key)->asString()))
+                << key;
+        EXPECT_NE(doc.find("metrics"), nullptr);
+    }
+    // The constructor armed span collection for the bench run.
+    SpanCollector::global().disable();
+    SpanCollector::global().clear();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Export, BenchReportWithoutMetricsDirWritesNothing)
+{
+    const std::filesystem::path dir = freshDir("inert");
+    const std::filesystem::path history = dir / "runs.jsonl";
+    {
+        // The retired run-history variable names no destination: only
+        // LASER_METRICS_OUT makes write() produce a file.
+        ScopedEnv metrics("LASER_METRICS_OUT", std::nullopt);
+        ScopedEnv retired("LASER_LEDGER", history.string());
+        BenchReport report("test_obs_inert");
+        EXPECT_EQ(report.path(), "");
+        EXPECT_FALSE(report.write());
+    }
+    EXPECT_FALSE(std::filesystem::exists(history));
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

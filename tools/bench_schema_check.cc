@@ -2,11 +2,10 @@
  * @file
  * Validator for the BENCH_<name>.json telemetry artifacts (schema v2,
  * documented in EXPERIMENTS.md and obs/export.h; v2 adds the "run"
- * context object and the optional "artifacts" path map). CI runs it
- * over every file the bench-smoke step produces, so a bench that
- * drifts from the schema fails the build rather than silently shipping
- * malformed telemetry. Ledger records (obs/ledger.h) carry the same
- * document, so a validated BENCH file implies a valid ledger line.
+ * context object and the "artifacts" path map). CI runs it over every
+ * file the bench-smoke step produces, so a bench that drifts from the
+ * schema fails the build rather than silently shipping malformed
+ * telemetry.
  *
  *     bench_schema_check FILE...
  *     bench_schema_check --dir DIR     # every BENCH_*.json under DIR
@@ -129,9 +128,9 @@ validate(const std::string &path)
             }
         }
 
-        // "artifacts" is optional (absent in ledger-only runs) but must
-        // be a map of non-empty path strings when present.
-        if (const Json *artifacts = doc.find("artifacts")) {
+        // "artifacts" maps each artifact the run wrote to its non-empty
+        // path.
+        if (const Json *artifacts = ck.requireMember(doc, "artifacts")) {
             if (!artifacts->isObject()) {
                 ck.flag("\"artifacts\" must be an object");
             } else {

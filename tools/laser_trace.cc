@@ -55,9 +55,7 @@
  *
  * Every command honors LASER_METRICS_OUT=<dir>: on exit the invocation
  * is recorded there as BENCH_laser_trace_<command>.json plus the
- * METRICS_/TRACE_ artifacts (paths printed after sweep/replay), and
- * LASER_LEDGER=<file>: the same record is appended to the persistent
- * run ledger (see obs/ledger.h and tools/laser_report).
+ * METRICS_/TRACE_ artifacts (paths printed after sweep/replay).
  */
 
 #include <chrono>
@@ -77,7 +75,6 @@
 #include "core/sweep_runner.h"
 #include "obs/export.h"
 #include "obs/json.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/protocol.h"
@@ -949,7 +946,7 @@ main(int argc, char **argv)
 
     // Every invocation is one telemetry record: BENCH_laser_trace_<cmd>
     // under LASER_METRICS_OUT (which also exports the METRICS_/TRACE_
-    // artifacts) and one ledger line under LASER_LEDGER.
+    // artifacts).
     obs::BenchReport invocation("laser_trace_" + cmd);
 
     int rc = -1;
@@ -996,9 +993,5 @@ main(int argc, char **argv)
                             name.c_str());
         }
     }
-    const std::string ledger = obs::ledgerPath();
-    if (!ledger.empty())
-        std::printf("ledger: appended laser_trace_%s run to %s\n",
-                    cmd.c_str(), ledger.c_str());
     return rc;
 }
