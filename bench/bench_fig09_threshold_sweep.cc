@@ -11,6 +11,7 @@
  * the 1K HITMs/sec default sits in the wide flat valley between them.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -35,14 +36,19 @@ shardedReplayDemo(core::SweepRunner &runner,
                   const std::vector<const workloads::WorkloadDef *> &defs,
                   const std::vector<double> &thresholds)
 {
-    std::shared_ptr<const trace::Trace> biggest;
+    // Memory hits on the sweep's slots; only the winner is decoded.
+    const workloads::WorkloadDef *biggest_def = nullptr;
+    std::uint64_t biggest_records = 0;
     for (const auto *def : defs) {
-        auto t = runner.capture(*def, {}); // cache-served by the sweep
-        if (!biggest || t->records.size() > biggest->records.size())
-            biggest = t;
+        const std::uint64_t n = runner.captureFile(*def, {})->recordCount();
+        if (!biggest_def || n > biggest_records) {
+            biggest_def = def;
+            biggest_records = n;
+        }
     }
-    if (!biggest || biggest->records.empty())
+    if (biggest_records == 0)
         return;
+    const auto biggest = runner.capture(*biggest_def, {});
     trace::TraceReplayer env(*biggest);
     if (!env.ok())
         return;

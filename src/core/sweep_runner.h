@@ -10,7 +10,9 @@
  * once per key, even under concurrent requests) and populate the cache.
  * With a cache directory configured, traces also persist across
  * processes as <hash>.ltrace files, so a second sweep over the same
- * configuration performs zero machine runs.
+ * configuration performs zero machine runs. A key has one slot whether
+ * it is requested as a seekable file (captureFile()) or materialized
+ * (capture()), so mixing the two never simulates a configuration twice.
  */
 
 #ifndef LASER_CORE_SWEEP_RUNNER_H
@@ -37,7 +39,7 @@ namespace laser::core {
  * Cache / execution counters (cumulative over the runner's lifetime).
  * Every increment is mirrored into the global obs registry
  * (sweep.machine_runs, sweep.cache_hits.memory, sweep.cache_hits.disk,
- * sweep.inflight_dedup, trace.cache.bytes_read/written), which is what
+ * sweep.inflight_dedup, trace.cache.bytes_written), which is what
  * tools and benches export; the struct remains the per-runner view so
  * concurrent runners in one process stay separable.
  */
@@ -80,25 +82,28 @@ class SweepRunner
 
     /**
      * Capture (or fetch from cache) the monitored run of @p workload
-     * under @p opt, materialized. Concurrent requests for the same
-     * configuration are coalesced into a single simulation.
-     */
-    std::shared_ptr<const trace::Trace>
-    capture(const workloads::WorkloadDef &workload,
-            const trace::CaptureOptions &opt);
-
-    /**
-     * Like capture(), but returns the run as an open seekable
-     * trace::TraceFile instead of a materialized Trace: a disk cache
+     * under @p opt as an open seekable trace::TraceFile: a disk cache
      * hit validates only the header, meta sections and block index —
      * record blocks stay encoded until replay cursors pull them — so
      * serving a warm sweep costs O(meta + index) reads and replay
      * memory stays O(block x shards). Without a cache directory the
      * encoded image is held in memory and cursored the same way.
+     * Concurrent requests for the same configuration are coalesced
+     * into a single simulation.
      */
     std::shared_ptr<const trace::TraceFile>
     captureFile(const workloads::WorkloadDef &workload,
                 const trace::CaptureOptions &opt);
+
+    /**
+     * captureFile() materialized: the same cache slot, decoded whole
+     * through TraceFile::readAll (every block checksum-verified).
+     * Throws std::runtime_error naming the file when a cached record
+     * block fails its checksum or does not decode.
+     */
+    std::shared_ptr<const trace::Trace>
+    capture(const workloads::WorkloadDef &workload,
+            const trace::CaptureOptions &opt);
 
     /** Fan fn(0..n-1) across the worker pool (blocking). */
     void
@@ -119,22 +124,16 @@ class SweepRunner
 
   private:
     struct Entry;
-    struct FileEntry;
-
-    std::shared_ptr<const trace::Trace>
-    loadOrRun(std::uint64_t key, const workloads::WorkloadDef &workload,
-              const trace::CaptureOptions &opt);
 
     std::shared_ptr<const trace::TraceFile>
-    loadOrRunFile(std::uint64_t key,
-                  const workloads::WorkloadDef &workload,
-                  const trace::CaptureOptions &opt);
+    loadOrRun(std::uint64_t key, const workloads::WorkloadDef &workload,
+              const trace::CaptureOptions &opt);
 
     Config cfg_;
     util::ThreadPool pool_;
     mutable util::Mutex mu_;
     /**
-     * Key -> coalescing slot. The maps are guarded; the *slots* escape
+     * Key -> coalescing slot. The map is guarded; the *slots* escape
      * the lock deliberately — a slot's payload is published through its
      * std::once_flag, so concurrent captures of the same key block in
      * std::call_once instead of serializing the whole cache (see the
@@ -142,8 +141,6 @@ class SweepRunner
      */
     std::unordered_map<std::uint64_t, std::shared_ptr<Entry>> cache_
         GUARDED_BY(mu_);
-    std::unordered_map<std::uint64_t, std::shared_ptr<FileEntry>>
-        fileCache_ GUARDED_BY(mu_);
     SweepStats stats_ GUARDED_BY(mu_);
 };
 

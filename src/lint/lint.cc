@@ -281,8 +281,6 @@ lex(const std::string &s)
 // Rules
 // ---------------------------------------------------------------------
 
-const char *kUncheckedStatus = "unchecked-status";
-const char *kNodiscardStatus = "nodiscard-status";
 const char *kRawMutex = "raw-mutex";
 const char *kRawNewDelete = "raw-new-delete";
 const char *kIncludeGuard = "include-guard";
@@ -293,145 +291,6 @@ isHeader(const std::string &path)
 {
     return path.size() >= 2 &&
            path.compare(path.size() - 2, 2, ".h") == 0;
-}
-
-/** Status-bearing return types whose values must never be dropped. */
-bool
-isStatusType(const std::string &text)
-{
-    return text == "TraceStatus";
-}
-
-/**
- * Collect the names of functions declared to return a status type:
- * the pattern `<StatusType> <identifier> (` outside type definitions
- * and qualified (out-of-line) definitions.
- */
-void
-collectStatusFns(const LexedFile &f, std::set<std::string> *fns)
-{
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-        if (!t[i].ident || !isStatusType(t[i].text))
-            continue;
-        if (i > 0 && (t[i - 1].text == "class" ||
-                      t[i - 1].text == "struct" ||
-                      t[i - 1].text == "enum" || t[i - 1].text == "::" ||
-                      t[i - 1].text == "." || t[i - 1].text == "->"))
-            continue;
-        if (!t[i + 1].ident || t[i + 2].text != "(")
-            continue;
-        fns->insert(t[i + 1].text);
-    }
-}
-
-/** Keywords that can open a statement but never start a call chain. */
-bool
-isStatementKeyword(const std::string &w)
-{
-    static const std::set<std::string> kw = {
-        "if",     "while",    "for",       "switch",  "return",
-        "throw",  "case",     "goto",      "using",   "namespace",
-        "break",  "continue", "default",   "public",  "private",
-        "protected", "template", "typename", "operator", "catch",
-        "try",    "new",      "delete",    "sizeof",  "alignof",
-        "static_assert", "typedef", "co_return", "co_await",
-        "co_yield", "else", "do", "struct", "class", "enum", "union",
-        "static", "const", "constexpr", "inline", "extern", "friend",
-        "virtual", "explicit", "auto", "void",
-    };
-    return kw.count(w) > 0;
-}
-
-void
-checkUncheckedStatus(const std::string &path, const LexedFile &f,
-                     const std::set<std::string> &statusFns,
-                     std::vector<Finding> *out)
-{
-    const std::vector<Token> &t = f.tokens;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!t[i].ident || isStatementKeyword(t[i].text))
-            continue;
-        if (i > 0) {
-            const std::string &prev = t[i - 1].text;
-            const bool start = prev == ";" || prev == "{" ||
-                               prev == "}" || prev == ")" ||
-                               prev == "else" || prev == "do";
-            if (!start)
-                continue;
-        }
-        // Walk the call chain: id ((:: | . | ->) id)* (
-        std::size_t j = i;
-        std::string callee = t[i].text;
-        while (j + 2 < n && (t[j + 1].text == "::" ||
-                             t[j + 1].text == "." ||
-                             t[j + 1].text == "->") &&
-               t[j + 2].ident) {
-            j += 2;
-            callee = t[j].text;
-        }
-        if (j + 1 >= n || t[j + 1].text != "(")
-            continue;
-        if (!statusFns.count(callee))
-            continue;
-        // Find the matching ')' and require an immediate ';' — i.e. the
-        // whole statement is just this call, its result dropped.
-        int depth = 0;
-        std::size_t k = j + 1;
-        for (; k < n; ++k) {
-            if (t[k].text == "(")
-                ++depth;
-            else if (t[k].text == ")" && --depth == 0)
-                break;
-        }
-        if (k + 1 < n && t[k + 1].text == ";")
-            out->push_back(
-                {path, t[j].line, kUncheckedStatus,
-                 "result of status-returning call '" + callee +
-                     "' is silently dropped; propagate it, branch on "
-                     "it, or log-and-discard with a suppression"});
-    }
-}
-
-void
-checkNodiscardStatus(const std::string &path, const LexedFile &f,
-                     std::vector<Finding> *out)
-{
-    if (!isHeader(path))
-        return;
-    const std::vector<Token> &t = f.tokens;
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-        if (!t[i].ident || !isStatusType(t[i].text))
-            continue;
-        if (i > 0 && (t[i - 1].text == "class" ||
-                      t[i - 1].text == "struct" ||
-                      t[i - 1].text == "enum" || t[i - 1].text == "::" ||
-                      t[i - 1].text == "." || t[i - 1].text == "->"))
-            continue;
-        if (!t[i + 1].ident || t[i + 2].text != "(")
-            continue;
-        // Scan the declaration-specifier prefix for [[nodiscard]].
-        bool found = false;
-        static const std::set<std::string> prefix = {
-            "[",      "]",         "virtual", "static",
-            "inline", "constexpr", "explicit", "friend",
-            "nodiscard", "maybe_unused",
-        };
-        for (std::size_t j = i; j-- > 0;) {
-            if (t[j].text == "nodiscard") {
-                found = true;
-                break;
-            }
-            if (!prefix.count(t[j].text))
-                break;
-        }
-        if (!found)
-            out->push_back(
-                {path, t[i].line, kNodiscardStatus,
-                 "declaration of '" + t[i + 1].text + "' returns " +
-                     t[i].text + " without [[nodiscard]]"});
-    }
 }
 
 void
@@ -586,11 +445,6 @@ const std::vector<RuleInfo> &
 rules()
 {
     static const std::vector<RuleInfo> kRules = {
-        {kUncheckedStatus,
-         "status-returning call used as a bare statement (result "
-         "silently dropped)"},
-        {kNodiscardStatus,
-         "status-returning declaration in a header lacks [[nodiscard]]"},
         {kRawMutex,
          "raw std mutex/lock/condvar outside util/mutex.h (invisible "
          "to -Wthread-safety)"},
@@ -616,16 +470,6 @@ isRule(const std::string &name)
 std::vector<Finding>
 lintFiles(const std::vector<SourceFile> &files, const Options &options)
 {
-    // Pass 1: lex everything once and collect the status-returning
-    // function names that parameterize unchecked-status.
-    std::vector<LexedFile> lexed;
-    lexed.reserve(files.size());
-    std::set<std::string> statusFns;
-    for (const SourceFile &f : files) {
-        lexed.push_back(lex(f.content));
-        collectStatusFns(lexed.back(), &statusFns);
-    }
-
     std::set<std::string> enabled;
     for (const std::string &r : options.enabledRules)
         enabled.insert(r);
@@ -633,16 +477,11 @@ lintFiles(const std::vector<SourceFile> &files, const Options &options)
         return enabled.empty() || enabled.count(rule) > 0;
     };
 
-    // Pass 2: every rule over every file.
     std::vector<Finding> all;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        const std::string &path = files[i].path;
-        const LexedFile &f = lexed[i];
+    for (const SourceFile &file : files) {
+        const std::string &path = file.path;
+        const LexedFile f = lex(file.content);
         std::vector<Finding> raw;
-        if (runs(kUncheckedStatus))
-            checkUncheckedStatus(path, f, statusFns, &raw);
-        if (runs(kNodiscardStatus))
-            checkNodiscardStatus(path, f, &raw);
         if (runs(kRawMutex))
             checkRawMutex(path, f, &raw);
         if (runs(kRawNewDelete))

@@ -7,13 +7,6 @@
  * Rules (rule names are stable; they appear in output and suppression
  * comments):
  *
- *   unchecked-status   A call to a TraceStatus-returning function used
- *                      as a bare statement: the status is silently
- *                      dropped. Propagate it, branch on it, or suppress
- *                      with a justification.
- *   nodiscard-status   A header declares a TraceStatus-returning
- *                      function without [[nodiscard]], so the compiler
- *                      cannot flag dropped calls.
  *   raw-mutex          std::mutex / std::condition_variable /
  *                      std::lock_guard / std::unique_lock (and friends)
  *                      used outside util/mutex.h. Unannotated locks are
@@ -38,10 +31,10 @@
  *
  * The checker lexes real C++ (line comments, block comments, string /
  * char / raw-string literals, preprocessor logical lines) but does not
- * parse it; rules are token-pattern based. That keeps the tool
- * dependency-free and fast, at the cost of documented blind spots: a
- * status call discarded through `(void)`, a comma operator, or a
- * ternary arm is not flagged.
+ * parse it; rules are token-pattern based, which keeps the tool
+ * dependency-free and fast. Dropped trace::TraceStatus values are not a
+ * lint rule: the type is [[nodiscard]] and the build compiles with
+ * -Werror=unused-result.
  */
 
 #ifndef LASER_LINT_LINT_H
@@ -93,9 +86,7 @@ struct Options
 };
 
 /**
- * Lint a set of files as one program: a first pass over the headers
- * collects the status-returning function names that parameterize
- * unchecked-status, then every file is checked against every enabled
+ * Lint a set of files: every file is checked against every enabled
  * rule. Findings are sorted by (file, line, rule).
  */
 std::vector<Finding> lintFiles(const std::vector<SourceFile> &files,

@@ -62,7 +62,7 @@ struct MachineConfig
     TimingModel timing{};
     /** Coherence backend (protocol sweeps; MESI reproduces the paper). */
     ProtocolKind protocol = ProtocolKind::Mesi;
-    /** Simulated cache geometry (line size; optional capacity). */
+    /** Simulated cache geometry (line size). */
     CacheGeometry geometry{};
     /**
      * Seed for the per-thread timing jitter. Real machines perturb
@@ -89,7 +89,7 @@ struct MachineConfig
     bool threadsAsProcesses = false;
     /** Track pages dirtied between sync points (Sheriff diff costs). */
     bool trackDirtyPages = false;
-    /** Pre-emptive SSB flush threshold (L1 associativity, Section 5.5). */
+    /** Pre-emptive SSB flush threshold (the L1's 8 ways, Section 5.5). */
     int ssbMaxEntries = 8;
     SsbMode ssbMode = SsbMode::Coalescing;
     /** Record the store-visibility trace for TSO property tests. */

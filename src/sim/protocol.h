@@ -12,15 +12,14 @@
  *
  *  - MesiDirectory (sim/protocol_mesi.h): the invalidation-based
  *    directory-MESI model, transition-identical to the original
- *    CoherenceDirectory, plus optional capacity/eviction modeling.
+ *    CoherenceDirectory.
  *  - DragonBus (sim/protocol_dragon.h): a snooping update-based Dragon
  *    protocol (E/Sc/Sm/M) in which HITM outcomes fall out of real
  *    M/Sm-state dirty interventions instead of invalidations.
  *
- * CacheGeometry makes line size (and, per protocol, capacity) a
- * first-class simulated parameter; it participates in the LSRT hashed
- * config section so trace-cache keys can never collide across
- * protocols or geometries.
+ * CacheGeometry makes line size a first-class simulated parameter; it
+ * participates in the LSRT hashed config section so trace-cache keys
+ * can never collide across protocols or line sizes.
  */
 
 #ifndef LASER_SIM_PROTOCOL_H
@@ -48,24 +47,15 @@ const char *protocolName(ProtocolKind kind);
 bool parseProtocol(const std::string &name, ProtocolKind *out);
 
 /**
- * Simulated cache geometry. The default (64-byte lines, unbounded
- * capacity) reproduces the original hard-coded model bit-for-bit.
- * Capacity is optional per protocol: MESI models per-core LRU eviction
- * when bounded; Dragon is capacity-less by design (an update protocol
- * keeps every sharer's copy live).
+ * Simulated cache geometry. The default (64-byte lines) reproduces the
+ * original hard-coded model bit-for-bit. Caches have unbounded
+ * capacity: contention, not capacity misses, drives the paper's signal.
  */
 struct CacheGeometry
 {
     /** Cache line size in bytes; a power of two in [8, 128]. The upper
      *  bound keeps a line's byte count within HitmEvent::accessSize. */
     std::uint32_t lineBytes = 64;
-    /** Cache sets per core; 0 = unbounded (no eviction modeling). */
-    std::uint32_t sets = 0;
-    /** Ways per set; 0 = unbounded. */
-    std::uint32_t associativity = 0;
-
-    /** True when capacity (and therefore eviction) is modeled. */
-    bool bounded() const { return sets > 0 && associativity > 0; }
 
     /** True for a representable line size (power of two in [8, 128]). */
     bool

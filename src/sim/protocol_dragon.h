@@ -20,8 +20,8 @@
  * measures (LASER's HITM-based signal starves under an update
  * protocol).
  *
- * Capacity is not modeled (geometry's line size applies; sets/ways are
- * ignored): an update protocol's pathology is keeping stale sharers
+ * Like MESI, capacity is not modeled (only the geometry's line size
+ * applies): an update protocol's pathology is keeping stale sharers
  * live forever, which unbounded copies model faithfully.
  */
 

@@ -1,6 +1,5 @@
 #include "sim/protocol_mesi.h"
 
-#include <algorithm>
 #include <bit>
 
 namespace laser::sim {
@@ -8,58 +7,13 @@ namespace laser::sim {
 MesiDirectory::MesiDirectory(int num_cores, const CacheGeometry &geometry)
     : CoherenceProtocol(num_cores, geometry)
 {
-    if (geometry_.bounded())
-        lru_.resize(static_cast<std::size_t>(num_cores),
-                    std::vector<std::list<std::uint64_t>>(geometry_.sets));
-}
-
-void
-MesiDirectory::evictLine(int core, std::uint64_t line)
-{
-    auto it = lines_.find(line);
-    if (it == lines_.end())
-        return;
-    LineInfo &li = it->second;
-    li.sharers &= ~(1u << core);
-    if (li.owner == core) {
-        // An evicted M line writes back to memory; an evicted E line is
-        // simply dropped. Either way the line is clean and unowned.
-        li.modified = false;
-        li.exclusive = false;
-        li.owner = -1;
-    }
-    if (li.sharers == 0)
-        lines_.erase(it);
-    ++evictions_;
-}
-
-void
-MesiDirectory::touchLru(int core, std::uint64_t line)
-{
-    if (!geometry_.bounded())
-        return;
-    std::list<std::uint64_t> &set =
-        lru_[static_cast<std::size_t>(core)][line % geometry_.sets];
-    auto pos = std::find(set.begin(), set.end(), line);
-    if (pos != set.end()) {
-        set.splice(set.begin(), set, pos);
-        return;
-    }
-    set.push_front(line);
-    if (set.size() > geometry_.associativity) {
-        const std::uint64_t victim = set.back();
-        set.pop_back();
-        evictLine(core, victim);
-    }
 }
 
 AccessOutcome
 MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
                       bool is_load_class)
 {
-    const std::uint64_t line = lineOf(addr);
-    touchLru(core, line);
-    LineInfo &li = lines_[line];
+    LineInfo &li = lines_[lineOf(addr)];
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;
 

@@ -6,14 +6,7 @@
  * CoherenceDirectory (sim/coherence.h) at the default geometry — the
  * cross-protocol identity test replays every workload and requires a
  * bit-identical HITM event stream against goldens captured from the
- * pre-refactor directory. On top of that it adds optional capacity
- * modeling: with a bounded CacheGeometry each core tracks its resident
- * lines per set in LRU order, and an overflowing fill silently evicts
- * the victim (dropping the core from the line's sharer set; an M/E
- * owner's eviction is a writeback to memory). Eviction latency is not
- * charged — contention behaviour, not capacity misses, drives the
- * paper's signal — but the state transitions make re-references misses
- * again, so geometry sweeps see realistic re-fetch traffic.
+ * pre-refactor directory.
  *
  * Invariant audit (Illinois clean-sharing rules): the original
  * directory's checkInvariants verified E/M => exactly one sharer equal
@@ -28,9 +21,7 @@
 #define LASER_SIM_PROTOCOL_MESI_H
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/protocol.h"
 
@@ -64,19 +55,8 @@ class MesiDirectory final : public CoherenceProtocol
     /** Directory entry for a line address (nullptr if not resident). */
     const LineInfo *probe(std::uint64_t line_addr) const;
 
-    /** Lines evicted by capacity (0 with unbounded geometry). */
-    std::uint64_t evictions() const { return evictions_; }
-
   private:
-    /** Touch @p line in @p core's LRU set, evicting on overflow. */
-    void touchLru(int core, std::uint64_t line);
-    void evictLine(int core, std::uint64_t line);
-
     std::unordered_map<std::uint64_t, LineInfo> lines_;
-    /** Per-core, per-set resident lines, MRU first (bounded geometry
-     *  only; empty when unbounded). */
-    std::vector<std::vector<std::list<std::uint64_t>>> lru_;
-    std::uint64_t evictions_ = 0;
 };
 
 } // namespace laser::sim

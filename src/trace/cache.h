@@ -53,8 +53,8 @@ struct CacheEntry
  * stored config hash. Returns the same typed statuses as a full parse
  * would for those fields (any version but kTraceVersion is BadVersion).
  */
-[[nodiscard]] TraceStatus readTraceHeader(const std::string &path,
-                                          std::uint64_t *config_hash);
+TraceStatus readTraceHeader(const std::string &path,
+                            std::uint64_t *config_hash);
 
 /**
  * Inventory @p dir's trace files (*.ltrace), oldest mtime first —

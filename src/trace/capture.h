@@ -48,7 +48,7 @@ struct CaptureOptions
     sim::TimingModel timing{};
     /** Coherence backend of the simulated machine. */
     sim::ProtocolKind protocol = sim::ProtocolKind::Mesi;
-    /** Simulated cache geometry (line size; optional capacity). */
+    /** Simulated cache geometry (line size). */
     sim::CacheGeometry geometry{};
     /** Scheme label; selects what the capture records (see file doc). */
     std::string scheme = "laser-detect";

@@ -62,7 +62,7 @@ class RecordCursor
     virtual bool next(pebs::PebsRecord *rec) = 0;
 
     /** Ok after a clean end; a typed error if decoding failed. */
-    [[nodiscard]] virtual TraceStatus status() const
+    virtual TraceStatus status() const
     {
         return TraceStatus::Ok;
     }

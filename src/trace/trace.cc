@@ -129,14 +129,12 @@ putConfig(ByteWriter &w, const TraceMeta &m)
     w.var(s.detectExtraCost);
     w.boolean(s.detectMode);
 
-    // Coherence protocol + cache geometry + per-protocol costs. Hashed
-    // so trace-cache keys can never collide across protocols or
-    // geometries. The Dragon costs sit here rather than in putTiming:
+    // Coherence protocol + line size + per-protocol costs. Hashed so
+    // trace-cache keys can never collide across protocols or line
+    // sizes. The Dragon costs sit here rather than in putTiming:
     // moving them would change every config hash.
     w.u8(static_cast<std::uint8_t>(mc.protocol));
     w.var(mc.geometry.lineBytes);
-    w.var(mc.geometry.sets);
-    w.var(mc.geometry.associativity);
     w.var(mc.timing.dragonHitm);
     w.var(mc.timing.dragonUpdate);
 }
@@ -211,8 +209,6 @@ getConfig(ByteReader &r, TraceMeta *m, std::string *err)
     }
     mc.protocol = static_cast<sim::ProtocolKind>(proto);
     mc.geometry.lineBytes = static_cast<std::uint32_t>(r.var());
-    mc.geometry.sets = static_cast<std::uint32_t>(r.var());
-    mc.geometry.associativity = static_cast<std::uint32_t>(r.var());
     if (r.ok && !mc.geometry.valid()) {
         *err = "invalid cache line size " +
                std::to_string(mc.geometry.lineBytes);

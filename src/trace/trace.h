@@ -24,7 +24,7 @@
  *   28      n     payload
  *   28+n    8     u64 FNV-1a checksum of the payload
  *
- * Format v4 payload (columnar; see trace/columnar.h for the codecs):
+ * Format v5 payload (columnar; see trace/columnar.h for the codecs):
  *
  *   config section     varint/zigzag-encoded capture configuration
  *   results section    machine stats, runtime, /proc maps text
@@ -83,7 +83,7 @@
 
 namespace laser::trace {
 
-constexpr std::uint32_t kTraceVersion = 4;
+constexpr std::uint32_t kTraceVersion = 5;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */
@@ -92,8 +92,13 @@ constexpr const char *kTraceExtension = ".ltrace";
 constexpr std::size_t kTraceHeaderSize = 28;
 constexpr std::size_t kTraceTrailerSize = 8;
 
-/** Typed outcome of every trace parse/IO operation. */
-enum class TraceStatus : std::uint8_t {
+/**
+ * Typed outcome of every trace parse/IO operation. [[nodiscard]] on the
+ * type makes the compiler flag a dropped status from every function
+ * returning one (declared in a header or not; -Werror=unused-result
+ * turns that into an error).
+ */
+enum class [[nodiscard]] TraceStatus : std::uint8_t {
     Ok,
     IoError,       ///< file unreadable/unwritable
     BadMagic,      ///< not a LASER trace
@@ -191,7 +196,7 @@ class TraceWriter : public analysis::RecordSink
     [[nodiscard]] std::vector<std::uint8_t> finalize() const;
 
     /** Write the file image atomically (temp file + rename). */
-    [[nodiscard]] TraceStatus writeFile(const std::string &path) const;
+    TraceStatus writeFile(const std::string &path) const;
 
     /** False once an appended record's cycle went backwards. */
     bool monotonic() const { return monotonic_; }
@@ -216,8 +221,7 @@ class TraceWriter : public analysis::RecordSink
 };
 
 /** Convenience: encode and write a whole trace. */
-[[nodiscard]] TraceStatus writeTraceFile(const Trace &trace,
-                                         const std::string &path);
+TraceStatus writeTraceFile(const Trace &trace, const std::string &path);
 
 /**
  * Strict whole-trace decoder: TraceFile's validation and block decode
@@ -229,10 +233,9 @@ class TraceWriter : public analysis::RecordSink
 class TraceReader
 {
   public:
-    [[nodiscard]] TraceStatus parse(const std::uint8_t *data,
-                                    std::size_t size);
-    [[nodiscard]] TraceStatus parse(const std::vector<std::uint8_t> &bytes);
-    [[nodiscard]] TraceStatus readFile(const std::string &path);
+    TraceStatus parse(const std::uint8_t *data, std::size_t size);
+    TraceStatus parse(const std::vector<std::uint8_t> &bytes);
+    TraceStatus readFile(const std::string &path);
 
     const Trace &trace() const { return trace_; }
     /** Move the parsed trace out (reader resets to empty). */
@@ -241,10 +244,9 @@ class TraceReader
     const std::string &error() const { return error_; }
 
   private:
-    [[nodiscard]] TraceStatus fail(TraceStatus status,
-                                   std::string detail);
+    TraceStatus fail(TraceStatus status, std::string detail);
     /** parse() over an image the reader owns (no copy on readFile). */
-    [[nodiscard]] TraceStatus parseImage(std::vector<std::uint8_t> bytes);
+    TraceStatus parseImage(std::vector<std::uint8_t> bytes);
 
     Trace trace_;
     std::string error_;
@@ -265,16 +267,14 @@ struct HeaderInfo
  * seekable TraceFile and the cache's header-only inventory so all
  * three reject foreign files identically.
  */
-[[nodiscard]] TraceStatus parseTraceHeader(const std::uint8_t *data,
-                                           std::size_t size,
-                                           HeaderInfo *out,
-                                           std::string *err);
+TraceStatus parseTraceHeader(const std::uint8_t *data, std::size_t size,
+                             HeaderInfo *out, std::string *err);
 
 /**
  * Parse the config + results sections at the start of a payload.
  * On Ok, *consumed is the meta-section size in bytes.
  */
-[[nodiscard]] TraceStatus parseMetaSections(
+TraceStatus parseMetaSections(
     const std::uint8_t *payload, std::size_t size, TraceMeta *meta,
     std::size_t *consumed, std::string *err);
 

@@ -94,7 +94,7 @@ class FileCursor : public RecordCursor
         return false;
     }
 
-    [[nodiscard]] TraceStatus status() const override { return status_; }
+    TraceStatus status() const override { return status_; }
 
   private:
     bool

@@ -56,10 +56,10 @@ class TraceFile : public RecordSource
     TraceFile &operator=(const TraceFile &) = delete;
 
     /** Map @p path read-only and validate header + index + meta. */
-    [[nodiscard]] TraceStatus open(const std::string &path);
+    TraceStatus open(const std::string &path);
 
     /** Adopt a complete file image instead of mapping a file. */
-    [[nodiscard]] TraceStatus openBytes(std::vector<std::uint8_t> bytes);
+    TraceStatus openBytes(std::vector<std::uint8_t> bytes);
 
     bool isOpen() const { return open_; }
     /** Detail message for the last non-Ok open ("" after Ok). */
@@ -86,7 +86,7 @@ class TraceFile : public RecordSource
      * records). Equivalent to a full TraceReader parse minus the
      * whole-payload checksum (block checksums cover the same bytes).
      */
-    [[nodiscard]] TraceStatus readAll(Trace *out) const;
+    TraceStatus readAll(Trace *out) const;
 
     /** Whether the trailer matches a checksum of the whole payload
      *  (false when not open). Reads every payload byte. */
@@ -95,9 +95,8 @@ class TraceFile : public RecordSource
   private:
     friend class FileCursor;
 
-    [[nodiscard]] TraceStatus fail(TraceStatus status,
-                                   std::string detail);
-    [[nodiscard]] TraceStatus validate();
+    TraceStatus fail(TraceStatus status, std::string detail);
+    TraceStatus validate();
     void unmap();
 
     /** Start of the payload within the mapped image. */

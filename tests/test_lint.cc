@@ -45,98 +45,27 @@ lintFixture(const std::string &name)
 // Rule metadata
 // ---------------------------------------------------------------------
 
-TEST(LintRules, ListsAllSixRules)
+TEST(LintRules, ListsAllFourRules)
 {
     std::set<std::string> names;
     for (const RuleInfo &r : rules())
         names.insert(r.name);
-    EXPECT_EQ(names.size(), 6u);
-    EXPECT_TRUE(isRule("unchecked-status"));
-    EXPECT_TRUE(isRule("nodiscard-status"));
+    EXPECT_EQ(names.size(), 4u);
     EXPECT_TRUE(isRule("raw-mutex"));
     EXPECT_TRUE(isRule("raw-new-delete"));
     EXPECT_TRUE(isRule("include-guard"));
     EXPECT_TRUE(isRule("header-hygiene"));
     EXPECT_FALSE(isRule("no-such-rule"));
+    // Dropped statuses are a compile error, not a lint rule (see
+    // tests/compile_fixtures/dropped_status.cc).
+    EXPECT_FALSE(isRule("unchecked-status"));
+    EXPECT_FALSE(isRule("nodiscard-status"));
 }
 
 TEST(LintRules, FindingStrIsMachineReadable)
 {
     Finding f{"src/a.cc", 12, "raw-mutex", "boom"};
     EXPECT_EQ(f.str(), "src/a.cc:12: raw-mutex: boom");
-}
-
-// ---------------------------------------------------------------------
-// unchecked-status
-// ---------------------------------------------------------------------
-
-TEST(UncheckedStatus, FlagsBareCallStatements)
-{
-    const auto got = lineRules(lintFixture("unchecked_status.cc"));
-    const std::vector<std::pair<int, std::string>> want = {
-        {17, "unchecked-status"},
-        {18, "unchecked-status"},
-        {19, "unchecked-status"},
-    };
-    EXPECT_EQ(got, want);
-}
-
-TEST(UncheckedStatus, CrossFileDeclarationsParameterizeTheRule)
-{
-    // The declaration lives in a header, the dropped call in a .cc.
-    const std::vector<SourceFile> files = {
-        {"src/x/api.h",
-         "#ifndef LASER_X_API_H\n#define LASER_X_API_H\n"
-         "struct TraceStatus;\n"
-         "[[nodiscard]] TraceStatus persist();\n"
-         "#endif // LASER_X_API_H\n"},
-        {"src/x/use.cc", "void f() { persist(); }\n"},
-    };
-    const auto findings = lintFiles(files);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].file, "src/x/use.cc");
-    EXPECT_EQ(findings[0].rule, "unchecked-status");
-    EXPECT_EQ(findings[0].line, 1);
-}
-
-TEST(UncheckedStatus, IgnoresUsedResults)
-{
-    const std::string src =
-        "struct TraceStatus { int v; };\n"
-        "TraceStatus run();\n"
-        "int f() {\n"
-        "    TraceStatus st = run();\n"
-        "    if (run().v) { }\n"
-        "    return run().v;\n"
-        "}\n";
-    EXPECT_TRUE(lintSource("src/a.cc", src).empty());
-}
-
-// ---------------------------------------------------------------------
-// nodiscard-status
-// ---------------------------------------------------------------------
-
-TEST(NodiscardStatus, FlagsUnmarkedHeaderDeclarations)
-{
-    const auto got = lineRules(lintFixture("missing_nodiscard.h"));
-    const std::vector<std::pair<int, std::string>> want = {
-        {9, "nodiscard-status"},
-        {10, "nodiscard-status"},
-        {18, "nodiscard-status"},
-    };
-    EXPECT_EQ(got, want);
-}
-
-TEST(NodiscardStatus, OnlyAppliesToHeaders)
-{
-    const std::string src = "struct TraceStatus;\nTraceStatus impl();\n";
-    // Same content: flagged as .h, ignored as .cc (definitions in .cc
-    // inherit [[nodiscard]] from their header declaration).
-    const std::string guarded =
-        "#ifndef LASER_A_H\n#define LASER_A_H\n" + src +
-        "#endif // LASER_A_H\n";
-    EXPECT_EQ(lintSource("src/a.h", guarded).size(), 1u);
-    EXPECT_TRUE(lintSource("src/a.cc", src).empty());
 }
 
 // ---------------------------------------------------------------------

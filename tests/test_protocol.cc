@@ -7,7 +7,7 @@
  * against the retained CoherenceDirectory,
  * Dragon transition semantics, invariant property fuzzing over random
  * interleavings of both protocols, and cache-geometry behaviour
- * (line indexing, bounded-MESI eviction).
+ * (line indexing, validity bounds).
  */
 
 #include <gtest/gtest.h>
@@ -370,34 +370,14 @@ TEST(ProtocolInvariants, HoldUnderRandomInterleavings)
     }
 }
 
-TEST(ProtocolInvariants, BoundedMesiHoldsUnderRandomInterleavings)
-{
-    CacheGeometry geom;
-    geom.sets = 2;
-    geom.associativity = 2;
-    std::mt19937_64 rng(7);
-    MesiDirectory mesi(4, geom);
-    for (int i = 0; i < 30000; ++i) {
-        const int core = static_cast<int>(rng() % 4);
-        const std::uint64_t addr = (rng() % 128) * 64;
-        const bool is_write = (rng() & 1) != 0;
-        mesi.access(core, addr, is_write, !is_write);
-        if (i % 512 == 0)
-            ASSERT_TRUE(mesi.checkInvariants()) << "step " << i;
-    }
-    EXPECT_TRUE(mesi.checkInvariants());
-    EXPECT_GT(mesi.evictions(), 0u);
-}
-
 // ---------------------------------------------------------------------
-// Geometry: line indexing and bounded-MESI eviction
+// Geometry: line indexing
 // ---------------------------------------------------------------------
 
 TEST(Geometry, ValidityBounds)
 {
     CacheGeometry g;
     EXPECT_TRUE(g.valid());
-    EXPECT_FALSE(g.bounded());
     g.lineBytes = 32;
     EXPECT_TRUE(g.valid());
     g.lineBytes = 128;
@@ -433,58 +413,6 @@ TEST(Geometry, InvalidGeometryFallsBackToDefault)
     bad.lineBytes = 48;
     const auto proto = makeProtocol(ProtocolKind::Mesi, 4, bad);
     EXPECT_EQ(proto->lineBytes(), 64u);
-}
-
-TEST(Geometry, BoundedMesiEvictsLeastRecentlyUsed)
-{
-    CacheGeometry geom;
-    geom.sets = 1;
-    geom.associativity = 2;
-    MesiDirectory mesi(2, geom);
-
-    EXPECT_EQ(mesi.access(0, 0x000, false, true),
-              AccessOutcome::MemMiss);
-    EXPECT_EQ(mesi.access(0, 0x040, false, true),
-              AccessOutcome::MemMiss);
-    EXPECT_EQ(mesi.access(0, 0x000, false, true),
-              AccessOutcome::L1Hit); // 0x000 is now MRU
-    // Third distinct line overflows the 2-way set, evicting LRU 0x040.
-    EXPECT_EQ(mesi.access(0, 0x080, false, true),
-              AccessOutcome::MemMiss);
-    EXPECT_EQ(mesi.evictions(), 1u);
-    // The evicted line is a miss again (re-fetch traffic).
-    EXPECT_EQ(mesi.access(0, 0x040, false, true),
-              AccessOutcome::MemMiss);
-    EXPECT_TRUE(mesi.checkInvariants());
-}
-
-TEST(Geometry, BoundedMesiEvictsDirtyOwner)
-{
-    CacheGeometry geom;
-    geom.sets = 1;
-    geom.associativity = 1;
-    MesiDirectory mesi(2, geom);
-
-    EXPECT_EQ(mesi.access(0, 0x000, true, false),
-              AccessOutcome::MemMiss); // M
-    // Filling a second line evicts the modified line (writeback).
-    EXPECT_EQ(mesi.access(0, 0x040, true, false),
-              AccessOutcome::MemMiss);
-    EXPECT_EQ(mesi.evictions(), 1u);
-    // The written-back line is memory-resident again: no HITM on the
-    // remote re-read, just a miss.
-    EXPECT_EQ(mesi.access(1, 0x000, false, true),
-              AccessOutcome::MemMiss);
-    EXPECT_TRUE(mesi.checkInvariants());
-}
-
-TEST(Geometry, UnboundedMesiNeverEvicts)
-{
-    MesiDirectory mesi(2);
-    for (std::uint64_t i = 0; i < 1000; ++i)
-        mesi.access(0, i * 64, false, true);
-    EXPECT_EQ(mesi.evictions(), 0u);
-    EXPECT_EQ(mesi.linesTouched(), 1000u);
 }
 
 // ---------------------------------------------------------------------

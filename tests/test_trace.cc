@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 
@@ -159,9 +160,10 @@ TEST(TraceFormat, RejectsVersionMismatch)
     const std::vector<std::uint8_t> pristine = encode(syntheticTrace());
     const std::string path =
         (fs::temp_directory_path() / "laser_badversion.ltrace").string();
-    for (const std::uint8_t version : {3, 5}) {
+    for (const std::uint32_t version :
+         {kTraceVersion - 1, kTraceVersion + 1}) {
         std::vector<std::uint8_t> bytes = pristine;
-        bytes[4] = version;
+        bytes[4] = static_cast<std::uint8_t>(version);
         TraceReader reader;
         EXPECT_EQ(reader.parse(bytes), TraceStatus::BadVersion)
             << "v" << int(version);
@@ -289,13 +291,11 @@ TEST(TraceFormat, ConfigHashDependsOnConfigOnly)
 
 TEST(TraceFormat, RoundTripsProtocolAndGeometry)
 {
-    // v4 config tail: coherence protocol, cache geometry and the
+    // Config tail: coherence protocol, line size and the
     // Dragon-specific costs survive a write/parse cycle.
     Trace t = syntheticTrace();
     t.meta.machine.protocol = sim::ProtocolKind::Dragon;
     t.meta.machine.geometry.lineBytes = 128;
-    t.meta.machine.geometry.sets = 64;
-    t.meta.machine.geometry.associativity = 8;
     t.meta.machine.timing.dragonHitm = 123;
     t.meta.machine.timing.dragonUpdate = 45;
 
@@ -304,8 +304,6 @@ TEST(TraceFormat, RoundTripsProtocolAndGeometry)
     const sim::MachineConfig &mc = reader.trace().meta.machine;
     EXPECT_EQ(mc.protocol, sim::ProtocolKind::Dragon);
     EXPECT_EQ(mc.geometry.lineBytes, 128u);
-    EXPECT_EQ(mc.geometry.sets, 64u);
-    EXPECT_EQ(mc.geometry.associativity, 8u);
     EXPECT_EQ(mc.timing.dragonHitm, 123u);
     EXPECT_EQ(mc.timing.dragonUpdate, 45u);
 }
@@ -323,11 +321,6 @@ TEST(TraceFormat, ConfigHashSeparatesProtocolsAndGeometries)
     narrow.meta.machine.geometry.lineBytes = 32;
     EXPECT_NE(configHash(base.meta), configHash(narrow.meta));
     EXPECT_NE(configHash(dragon.meta), configHash(narrow.meta));
-
-    Trace bounded = syntheticTrace();
-    bounded.meta.machine.geometry.sets = 64;
-    bounded.meta.machine.geometry.associativity = 8;
-    EXPECT_NE(configHash(base.meta), configHash(bounded.meta));
 
     Trace costs = syntheticTrace();
     costs.meta.machine.timing.dragonUpdate += 1;
@@ -637,12 +630,103 @@ TEST(SweepRunner, UnwritableCacheDirSurfacesWriteFailures)
     EXPECT_EQ(runner.stats().machineRuns, 1u);
     EXPECT_EQ(failures.value(), before + 1);
 
-    // The file-backed path fails the same way but still serves the
-    // freshly encoded in-memory image.
+    // The file-backed request is served by the same slot (the freshly
+    // encoded in-memory image): no second simulation, no second write.
     const auto tf = runner.captureFile(*kmeans, CaptureOptions{});
     ASSERT_NE(tf, nullptr);
-    EXPECT_EQ(failures.value(), before + 2);
+    EXPECT_EQ(tf->recordCount(), trace->records.size());
+    EXPECT_EQ(runner.stats().machineRuns, 1u);
+    EXPECT_EQ(failures.value(), before + 1);
     fs::remove_all(file);
+}
+
+TEST(SweepRunner, CaptureAndCaptureFileShareOneSlot)
+{
+    // capture() is captureFile() materialized: whichever is asked
+    // first simulates, the other is a memory hit on the same slot —
+    // with and without a cache directory.
+    const fs::path dir =
+        fs::temp_directory_path() / "laser_sweep_one_slot_test";
+    const auto *kmeans = workloads::findWorkload("kmeans");
+    const CaptureOptions opt;
+    for (const bool on_disk : {false, true}) {
+        for (const bool file_first : {false, true}) {
+            SCOPED_TRACE(std::string(on_disk ? "cache dir" : "in memory") +
+                         (file_first ? ", captureFile() first"
+                                     : ", capture() first"));
+            fs::remove_all(dir);
+            core::SweepRunner::Config cfg;
+            if (on_disk)
+                cfg.cacheDir = dir.string();
+            core::SweepRunner runner(cfg);
+            std::shared_ptr<const TraceFile> file;
+            std::shared_ptr<const Trace> trace;
+            if (file_first) {
+                file = runner.captureFile(*kmeans, opt);
+                trace = runner.capture(*kmeans, opt);
+            } else {
+                trace = runner.capture(*kmeans, opt);
+                file = runner.captureFile(*kmeans, opt);
+            }
+            const core::SweepStats stats = runner.stats();
+            EXPECT_EQ(stats.machineRuns, 1u);
+            EXPECT_EQ(stats.memoryCacheHits, 1u);
+            EXPECT_EQ(stats.diskCacheHits, 0u);
+
+            Trace decoded;
+            ASSERT_EQ(file->readAll(&decoded), TraceStatus::Ok);
+            EXPECT_FALSE(trace->records.empty());
+            EXPECT_EQ(encode(decoded), encode(*trace));
+        }
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SweepRunner, CorruptCachedRecordBlockMakesCaptureThrow)
+{
+    // A cache file whose header, meta and index verify is a disk hit;
+    // a record block failing its checksum then surfaces from capture()
+    // as an exception naming the file.
+    const fs::path dir =
+        fs::temp_directory_path() / "laser_sweep_bad_block_test";
+    fs::remove_all(dir);
+    const auto *kmeans = workloads::findWorkload("kmeans");
+    const CaptureOptions opt;
+    core::SweepRunner::Config cfg;
+    cfg.cacheDir = dir.string();
+    std::string path;
+    {
+        core::SweepRunner warm(cfg);
+        ASSERT_NE(warm.captureFile(*kmeans, opt), nullptr);
+        path = warm.cachePath(configHash(makeCaptureMeta(*kmeans, opt)));
+    }
+
+    // The last 8 payload bytes hold the index offset; the byte just
+    // before the index is the last record-blob byte.
+    std::vector<std::uint8_t> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(image.size(), kTraceHeaderSize + 16);
+    std::uint64_t index_offset = 0;
+    for (int i = 0; i < 8; ++i)
+        index_offset |= std::uint64_t(image[image.size() - 16 + i])
+                        << (8 * i);
+    image[kTraceHeaderSize + index_offset - 1] ^= 0x20;
+    writeBytes(path, image);
+
+    core::SweepRunner runner(cfg);
+    try {
+        runner.capture(*kmeans, opt);
+        ADD_FAILURE() << "capture() served a corrupt record block";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(runner.stats().diskCacheHits, 1u);
+    EXPECT_EQ(runner.stats().machineRuns, 0u);
+    fs::remove_all(dir);
 }
 
 TEST(TraceCache, ListsOldestFirstWithHeaderStatus)

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -212,17 +211,6 @@ TEST(ThreadPool, SingleExceptionRethrownUntouched)
         // survive.
         EXPECT_STREQ(e.what(), "only one");
     }
-}
-
-TEST(Csv, EscapesSpecialCharacters)
-{
-    CsvWriter w({"a", "b"});
-    w.addRow({"plain", "with,comma"});
-    w.addRow({"with\"quote", "multi\nline"});
-    const std::string out = w.render();
-    EXPECT_NE(out.find("a,b\n"), std::string::npos);
-    EXPECT_NE(out.find("plain,\"with,comma\"\n"), std::string::npos);
-    EXPECT_NE(out.find("\"with\"\"quote\""), std::string::npos);
 }
 
 } // namespace

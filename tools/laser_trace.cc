@@ -372,11 +372,9 @@ printMetaInfo(const char *path, const trace::TraceMeta &meta,
                 (unsigned long long)meta.machine.seed,
                 (unsigned long long)meta.build.heapPerturbation,
                 meta.build.scale);
-    std::printf("coherence:     %s, %u-byte lines%s\n",
+    std::printf("coherence:     %s, %u-byte lines\n",
                 sim::protocolName(meta.machine.protocol),
-                meta.machine.geometry.lineBytes,
-                meta.machine.geometry.bounded() ? " (bounded)"
-                                                : "");
+                meta.machine.geometry.lineBytes);
     std::printf("run:           %llu cycles (%.2f represented seconds), "
                 "%llu instructions\n",
                 (unsigned long long)meta.runtimeCycles,
