@@ -23,6 +23,7 @@
 #include "trace/capture.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
+#include "trace/trace_file.h"
 #include "util/rng.h"
 #include "workloads/workload.h"
 
@@ -188,6 +189,42 @@ BENCHMARK_CAPTURE(BM_MachineRun, kmeans_mesi, "kmeans",
 BENCHMARK_CAPTURE(BM_MachineRun, kmeans_dragon, "kmeans",
                   sim::ProtocolKind::Dragon)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * The offline digest of one trace as a threshold sweep runs it: a
+ * histogram' capture at SAV 1 and scale 4 (the reanalyze benchmark's
+ * largest program) encoded into a trace file image, then one-shard
+ * ParallelReplayer digests over it — block decode, the detector's
+ * stages 1-5, the rate-window summary and the line aggregates. One item
+ * per record, so ns_per_item is the file-backed digest cost per record.
+ */
+static void
+BM_FileDigest(benchmark::State &state)
+{
+    trace::CaptureOptions opt;
+    opt.sav = 1;
+    opt.scale = 4.0;
+    const trace::Trace trace =
+        trace::captureTrace(*workloads::findWorkload("histogram'"), opt);
+    trace::TraceWriter writer(trace.meta);
+    writer.appendAll(trace.records);
+    trace::TraceFile file;
+    if (file.openBytes(writer.finalize()) != trace::TraceStatus::Ok) {
+        state.SkipWithError("encoded trace does not open");
+        return;
+    }
+    const trace::TraceReplayer env(file.meta(), file);
+    trace::ParallelReplayer::Options one_shard;
+    one_shard.shards = 1;
+    std::int64_t records = 0;
+    for (auto _ : state) {
+        const trace::ParallelReplayer digest(env, one_shard);
+        benchmark::DoNotOptimize(digest.state().totalRecords);
+        records += static_cast<std::int64_t>(file.recordCount());
+    }
+    state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_FileDigest)->Unit(benchmark::kMillisecond);
 
 /**
  * Report-many: replay(cfg) at Figure 9's thresholds over one digest of

@@ -5,6 +5,13 @@
 namespace laser::analysis {
 
 void
+RecordSink::onColumns(const RecordColumns &cols)
+{
+    for (std::size_t i = 0; i < cols.size; ++i)
+        onRecord(cols.record(i));
+}
+
+void
 drain(const std::vector<pebs::PebsRecord> &records, RecordSink &sink)
 {
     for (const pebs::PebsRecord &rec : records)

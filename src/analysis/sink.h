@@ -11,6 +11,13 @@
  * so the live core::ExperimentRunner path and trace::TraceReplayer drive
  * their analyses through identical plumbing.
  *
+ * A sink may also take records a run at a time, as parallel columns —
+ * the layout a trace file's decoded blocks already have. The default
+ * onColumns() rebuilds each record and calls onRecord(), so a sink that
+ * only implements onRecord() sees the same stream either way; a sink
+ * with a cheaper column-wise pass (detect::DetectorPipeline) overrides
+ * it.
+ *
  * Record-field interpretation is scheme-dependent (a "laser-detect"
  * record is a PEBS HITM sample; a "sheriff" record encodes one sync
  * operation), but the stream contract is shared: records arrive in
@@ -20,12 +27,39 @@
 #ifndef LASER_ANALYSIS_SINK_H
 #define LASER_ANALYSIS_SINK_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "pebs/record.h"
 
 namespace laser::analysis {
+
+/**
+ * A run of consecutive records as parallel columns: record i is
+ * (pc[i], dataAddr[i], core[i], cycle[i]).
+ */
+struct RecordColumns
+{
+    const std::uint64_t *pc = nullptr;
+    const std::uint64_t *dataAddr = nullptr;
+    /** Core ids as their stored 64-bit two's-complement pattern. */
+    const std::uint64_t *core = nullptr;
+    const std::uint64_t *cycle = nullptr;
+    std::size_t size = 0;
+
+    /** Record @p i as a PebsRecord. */
+    pebs::PebsRecord
+    record(std::size_t i) const
+    {
+        pebs::PebsRecord rec;
+        rec.pc = pc[i];
+        rec.dataAddr = dataAddr[i];
+        rec.core = static_cast<int>(static_cast<std::int64_t>(core[i]));
+        rec.cycle = cycle[i];
+        return rec;
+    }
+};
 
 /** Consumer of one analysis-record stream. */
 class RecordSink
@@ -35,6 +69,12 @@ class RecordSink
 
     /** One record; calls arrive in non-decreasing cycle order. */
     virtual void onRecord(const pebs::PebsRecord &rec) = 0;
+
+    /**
+     * The next cols.size records of the stream, in order. The default
+     * calls onRecord() once per record.
+     */
+    virtual void onColumns(const RecordColumns &cols);
 };
 
 /** Fan one stream into several sinks (multi-config single-pass replay). */

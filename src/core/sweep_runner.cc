@@ -1,10 +1,12 @@
 #include "core/sweep_runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <mutex> // std::call_once / std::once_flag only
+#include <numeric>
 #include <stdexcept>
 
 #include "core/accuracy.h"
@@ -301,15 +303,27 @@ thresholdSweep(SweepRunner &runner,
 
     // Phase 2: digest each trace once — sharded by time window across
     // the pool. The digest is config-independent, so this is the only
-    // pass over the record streams the whole sweep makes.
+    // pass over the record streams the whole sweep makes. Digests start
+    // largest first: the pool serves jobs in queue order, so a giant
+    // queued last would start last and set the phase's wall time. The
+    // stable sort keeps the workload order among equal record counts.
+    std::vector<std::size_t> order(nw);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return traces[a]->recordCount() >
+                                traces[b]->recordCount();
+                     });
     std::vector<std::unique_ptr<trace::ParallelReplayer>> digests(nw);
     const auto digest_start = std::chrono::steady_clock::now();
     {
         LASER_SPAN("sweep.phase.digest");
-        runner.parallelFor(nw, [&](std::size_t i) {
+        runner.parallelFor(nw, [&](std::size_t k) {
+            const std::size_t i = order[k];
             trace::ParallelReplayer::Options popt;
             popt.shards = shards;
-            // Nested parallelFor: shard jobs queue on the shared pool
+            // One shard digests inline on this worker. More shards
+            // nest a parallelFor: their jobs queue on the shared pool
             // and this worker helps drain them, so digests overlap
             // freely.
             popt.pool = &runner.pool();

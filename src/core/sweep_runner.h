@@ -13,6 +13,14 @@
  * configuration performs zero machine runs. A key has one slot whether
  * it is requested as a seekable file (captureFile()) or materialized
  * (capture()), so mixing the two never simulates a configuration twice.
+ *
+ * thresholdSweep() digests each trace once and queues the digests
+ * largest first (descending record count, workload order among ties):
+ * the pool serves jobs in queue order, so the longest digests start
+ * first and the short ones fill in behind them. A one-shard digest —
+ * the usual width, one per workload — runs inline on the worker that
+ * dequeued it (trace::ParallelReplayer), so the queue order is the
+ * start order.
  */
 
 #ifndef LASER_CORE_SWEEP_RUNNER_H

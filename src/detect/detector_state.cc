@@ -41,7 +41,10 @@ DetectorState::mergeFrom(DetectorState &&next)
         acc.lastWrite = ls.lastWrite;
     }
 
-    for (const auto &[pc, ps] : next.pcStats) {
+    if (pcStats.size() < next.pcStats.size())
+        pcStats.resize(next.pcStats.size());
+    for (std::size_t pc = 0; pc < next.pcStats.size(); ++pc) {
+        const PcStats &ps = next.pcStats[pc];
         PcStats &dst = pcStats[pc];
         dst.records += ps.records;
         dst.ts += ps.ts;

@@ -80,7 +80,11 @@ struct DetectorState
         std::uint64_t firstEvent = 0;
     };
 
-    std::unordered_map<std::uint32_t, PcStats> pcStats;
+    /**
+     * Per-instruction stats, indexed by instruction index; an entry
+     * with records == 0 is a PC this span never touched.
+     */
+    std::vector<PcStats> pcStats;
     std::unordered_map<std::uint64_t, LineState> lines;
     std::uint64_t totalRecords = 0;
     std::uint64_t droppedPc = 0;

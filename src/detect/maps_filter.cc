@@ -6,6 +6,40 @@
 
 namespace laser::detect {
 
+namespace {
+
+bool
+startsWith(const std::string &s, const char *prefix)
+{
+    return s.rfind(prefix, 0) == 0;
+}
+
+PcClass
+pcClassOf(const MapsEntry &e)
+{
+    if (!e.executable)
+        return PcClass::Other;
+    if (startsWith(e.path, "/app/"))
+        return PcClass::Application;
+    if (startsWith(e.path, "/usr/lib/") || startsWith(e.path, "/lib/"))
+        return PcClass::Library;
+    return PcClass::Other;
+}
+
+DataClass
+dataClassOf(const MapsEntry &e)
+{
+    if (startsWith(e.path, "[stack"))
+        return DataClass::Stack;
+    if (e.path == "[heap]")
+        return DataClass::Heap;
+    if (e.executable)
+        return DataClass::Code;
+    return DataClass::Globals;
+}
+
+} // namespace
+
 MapsFilter::MapsFilter(const std::string &maps_text)
 {
     std::istringstream in(maps_text);
@@ -27,6 +61,8 @@ MapsFilter::MapsFilter(const std::string &maps_text)
         e.end = end;
         e.executable = perms[2] == 'x';
         e.path = n >= 8 ? path : "";
+        e.pcClass = pcClassOf(e);
+        e.dataClass = dataClassOf(e);
         entries_.push_back(e);
     }
     std::sort(entries_.begin(), entries_.end(),
@@ -51,15 +87,7 @@ PcClass
 MapsFilter::classifyPc(std::uint64_t pc) const
 {
     const MapsEntry *e = find(pc);
-    if (!e || !e->executable)
-        return PcClass::Other;
-    if (e->path.rfind("/app/", 0) == 0)
-        return PcClass::Application;
-    if (e->path.rfind("/usr/lib/", 0) == 0 ||
-            e->path.rfind("/lib/", 0) == 0) {
-        return PcClass::Library;
-    }
-    return PcClass::Other;
+    return e ? e->pcClass : PcClass::Other;
 }
 
 DataClass
@@ -69,15 +97,7 @@ MapsFilter::classifyData(std::uint64_t addr) const
     if (addr >= 0xffff'8000'0000'0000ULL)
         return DataClass::Kernel;
     const MapsEntry *e = find(addr);
-    if (!e)
-        return DataClass::Unmapped;
-    if (e->path.rfind("[stack", 0) == 0)
-        return DataClass::Stack;
-    if (e->path == "[heap]")
-        return DataClass::Heap;
-    if (e->executable)
-        return DataClass::Code;
-    return DataClass::Globals;
+    return e ? e->dataClass : DataClass::Unmapped;
 }
 
 } // namespace laser::detect

@@ -11,6 +11,10 @@
  * It deliberately works from the rendered maps *text*, not from simulator
  * internals: the detector is a separate process in the paper and this is
  * the interface it actually has.
+ *
+ * Each entry's PC and data classes are resolved once, when the text is
+ * parsed; a lookup is then one binary search and a field read, with no
+ * path-string compares on the per-record path.
  */
 
 #ifndef LASER_DETECT_MAPS_FILTER_H
@@ -35,13 +39,17 @@ enum class DataClass : std::uint8_t {
     Code,
 };
 
-/** Parsed view of one maps line. */
+/** Parsed view of one maps line, with its classes resolved. */
 struct MapsEntry
 {
     std::uint64_t start = 0;
     std::uint64_t end = 0;
     bool executable = false;
     std::string path;
+    /** Class of a PC inside this entry. */
+    PcClass pcClass = PcClass::Other;
+    /** Class of a (non-kernel) data address inside this entry. */
+    DataClass dataClass = DataClass::Globals;
 };
 
 /** Parser + classifier over a /proc maps snapshot. */

@@ -1,6 +1,7 @@
 #include "detect/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "obs/metrics.h"
@@ -44,14 +45,25 @@ DetectorContext::DetectorContext(const isa::Program &prog,
       maps(std::move(maps_text)),
       sets(prog),
       timing(timing),
-      lineBytes(CacheLineModel(line_bytes).lineBytes())
+      lineBytes(CacheLineModel(line_bytes).lineBytes()),
+      lineShift(std::countr_zero(static_cast<unsigned>(lineBytes)))
 {
+    const std::uint64_t text_bytes =
+        space.codeEnd() - mem::Layout::kCodeBase;
+    pcInfo.resize(static_cast<std::size_t>(
+        (text_bytes + isa::kInsnBytes - 1) / isa::kInsnBytes));
+    for (std::size_t i = 0; i < pcInfo.size(); ++i) {
+        const auto index = static_cast<std::uint32_t>(i);
+        pcInfo[i].pcClass = maps.classifyPc(space.indexToPc(index));
+        pcInfo[i].access = sets.lookup(index);
+    }
 }
 
 DetectorPipeline::DetectorPipeline(const DetectorContext &ctx,
                                    DetectorConfig cfg, Mode mode)
     : ctx_(ctx), cfg_(cfg), mode_(mode)
 {
+    state_.pcStats.resize(ctx.pcInfo.size());
 }
 
 DetectorPipeline::~DetectorPipeline() { publishMetrics(); }
@@ -71,48 +83,55 @@ DetectorPipeline::publishMetrics() const
     pubFs_ = state_.fsEvents;
 }
 
-void
-DetectorPipeline::onRecord(const pebs::PebsRecord &rec)
+inline void
+DetectorPipeline::step(std::uint64_t pc, std::uint64_t data_addr,
+                       std::uint64_t cycle)
 {
     ++state_.totalRecords;
 
+    const std::int64_t index = ctx_.space.pcToIndex(pc);
+    if (index < 0) {
+        // Not an instruction address. Stage 1 drops it unless the maps
+        // call it application or library code; stage 2 then drops it
+        // as a stack access, or stage 3 as spurious (an executable
+        // mapping but between instructions).
+        if (ctx_.maps.classifyPc(pc) != PcClass::Other &&
+                ctx_.maps.classifyData(data_addr) == DataClass::Stack)
+            ++state_.droppedStack;
+        else
+            ++state_.droppedPc;
+        return;
+    }
+    const auto pc_index = static_cast<std::uint32_t>(index);
+    const DetectorContext::PcInfo &info = ctx_.pcInfo[pc_index];
+
     // Stage 1: PC filter against the process maps.
-    const PcClass pc_class = ctx_.maps.classifyPc(rec.pc);
-    if (pc_class == PcClass::Other) {
+    if (info.pcClass == PcClass::Other) {
         ++state_.droppedPc;
         return;
     }
 
     // Stage 2: stack data addresses are ignored.
-    if (ctx_.maps.classifyData(rec.dataAddr) == DataClass::Stack) {
+    if (ctx_.maps.classifyData(data_addr) == DataClass::Stack) {
         ++state_.droppedStack;
         return;
     }
 
     // Stage 3: aggregate by PC (line aggregation happens at reporting).
-    const std::int64_t index = ctx_.space.pcToIndex(rec.pc);
-    if (index < 0) {
-        // Executable mapping but between instructions; treat as spurious.
-        ++state_.droppedPc;
-        return;
-    }
-    const std::uint32_t pc_index = static_cast<std::uint32_t>(index);
     DetectorState::PcStats &ps = state_.pcStats[pc_index];
     ++ps.records;
 
     // Stage 4+5: decode the PC and run the cache-line model.
     SharingOutcome outcome = SharingOutcome::None;
-    const isa::MemAccessInfo mi = ctx_.sets.lookup(pc_index);
+    const isa::MemAccessInfo mi = info.access;
     if (mi.isLoad || mi.isStore) {
         // Instructions in both sets are treated as stores; the record
         // carries one address, so this is a documented inaccuracy
         // (Section 4.3).
         const bool is_write = mi.isStore;
-        const std::uint64_t line =
-            rec.dataAddr / static_cast<std::uint64_t>(ctx_.lineBytes);
+        const std::uint64_t line = data_addr >> ctx_.lineShift;
         const std::uint64_t mask =
-            CacheLineModel::byteMask(rec.dataAddr, mi.size,
-                                     ctx_.lineBytes);
+            CacheLineModel::byteMask(data_addr, mi.size, ctx_.lineBytes);
 
         auto [it, inserted] = state_.lines.try_emplace(line);
         DetectorState::LineState &ls = it->second;
@@ -143,9 +162,22 @@ DetectorPipeline::onRecord(const pebs::PebsRecord &rec)
     // Stage 6: periodic repair-rate check (Section 4.4) — online when
     // streaming, deferred to the merge-time scan when digesting a shard.
     if (mode_ == Mode::Streaming)
-        scan_.step(rec.cycle, outcome, cfg_);
+        scan_.step(cycle, outcome, cfg_);
     else
-        state_.rateEvents.push_back({rec.cycle, outcome});
+        state_.rateEvents.push_back({cycle, outcome});
+}
+
+void
+DetectorPipeline::onRecord(const pebs::PebsRecord &rec)
+{
+    step(rec.pc, rec.dataAddr, rec.cycle);
+}
+
+void
+DetectorPipeline::onColumns(const analysis::RecordColumns &cols)
+{
+    for (std::size_t i = 0; i < cols.size; ++i)
+        step(cols.pc[i], cols.dataAddr[i], cols.cycle[i]);
 }
 
 DetectionReport
@@ -166,7 +198,10 @@ aggregateLines(const DetectorContext &ctx, const DetectorState &state)
         std::uint64_t fs = 0;
     };
     std::map<isa::SourceLoc, LineAgg> by_line;
-    for (const auto &[index, ps] : state.pcStats) {
+    for (std::uint32_t index = 0; index < state.pcStats.size(); ++index) {
+        const DetectorState::PcStats &ps = state.pcStats[index];
+        if (ps.records == 0)
+            continue;
         const isa::SourceLoc loc = ctx.prog.locOf(index);
         LineAgg &agg = by_line[loc];
         agg.records += ps.records;
@@ -248,10 +283,12 @@ buildReport(const DetectorContext &ctx, const DetectorConfig &cfg,
     // are excluded before the static analysis sees them.
     if (scan.repairRequested) {
         std::uint64_t max_records = 0;
-        for (const auto &[index, ps] : state.pcStats)
+        for (const DetectorState::PcStats &ps : state.pcStats)
             max_records = std::max(max_records, ps.records);
-        for (const auto &[index, ps] : state.pcStats) {
-            if (ps.records * 4 < max_records)
+        for (std::uint32_t index = 0; index < state.pcStats.size();
+             ++index) {
+            const DetectorState::PcStats &ps = state.pcStats[index];
+            if (ps.records == 0 || ps.records * 4 < max_records)
                 continue;
             const isa::MemAccessInfo mi = ctx.sets.lookup(index);
             if (!mi.isLoad && !mi.isStore)

@@ -9,12 +9,21 @@
  * and safe to share across concurrent shard pipelines, so a parallel
  * replay parses the maps and decodes the program exactly once.
  *
+ * DetectorContext also resolves, once per program, everything stages
+ * 1, 3 and 4 need to know about an instruction — its PC class and its
+ * load/store facts — into one table indexed by instruction, so the
+ * per-record path reads one entry instead of searching the maps.
+ *
  * DetectorPipeline implements analysis::RecordSink: the live
  * ExperimentRunner path and trace::TraceReplayer both drive it through
- * the same interface. In Streaming mode it runs the Section 4.4 rate
- * check online (the classic Detector behaviour); in Shard mode it
- * collects RateEvents instead, deferring repair semantics to the
- * merge-time sequential scan.
+ * the same interface. One private step over (pc, data address, cycle)
+ * is the whole digest: onRecord() runs it for one record (the live
+ * path), and onColumns() runs it over a run of decoded trace columns
+ * (trace::TraceFile cursors), so both paths digest identically and no
+ * PebsRecord is built per stored record. In Streaming mode it runs the
+ * Section 4.4 rate check online (the classic Detector behaviour); in
+ * Shard mode it collects RateEvents instead, deferring repair semantics
+ * to the merge-time sequential scan.
  */
 
 #ifndef LASER_DETECT_PIPELINE_H
@@ -39,6 +48,15 @@ namespace laser::detect {
 /** Shared, immutable per-program replay environment. */
 struct DetectorContext
 {
+    /** What the pipeline needs to know about one instruction. */
+    struct PcInfo
+    {
+        /** maps.classifyPc() of the instruction's PC. */
+        PcClass pcClass = PcClass::Other;
+        /** sets.lookup() of the instruction. */
+        isa::MemAccessInfo access;
+    };
+
     const isa::Program &prog;
     const mem::AddressSpace &space;
     MapsFilter maps;
@@ -51,6 +69,10 @@ struct DetectorContext
      * events being classified (invalid values fall back to the default).
      */
     int lineBytes;
+    /** log2(lineBytes): a data address's line is addr >> lineShift. */
+    int lineShift;
+    /** One entry per index space.pcToIndex() can return. */
+    std::vector<PcInfo> pcInfo;
 
     DetectorContext(const isa::Program &prog,
                     const mem::AddressSpace &space, std::string maps_text,
@@ -77,6 +99,9 @@ class DetectorPipeline final : public analysis::RecordSink
     /** Push one record through stages 1-5 (and 6 when streaming). */
     void onRecord(const pebs::PebsRecord &rec) override;
 
+    /** The same step as onRecord(), over each record of @p cols. */
+    void onColumns(const analysis::RecordColumns &cols) override;
+
     /** True once the online rate check has requested repair. */
     bool repairRequested() const { return scan_.repairRequested; }
 
@@ -96,6 +121,10 @@ class DetectorPipeline final : public analysis::RecordSink
     const DetectorConfig &config() const { return cfg_; }
 
   private:
+    /** Stages 1-5 (and 6 when streaming) for one record. */
+    void step(std::uint64_t pc, std::uint64_t data_addr,
+              std::uint64_t cycle);
+
     /**
      * Publish the delta since the last publish into the process
      * registry (detect.records_ingested and friends). The hot path

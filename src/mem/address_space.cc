@@ -75,17 +75,6 @@ AddressSpace::find(std::uint64_t addr) const
     return it->contains(addr) ? &*it : nullptr;
 }
 
-std::int64_t
-AddressSpace::pcToIndex(std::uint64_t pc) const
-{
-    if (pc < Layout::kCodeBase || pc >= codeEnd_)
-        return -1;
-    const std::uint64_t off = pc - Layout::kCodeBase;
-    if (off % isa::kInsnBytes != 0)
-        return -1;
-    return static_cast<std::int64_t>(off / isa::kInsnBytes);
-}
-
 std::uint64_t
 AddressSpace::stackTop(int tid) const
 {

@@ -102,7 +102,16 @@ class AddressSpace
      * Instruction index for a code address; returns -1 for addresses
      * outside the text mappings or misaligned.
      */
-    std::int64_t pcToIndex(std::uint64_t pc) const;
+    std::int64_t
+    pcToIndex(std::uint64_t pc) const
+    {
+        if (pc < Layout::kCodeBase || pc >= codeEnd_)
+            return -1;
+        const std::uint64_t off = pc - Layout::kCodeBase;
+        if (off % isa::kInsnBytes != 0)
+            return -1;
+        return static_cast<std::int64_t>(off / isa::kInsnBytes);
+    }
 
     /** One past the last text address (app + libraries). */
     std::uint64_t codeEnd() const { return codeEnd_; }

@@ -53,8 +53,8 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
     // hand-built streams; file sources are canonical by construction).
     const std::uint64_t n = env.source().recordCount();
     shards_ = std::max(1, opt.shards);
-    if (n > 0 && static_cast<std::uint64_t>(shards_) > n)
-        shards_ = static_cast<int>(n);
+    if (static_cast<std::uint64_t>(shards_) > n)
+        shards_ = static_cast<int>(std::max<std::uint64_t>(1, n));
 
     // Digest each contiguous time window independently through its own
     // cursor, so a file-backed replay holds one decoded block per shard
@@ -97,10 +97,14 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
         shard_seconds[s] = seconds;
         metrics.shardSeconds.record(seconds);
     };
-    if (opt.pool) {
+    if (shards_ == 1) {
+        // Inline: a one-job batch on a shared pool would wait at the
+        // back of its queue for no parallelism in return.
+        digest_shard(0);
+    } else if (opt.pool) {
         opt.pool->parallelFor(static_cast<std::size_t>(shards_),
                               digest_shard);
-    } else if (shards_ > 1) {
+    } else {
         // Shards queue on the pool, so more shards than cores never
         // needs more threads than cores.
         util::ThreadPool local(std::min(
@@ -109,8 +113,6 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
                             std::thread::hardware_concurrency()))));
         local.parallelFor(static_cast<std::size_t>(shards_),
                           digest_shard);
-    } else {
-        digest_shard(0);
     }
     for (int s = 0; s < shards_; ++s)
         if (shard_status[static_cast<std::size_t>(s)] != TraceStatus::Ok)

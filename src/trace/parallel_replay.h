@@ -8,10 +8,18 @@
  * Each shard pulls its window through its own RecordCursor, so a
  * file-backed replay (TraceReplayer over a trace::TraceFile) holds one
  * decoded columnar block per shard — O(block x shards) record memory —
- * instead of the materialized trace. The split is by record index
- * (computed from the source's record count), so exactly the same
- * records land in the same shards as a materialized split would and
- * the serial-identity invariant is unaffected by the streaming.
+ * instead of the materialized trace. The cursor hands each decoded
+ * block to the shard's pipeline as columns (RecordSink::onColumns). The
+ * split is by record index (computed from the source's record count),
+ * so exactly the same records land in the same shards as a materialized
+ * split would and the serial-identity invariant is unaffected by the
+ * streaming.
+ *
+ * One shard is digested inline on the calling thread, never queued on
+ * the pool: a one-job batch would only wait behind the queue for no
+ * parallelism. A caller that fans many one-shard digests over a pool
+ * (core::thresholdSweep, which queues them largest first) thereby
+ * decides the order they start in.
  *
  * The merged DetectionReport is — by construction, and enforced by
  * tests over every registered workload — identical to the serial
@@ -55,7 +63,8 @@ class ParallelReplayer
         int shards = 4;
         /**
          * Pool to digest shards on; nullptr runs shards on a transient
-         * pool of min(shards, hardware concurrency) workers.
+         * pool of min(shards, hardware concurrency) workers. Unused
+         * with one shard, which is digested on the calling thread.
          */
         util::ThreadPool *pool = nullptr;
     };

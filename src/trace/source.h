@@ -67,8 +67,12 @@ class RecordCursor
         return TraceStatus::Ok;
     }
 
-    /** Push every remaining record into @p sink; returns the count. */
-    std::uint64_t drain(analysis::RecordSink &sink);
+    /**
+     * Push every remaining record into @p sink; returns the count. The
+     * default calls next() and onRecord() per record; a cursor over
+     * decoded columns passes them on a run at a time (onColumns()).
+     */
+    virtual std::uint64_t drain(analysis::RecordSink &sink);
 };
 
 /** A record stream that can be cursored over sub-ranges. */

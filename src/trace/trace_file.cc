@@ -39,6 +39,11 @@ struct FileMetrics
  * one block at a time. Emits only records within the global record
  * range [recFirst, recEnd) AND the cycle window [cycleBegin, cycleEnd);
  * callers set the dimension they don't filter on to [0, max].
+ *
+ * drain() hands the sink each block's in-window records as one column
+ * slice. Within a verified block record indices rise and cycles never
+ * fall, so the records next() would return from the block form one
+ * contiguous run, found by two binary searches per bound.
  */
 class FileCursor : public RecordCursor
 {
@@ -58,33 +63,26 @@ class FileCursor : public RecordCursor
     bool
     next(pebs::PebsRecord *rec) override
     {
-        using columnar::kColAddr;
-        using columnar::kColCore;
-        using columnar::kColCycle;
-        using columnar::kColPc;
-
         while (status_ == TraceStatus::Ok) {
             if (!loaded_) {
                 if (block_ >= endBlock_ || !loadBlock())
                     return false;
             }
             const columnar::BlockInfo &b = file_->index_.blocks[block_];
+            const std::vector<std::uint64_t> &cycles =
+                cols_[columnar::kColCycle];
             while (pos_ < b.records) {
                 const std::uint64_t global = b.firstRecord + pos_;
                 if (global >= recEnd_)
                     return false;
-                const std::uint64_t cycle = cols_[kColCycle][pos_];
+                const std::uint64_t cycle = cycles[pos_];
                 if (cycle >= cycleEnd_)
                     return false; // sorted: nothing later can match
                 if (global < recFirst_ || cycle < cycleBegin_) {
                     ++pos_;
                     continue;
                 }
-                rec->pc = cols_[kColPc][pos_];
-                rec->dataAddr = cols_[kColAddr][pos_];
-                rec->core = static_cast<int>(
-                    static_cast<std::int64_t>(cols_[kColCore][pos_]));
-                rec->cycle = cycle;
+                *rec = columns(pos_, pos_ + 1).record(0);
                 ++pos_;
                 return true;
             }
@@ -92,6 +90,46 @@ class FileCursor : public RecordCursor
             ++block_;
         }
         return false;
+    }
+
+    std::uint64_t
+    drain(analysis::RecordSink &sink) override
+    {
+        std::uint64_t delivered = 0;
+        while (status_ == TraceStatus::Ok) {
+            if (!loaded_) {
+                if (block_ >= endBlock_ || !loadBlock())
+                    break;
+            }
+            const columnar::BlockInfo &b = file_->index_.blocks[block_];
+            const std::size_t records = static_cast<std::size_t>(b.records);
+            const auto cycles = cols_[columnar::kColCycle].begin();
+            const auto block_pos = [&](std::uint64_t global) {
+                return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+                    global > b.firstRecord ? global - b.firstRecord : 0,
+                    pos_, records));
+            };
+            // [lo, hi): the records next() would return from pos_ on;
+            // hi is the first one past the record or cycle window.
+            const std::size_t hi = static_cast<std::size_t>(
+                std::lower_bound(cycles + pos_, cycles + block_pos(recEnd_),
+                                 cycleEnd_) -
+                cycles);
+            const std::size_t lo = static_cast<std::size_t>(
+                std::lower_bound(cycles + std::min(block_pos(recFirst_), hi),
+                                 cycles + hi, cycleBegin_) -
+                cycles);
+            if (lo < hi) {
+                sink.onColumns(columns(lo, hi));
+                delivered += hi - lo;
+            }
+            pos_ = hi;
+            if (hi < records)
+                break; // past the window: nothing later can match
+            unloadBlock();
+            ++block_;
+        }
+        return delivered;
     }
 
     TraceStatus status() const override { return status_; }
@@ -135,6 +173,19 @@ class FileCursor : public RecordCursor
         loaded_ = true;
         pos_ = 0;
         return true;
+    }
+
+    /** Decoded records [lo, hi) of the loaded block as columns. */
+    analysis::RecordColumns
+    columns(std::size_t lo, std::size_t hi) const
+    {
+        analysis::RecordColumns c;
+        c.pc = cols_[columnar::kColPc].data() + lo;
+        c.dataAddr = cols_[columnar::kColAddr].data() + lo;
+        c.core = cols_[columnar::kColCore].data() + lo;
+        c.cycle = cols_[columnar::kColCycle].data() + lo;
+        c.size = hi - lo;
+        return c;
     }
 
     void

@@ -78,6 +78,52 @@ TEST(MapsFilter, ClassifiesDataAddresses)
               DataClass::Kernel);
 }
 
+TEST(MapsFilter, ResolvedClassesFollowThePathRules)
+{
+    // Hand-written lines covering every rule, most of which the
+    // simulator's rendered maps never produce.
+    const MapsFilter filter(
+        "00400000-00401000 r-xp 00000000 00:00 0 /app/main\n"
+        "00401000-00402000 rw-p 00000000 00:00 0 /app/main\n"
+        "00500000-00501000 r-xp 00000000 00:00 0 /lib/libc.so\n"
+        "00600000-00601000 r-xp 00000000 00:00 0 /usr/lib/libm.so\n"
+        "00700000-00701000 rw-p 00000000 00:00 0 [stack]\n"
+        "00710000-00711000 rw-p 00000000 00:00 0 [stack:3]\n"
+        "00800000-00801000 rw-p 00000000 00:00 0 [heap]\n"
+        "00900000-00901000 r-xp 00000000 00:00 0\n"
+        "00a00000-00a01000 rw-p 00000000 00:00 0\n"
+        "not a maps line\n"
+        "00b00000-00b01000 r-xp\n");
+    EXPECT_EQ(filter.entries().size(), 9u); // the malformed two skipped
+
+    struct Row
+    {
+        std::uint64_t addr;
+        PcClass pc;
+        DataClass data;
+    };
+    const Row rows[] = {
+        {0x00400010, PcClass::Application, DataClass::Code},
+        {0x00401010, PcClass::Other, DataClass::Globals},
+        {0x00500010, PcClass::Library, DataClass::Code},
+        {0x00600010, PcClass::Library, DataClass::Code},
+        {0x00700010, PcClass::Other, DataClass::Stack},
+        {0x00710010, PcClass::Other, DataClass::Stack},
+        {0x00800010, PcClass::Other, DataClass::Heap},
+        {0x00900010, PcClass::Other, DataClass::Code},    // anonymous x
+        {0x00a00010, PcClass::Other, DataClass::Globals}, // anonymous
+        {0x00b00010, PcClass::Other, DataClass::Unmapped}, // malformed
+        {0x00c00000, PcClass::Other, DataClass::Unmapped},
+        {0xffff800000001000ULL, PcClass::Other, DataClass::Kernel},
+    };
+    for (const Row &row : rows) {
+        EXPECT_EQ(filter.classifyPc(row.addr), row.pc)
+            << std::hex << row.addr;
+        EXPECT_EQ(filter.classifyData(row.addr), row.data)
+            << std::hex << row.addr;
+    }
+}
+
 // ---------------------------------------------------------------------
 // CacheLineModel (Figure 5)
 // ---------------------------------------------------------------------

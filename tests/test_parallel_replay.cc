@@ -368,6 +368,228 @@ TEST(ParallelReplay, OneShardPerRecordWithoutPool)
                                          parallel.replay(cfg)));
 }
 
+TEST(ParallelReplay, EmptyTraceUsesOneShard)
+{
+    // Options::shards clamps to [1, record count] for empty traces too.
+    const auto *w = workloads::findWorkload("histogram");
+    ASSERT_NE(w, nullptr);
+    const Trace trace = captureTrace(*w);
+    ASSERT_TRUE(trace.records.empty());
+    TraceReplayer env(trace);
+    ASSERT_TRUE(env.ok());
+
+    ParallelReplayer::Options opt;
+    opt.shards = 4;
+    ParallelReplayer parallel(env, opt);
+    EXPECT_EQ(parallel.shards(), 1);
+    detect::DetectorConfig cfg;
+    cfg.sav = trace.meta.pebs.sav;
+    EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+                                         parallel.replay(cfg)));
+}
+
+// ---------------------------------------------------------------------
+// Column digest (TraceFile cursor -> onColumns) == record digest
+// ---------------------------------------------------------------------
+
+/** "" when two digests are equal, else the first differing field. */
+std::string
+stateDiff(const DetectorState &want, const DetectorState &got)
+{
+    const auto field = [](const std::string &name, std::uint64_t a,
+                          std::uint64_t b) {
+        return a == b ? std::string()
+                      : name + " " + std::to_string(a) +
+                            " != " + std::to_string(b);
+    };
+    for (const std::string &d : {
+             field("totalRecords", want.totalRecords, got.totalRecords),
+             field("droppedPc", want.droppedPc, got.droppedPc),
+             field("droppedStack", want.droppedStack, got.droppedStack),
+             field("tsEvents", want.tsEvents, got.tsEvents),
+             field("fsEvents", want.fsEvents, got.fsEvents),
+             field("pcStats.size", want.pcStats.size(),
+                   got.pcStats.size()),
+             field("lines.size", want.lines.size(), got.lines.size()),
+             field("rateEvents.size", want.rateEvents.size(),
+                   got.rateEvents.size()),
+         })
+        if (!d.empty())
+            return d;
+    for (std::size_t i = 0; i < want.pcStats.size(); ++i) {
+        const DetectorState::PcStats &a = want.pcStats[i];
+        const DetectorState::PcStats &b = got.pcStats[i];
+        if (a.records != b.records || a.ts != b.ts || a.fs != b.fs)
+            return "pcStats[" + std::to_string(i) + "]";
+    }
+    for (const auto &[line, a] : want.lines) {
+        const auto it = got.lines.find(line);
+        if (it == got.lines.end())
+            return "line " + std::to_string(line) + " missing";
+        const DetectorState::LineState &b = it->second;
+        if (a.lastMask != b.lastMask || a.lastWrite != b.lastWrite ||
+                a.firstMask != b.firstMask ||
+                a.firstWrite != b.firstWrite || a.firstPc != b.firstPc ||
+                a.firstEvent != b.firstEvent)
+            return "line " + std::to_string(line);
+    }
+    for (std::size_t i = 0; i < want.rateEvents.size(); ++i) {
+        if (want.rateEvents[i].cycle != got.rateEvents[i].cycle ||
+                want.rateEvents[i].outcome != got.rateEvents[i].outcome)
+            return "rateEvents[" + std::to_string(i) + "]";
+    }
+    return {};
+}
+
+/** Shard digest of @p records, one onRecord() call each. */
+DetectorState
+digestRecords(const detect::DetectorContext &ctx,
+              const std::vector<pebs::PebsRecord> &records)
+{
+    DetectorPipeline pipeline(ctx, {}, DetectorPipeline::Mode::Shard);
+    for (const pebs::PebsRecord &rec : records)
+        pipeline.onRecord(rec);
+    return pipeline.takeState();
+}
+
+/** Small blocks, so record and cycle windows end inside blocks. */
+constexpr std::size_t kSmallBlock = 64;
+
+/** @p trace encoded with kSmallBlock-record blocks. */
+std::vector<std::uint8_t>
+smallBlockImage(const Trace &trace)
+{
+    TraceWriter writer(trace.meta, kSmallBlock);
+    writer.appendAll(trace.records);
+    return writer.finalize();
+}
+
+TEST(ColumnDigest, CursorDrainMatchesRecordFeedForEveryWorkload)
+{
+    core::SweepRunner runner;
+    const auto &all = workloads::allWorkloads();
+    ASSERT_FALSE(all.empty());
+
+    std::vector<std::string> failures(all.size());
+    runner.parallelFor(all.size(), [&](std::size_t i) {
+        const workloads::WorkloadDef &w = all[i];
+        const auto trace = runner.capture(w, trace::CaptureOptions{});
+        TraceFile file;
+        if (file.openBytes(smallBlockImage(*trace)) != TraceStatus::Ok) {
+            failures[i] = w.info.name + ": " + file.error();
+            return;
+        }
+        TraceReplayer env(*trace);
+        if (!env.ok()) {
+            failures[i] = w.info.name + ": " + env.error();
+            return;
+        }
+        const std::vector<pebs::PebsRecord> &recs = trace->records;
+        const std::size_t n = recs.size();
+
+        // Whole file, then a record window and a cycle window whose
+        // ends fall inside blocks.
+        const std::size_t first = n / 3 + 1;
+        const std::size_t end = 2 * n / 3 + 1;
+        const std::uint64_t begin_cycle = n ? recs[n / 4].cycle : 0;
+        const std::uint64_t end_cycle = n ? recs[3 * n / 4].cycle : 0;
+        struct Window
+        {
+            std::string what;
+            std::unique_ptr<RecordCursor> cursor;
+            std::vector<pebs::PebsRecord> records;
+        };
+        std::vector<Window> windows;
+        windows.push_back({"whole file", file.cursor(), recs});
+        if (end <= n) {
+            windows.push_back(
+                {"records [" + std::to_string(first) + ", " +
+                     std::to_string(end) + ")",
+                 file.cursorForRecords(first, end),
+                 {recs.begin() + static_cast<std::ptrdiff_t>(first),
+                  recs.begin() + static_cast<std::ptrdiff_t>(end)}});
+        }
+        Window cycles{"cycles [" + std::to_string(begin_cycle) + ", " +
+                          std::to_string(end_cycle) + ")",
+                      file.cursorForCycles(begin_cycle, end_cycle),
+                      {}};
+        for (const pebs::PebsRecord &rec : recs)
+            if (rec.cycle >= begin_cycle && rec.cycle < end_cycle)
+                cycles.records.push_back(rec);
+        windows.push_back(std::move(cycles));
+
+        for (Window &win : windows) {
+            DetectorPipeline pipeline(env.context(), {},
+                                      DetectorPipeline::Mode::Shard);
+            const std::uint64_t delivered = win.cursor->drain(pipeline);
+            const std::string diff =
+                stateDiff(digestRecords(env.context(), win.records),
+                          pipeline.takeState());
+            if (win.cursor->status() != TraceStatus::Ok ||
+                    delivered != win.records.size() || !diff.empty()) {
+                failures[i] = w.info.name + ", " + win.what + ": " +
+                              traceStatusName(win.cursor->status()) +
+                              ", " + std::to_string(delivered) + " of " +
+                              std::to_string(win.records.size()) +
+                              " records, " + diff;
+                return;
+            }
+        }
+    });
+    for (const std::string &failure : failures)
+        EXPECT_TRUE(failure.empty()) << failure;
+}
+
+TEST(ColumnDigest, CorruptBlockStopsDrainWhereNextStops)
+{
+    const auto *w = workloads::findWorkload("histogram'");
+    ASSERT_NE(w, nullptr);
+    const Trace trace = captureTrace(*w);
+    TraceReplayer env(trace);
+    ASSERT_TRUE(env.ok());
+
+    // Flip the first byte of a middle block: open() still succeeds (it
+    // verifies only header, meta and index); the block's checksum fails
+    // when a cursor reaches it.
+    std::vector<std::uint8_t> image = smallBlockImage(trace);
+    TraceFile probe;
+    ASSERT_EQ(probe.openBytes(image), TraceStatus::Ok);
+    const columnar::BlockIndex &index = probe.index();
+    ASSERT_GE(index.blocks.size(), 3u);
+    const columnar::BlockInfo bad = index.blocks[index.blocks.size() / 2];
+    image[kTraceHeaderSize + index.blobOffset + bad.blobOffset] ^= 0x20;
+    TraceFile file;
+    ASSERT_EQ(file.openBytes(std::move(image)), TraceStatus::Ok);
+
+    // Whole file, and a window starting mid-block before the bad block.
+    for (const std::uint64_t first : {std::uint64_t{0}, kSmallBlock / 2}) {
+        DetectorPipeline by_record(env.context(), {},
+                                   DetectorPipeline::Mode::Shard);
+        const std::unique_ptr<RecordCursor> next_cur =
+            file.cursorForRecords(first, file.recordCount());
+        std::uint64_t nexted = 0;
+        pebs::PebsRecord rec;
+        while (next_cur->next(&rec)) {
+            by_record.onRecord(rec);
+            ++nexted;
+        }
+
+        DetectorPipeline by_column(env.context(), {},
+                                   DetectorPipeline::Mode::Shard);
+        const std::unique_ptr<RecordCursor> drain_cur =
+            file.cursorForRecords(first, file.recordCount());
+        const std::uint64_t drained = drain_cur->drain(by_column);
+
+        EXPECT_EQ(next_cur->status(), TraceStatus::Corrupt) << first;
+        EXPECT_EQ(drain_cur->status(), next_cur->status()) << first;
+        EXPECT_EQ(nexted, bad.firstRecord - first) << first;
+        EXPECT_EQ(drained, nexted) << first;
+        EXPECT_EQ(stateDiff(by_record.takeState(), by_column.takeState()),
+                  "")
+            << first;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Rate scan: the offline scan == RateScanState::step per event
 // ---------------------------------------------------------------------
