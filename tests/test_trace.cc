@@ -367,54 +367,104 @@ TEST(TraceFormat, CaptureRejectsInvalidLineSize)
 // Replay fidelity: record -> replay reproduces the in-process pipeline.
 // ---------------------------------------------------------------------
 
+/** Encode @p t, parse it back and return the decoded trace. */
+Trace
+roundTrip(const Trace &t)
+{
+    TraceReader reader;
+    EXPECT_EQ(reader.parse(encode(t)), TraceStatus::Ok);
+    return reader.takeTrace();
+}
+
 TEST(TraceReplay, MatchesInProcessPipeline)
 {
+    // Every registered workload under every capturable scheme: capture
+    // at the harness defaults, push through the on-disk format, and
+    // replay through the scheme's offline analyzer; the result must
+    // equal the experiment runner's for the same workload and scheme.
     core::ExperimentRunner runner;
-    for (const char *name :
-         {"kmeans", "linear_regression", "histogram'"}) {
-        const auto *w = workloads::findWorkload(name);
-        ASSERT_NE(w, nullptr) << name;
-        const core::RunResult live =
-            runner.run(*w, core::Scheme::LaserDetectOnly);
+    const double sheriff_small = runner.config().sheriffSmallScale;
+    for (const workloads::WorkloadDef &w : workloads::allWorkloads()) {
+        const std::string &name = w.info.name;
 
-        // Capture with the harness defaults, push through the on-disk
-        // format, and replay at the default detector configuration.
-        const Trace captured = captureTrace(*w);
-        TraceReader reader;
-        ASSERT_EQ(reader.parse(encode(captured)), TraceStatus::Ok);
-        const Trace loaded = reader.takeTrace();
-        TraceReplayer replayer(loaded);
-        ASSERT_TRUE(replayer.ok()) << replayer.error();
-        const detect::DetectionReport replayed =
-            replayer.replayAtThreshold(1000.0);
+        {
+            const core::RunResult live =
+                runner.run(w, core::Scheme::LaserDetectOnly);
+            const Trace loaded = roundTrip(captureTrace(w));
+            TraceReplayer replayer(loaded);
+            ASSERT_TRUE(replayer.ok()) << replayer.error();
+            EXPECT_TRUE(detect::reportsIdentical(
+                replayer.replayAtThreshold(1000.0), live.detection))
+                << name;
+            EXPECT_EQ(loaded.meta.stats.cycles, live.stats.cycles) << name;
+            EXPECT_EQ(loaded.meta.stats.instructions,
+                      live.stats.instructions)
+                << name;
+            EXPECT_EQ(loaded.meta.stats.hitmTotal(), live.stats.hitmTotal())
+                << name;
+        }
 
-        const detect::DetectionReport &expected = live.detection;
-        EXPECT_EQ(replayed.totalRecords, expected.totalRecords) << name;
-        EXPECT_EQ(replayed.droppedPcFilter, expected.droppedPcFilter)
-            << name;
-        EXPECT_EQ(replayed.droppedStackData, expected.droppedStackData)
-            << name;
-        EXPECT_EQ(replayed.repairRequested, expected.repairRequested)
-            << name;
-        ASSERT_EQ(replayed.lines.size(), expected.lines.size()) << name;
-        for (std::size_t i = 0; i < expected.lines.size(); ++i) {
-            EXPECT_EQ(replayed.lines[i].location,
-                      expected.lines[i].location)
-                << name << " line " << i;
-            EXPECT_EQ(replayed.lines[i].type, expected.lines[i].type)
-                << name << " line " << i;
-            EXPECT_EQ(replayed.lines[i].records,
-                      expected.lines[i].records)
-                << name << " line " << i;
-            EXPECT_DOUBLE_EQ(replayed.lines[i].hitmRate,
-                             expected.lines[i].hitmRate)
-                << name << " line " << i;
-            EXPECT_EQ(replayed.lines[i].tsEvents,
-                      expected.lines[i].tsEvents)
-                << name << " line " << i;
-            EXPECT_EQ(replayed.lines[i].fsEvents,
-                      expected.lines[i].fsEvents)
-                << name << " line " << i;
+        {
+            const core::RunResult live = runner.run(w, core::Scheme::VTune);
+            const Trace loaded = roundTrip(
+                captureTrace(w, CaptureOptions::forScheme("vtune")));
+            TraceReplayer replayer(loaded);
+            ASSERT_TRUE(replayer.ok()) << replayer.error();
+            const baselines::VTuneReport replayed = replayer.replayVTune();
+            EXPECT_EQ(replayed.hitmEvents, live.vtune.hitmEvents) << name;
+            ASSERT_EQ(replayed.lines.size(), live.vtune.lines.size())
+                << name;
+            for (std::size_t i = 0; i < replayed.lines.size(); ++i) {
+                EXPECT_EQ(replayed.lines[i].location,
+                          live.vtune.lines[i].location)
+                    << name << " line " << i;
+                EXPECT_EQ(replayed.lines[i].records,
+                          live.vtune.lines[i].records)
+                    << name << " line " << i;
+                EXPECT_DOUBLE_EQ(replayed.lines[i].hitmRate,
+                                 live.vtune.lines[i].hitmRate)
+                    << name << " line " << i;
+            }
+        }
+
+        if (w.info.sheriff != workloads::SheriffCompat::Crash &&
+            w.info.sheriff != workloads::SheriffCompat::Incompatible) {
+            const double scale =
+                w.info.sheriff == workloads::SheriffCompat::WorksSmallInput
+                    ? sheriff_small
+                    : 1.0;
+            for (const core::Scheme scheme :
+                 {core::Scheme::SheriffDetect,
+                  core::Scheme::SheriffProtect}) {
+                const core::RunResult live = runner.run(w, scheme);
+                CaptureOptions opt =
+                    CaptureOptions::forScheme(core::schemeName(scheme));
+                opt.scale = scale;
+                const Trace loaded = roundTrip(captureTrace(w, opt));
+                TraceReplayer replayer(loaded);
+                ASSERT_TRUE(replayer.ok()) << replayer.error();
+                const SheriffReplay replayed = replayer.replaySheriff();
+                EXPECT_EQ(replayed.report.syncOps, live.sheriff.syncOps)
+                    << name << " " << core::schemeName(scheme);
+                EXPECT_EQ(replayed.report.dirtyPagesCommitted,
+                          live.sheriff.dirtyPagesCommitted)
+                    << name << " " << core::schemeName(scheme);
+                EXPECT_EQ(replayed.report.chargedCycles,
+                          live.sheriff.chargedCycles)
+                    << name << " " << core::schemeName(scheme);
+                EXPECT_EQ(replayed.estimatedRuntimeCycles,
+                          live.runtimeCycles)
+                    << name << " " << core::schemeName(scheme);
+            }
+        }
+
+        {
+            const core::RunResult live =
+                runner.run(w, core::Scheme::Native);
+            const Trace loaded = roundTrip(
+                captureTrace(w, CaptureOptions::forScheme("native")));
+            EXPECT_TRUE(loaded.records.empty()) << name;
+            EXPECT_EQ(loaded.meta.runtimeCycles, live.runtimeCycles) << name;
         }
     }
 }
