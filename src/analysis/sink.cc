@@ -28,23 +28,4 @@ sortByCycle(std::vector<pebs::PebsRecord> *records)
                      });
 }
 
-void
-drainSorted(const std::vector<pebs::PebsRecord> &records, RecordSink &sink)
-{
-    // Stored traces are already canonical (the reader enforces it);
-    // skip the copy + sort for them and pay it only for raw
-    // driver-delivery streams.
-    if (std::is_sorted(records.begin(), records.end(),
-                       [](const pebs::PebsRecord &a,
-                          const pebs::PebsRecord &b) {
-                           return a.cycle < b.cycle;
-                       })) {
-        drain(records, sink);
-        return;
-    }
-    std::vector<pebs::PebsRecord> ordered(records);
-    sortByCycle(&ordered);
-    drain(ordered, sink);
-}
-
 } // namespace laser::analysis

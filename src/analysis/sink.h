@@ -3,13 +3,12 @@
  * The scheme-agnostic analysis-sink interface.
  *
  * LASER's central property (Section 4) is that detection is a pure
- * function of the record stream: the same stream of (pc, data address,
- * core, cycle) tuples can be consumed live by a detector, persisted by a
- * trace writer, or both at once. This header defines the one interface
- * every consumer implements — detect::DetectorPipeline, the VTune and
- * Sheriff offline analyzers, and trace::TraceWriter are all RecordSinks —
- * so the live core::ExperimentRunner path and trace::TraceReplayer drive
- * their analyses through identical plumbing.
+ * function of the record stream of (pc, data address, core, cycle)
+ * tuples. This header defines the interface a stream consumer
+ * implements (detect::DetectorPipeline is the one in the library), so
+ * core::ExperimentRunner (over a fresh capture's stream) and
+ * trace::TraceReplayer (over a stored one) drive detection through
+ * identical plumbing.
  *
  * A sink may also take records a run at a time, as parallel columns —
  * the layout a trace file's decoded blocks already have. The default
@@ -77,45 +76,15 @@ class RecordSink
     virtual void onColumns(const RecordColumns &cols);
 };
 
-/** Fan one stream into several sinks (multi-config single-pass replay). */
-class TeeSink final : public RecordSink
-{
-  public:
-    TeeSink() = default;
-    explicit TeeSink(std::vector<RecordSink *> sinks)
-        : sinks_(std::move(sinks))
-    {
-    }
-
-    void add(RecordSink *sink) { sinks_.push_back(sink); }
-
-    void
-    onRecord(const pebs::PebsRecord &rec) override
-    {
-        for (RecordSink *sink : sinks_)
-            sink->onRecord(rec);
-    }
-
-  private:
-    std::vector<RecordSink *> sinks_;
-};
-
 /** Feed an already cycle-ordered stream through a sink. */
 void drain(const std::vector<pebs::PebsRecord> &records, RecordSink &sink);
 
 /**
- * Restore canonical time order (stable sort by cycle, preserving
- * driver-delivery order among equal cycles) and feed the sink. This is
- * the live-path entry point: per-core PEBS buffers are drained in
- * same-core bursts, and a stable cycle sort recovers the interleaving
- * the cache-line model needs.
- */
-void drainSorted(const std::vector<pebs::PebsRecord> &records,
-                 RecordSink &sink);
-
-/**
- * Stable cycle sort used by drainSorted and by trace capture; exposed so
- * every producer of canonical streams orders records identically.
+ * Restore canonical time order: a stable sort by cycle, preserving
+ * driver-delivery order among equal cycles. Per-core PEBS buffers are
+ * drained in same-core bursts, and this sort recovers the interleaving
+ * the cache-line model needs; every producer of canonical streams
+ * (trace capture, detect::Detector) applies it.
  */
 void sortByCycle(std::vector<pebs::PebsRecord> *records);
 

@@ -94,49 +94,24 @@ sheriffSyncDirtyPages(const pebs::PebsRecord &rec)
     return rec.dataAddr;
 }
 
-/** The cost-charging sink. */
+/**
+ * The cost-charging sink. It also records each sync op as an analysis
+ * record; replaySheriffStream() turns that stream into the report.
+ */
 class SheriffModel : public sim::PmuSink
 {
   public:
-    /**
-     * @p capture_stream buffers each sync op as an analysis record for
-     * trace capture; leave it off on live runs with no capture sink —
-     * sync-heavy workloads commit tens of thousands of times.
-     */
-    explicit SheriffModel(SheriffConfig cfg = {},
-                          bool capture_stream = false)
-        : cfg_(cfg), captureStream_(capture_stream)
-    {
-    }
+    explicit SheriffModel(SheriffConfig cfg = {}) : cfg_(cfg) {}
 
     std::uint64_t
     onSync(int core, isa::SyncKind kind, std::uint64_t dirty_pages,
            std::uint64_t cycle) override
     {
-        ++syncOps_;
-        dirtyPages_ += dirty_pages;
-        const std::uint64_t cost = sheriffSyncCost(cfg_, dirty_pages);
-        charged_ += cost;
-        if (captureStream_)
-            records_.push_back(
-                encodeSheriffSync(core, kind, dirty_pages, cycle));
-        return cost;
+        records_.push_back(encodeSheriffSync(core, kind, dirty_pages, cycle));
+        return sheriffSyncCost(cfg_, dirty_pages);
     }
 
-    SheriffReport
-    finish() const
-    {
-        SheriffReport r;
-        r.syncOps = syncOps_;
-        r.dirtyPagesCommitted = dirtyPages_;
-        r.chargedCycles = charged_;
-        return r;
-    }
-
-    /**
-     * Sync stream in delivery order (sort before writing); empty unless
-     * constructed with capture_stream.
-     */
+    /** Sync stream in delivery order (sort before analyzing). */
     const std::vector<pebs::PebsRecord> &records() const
     {
         return records_;
@@ -144,10 +119,6 @@ class SheriffModel : public sim::PmuSink
 
   private:
     SheriffConfig cfg_;
-    bool captureStream_ = false;
-    std::uint64_t syncOps_ = 0;
-    std::uint64_t dirtyPages_ = 0;
-    std::uint64_t charged_ = 0;
     std::vector<pebs::PebsRecord> records_;
 };
 

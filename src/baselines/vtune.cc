@@ -22,9 +22,7 @@ samplerConfig(const VTuneConfig &cfg)
 VTuneModel::VTuneModel(const isa::Program &prog,
                        const mem::AddressSpace &space,
                        const sim::TimingModel &timing, VTuneConfig cfg)
-    : prog_(prog),
-      space_(space),
-      cfg_(cfg),
+    : cfg_(cfg),
       sampler_(space, prog.size(), timing, samplerConfig(cfg)),
       lastLoadCycle_(space.numThreads(), 0),
       hotLoads_(space.numThreads(), 0),
@@ -35,7 +33,6 @@ VTuneModel::VTuneModel(const isa::Program &prog,
 std::uint64_t
 VTuneModel::onHitm(const sim::HitmEvent &event)
 {
-    ++hitmEvents_;
     sampler_.onHitm(event);
     return cfg_.eventCost;
 }
@@ -99,14 +96,6 @@ aggregateVTune(const isa::Program &prog, const mem::AddressSpace &space,
                   return a.location < b.location;
               });
     return report;
-}
-
-VTuneReport
-VTuneModel::finish(std::uint64_t total_cycles)
-{
-    sampler_.finish();
-    return aggregateVTune(prog_, space_, sampler_.records(), hitmEvents_,
-                          total_cycles, cfg_);
 }
 
 } // namespace laser::baselines

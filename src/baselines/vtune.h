@@ -73,7 +73,7 @@ struct VTuneReport
 /**
  * VTune's offline aggregation: raw per-line rates over the recorded
  * stream with the flat threshold applied. Pure function of the stream,
- * shared by the live model and trace replay — re-tuning the reporting
+ * shared by live runs and trace replay — re-tuning the reporting
  * threshold never needs a rerun.
  */
 VTuneReport aggregateVTune(const isa::Program &prog,
@@ -83,7 +83,10 @@ VTuneReport aggregateVTune(const isa::Program &prog,
                            std::uint64_t total_cycles,
                            const VTuneConfig &cfg);
 
-/** The profiling sink + offline report builder. */
+/**
+ * The profiling sink: charges VTune's collection costs and records the
+ * interrupt-per-event stream (aggregateVTune() builds the report).
+ */
 class VTuneModel : public sim::PmuSink
 {
   public:
@@ -94,12 +97,12 @@ class VTuneModel : public sim::PmuSink
     std::uint64_t onMemop(int core, std::uint32_t pc_index, bool is_write,
                           std::uint64_t cycle) override;
 
-    /** Build the report after the run. */
-    VTuneReport finish(std::uint64_t total_cycles);
+    /** Drain the sampler after the run. */
+    void finish() { sampler_.finish(); }
 
     /**
-     * Interrupt-per-event record stream in delivery order (capturable;
-     * valid after finish() has drained the sampler).
+     * Interrupt-per-event record stream in delivery order (valid after
+     * finish()).
      */
     const std::vector<pebs::PebsRecord> &records() const
     {
@@ -107,14 +110,11 @@ class VTuneModel : public sim::PmuSink
     }
 
   private:
-    const isa::Program &prog_;
-    const mem::AddressSpace &space_;
     VTuneConfig cfg_;
     pebs::PebsMonitor sampler_; ///< shares the PEBS imprecision engine
     std::vector<std::uint64_t> lastLoadCycle_;
     std::vector<std::uint64_t> hotLoads_;
     std::vector<std::uint64_t> memops_;
-    std::uint64_t hitmEvents_ = 0;
 };
 
 } // namespace laser::baselines

@@ -4,6 +4,10 @@
  * and produces runtime + detection results (the machinery behind every
  * table and figure of Section 7).
  *
+ * Every scheme's monitored run is a trace::runCapture(); the scheme's
+ * analyzer then reads the captured stream, exactly as an offline replay
+ * of the same capture would.
+ *
  * Schemes:
  *  - Native: no monitoring (the normalization baseline).
  *  - Laser: the full system (Figure 8). The detector process forks the
@@ -27,13 +31,13 @@
 #include <optional>
 #include <string>
 
-#include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
 #include "detect/detector.h"
 #include "pebs/monitor.h"
 #include "repair/repairer.h"
 #include "sim/machine.h"
+#include "trace/capture.h"
 #include "workloads/workload.h"
 
 namespace laser::core {
@@ -72,14 +76,6 @@ struct ExperimentConfig
     std::uint64_t inputSeed = 0x5eed;
     /** Machine timing-jitter seed (vary to average across "runs"). */
     std::uint64_t machineSeed = 0x1a5e2;
-    /**
-     * Optional tee: each run's canonical analysis-record stream (the
-     * LASER PEBS samples, the VTune interrupt-per-event stream, the
-     * Sheriff sync commits — in cycle order) is also driven into this
-     * sink. Point it at a trace::TraceWriter to capture any scheme's
-     * run for offline replay. Not owned; must outlive the runner calls.
-     */
-    analysis::RecordSink *captureSink = nullptr;
 };
 
 /** Result of one run. */
@@ -122,17 +118,11 @@ class ExperimentRunner
     const ExperimentConfig &config() const { return cfg_; }
 
   private:
-    RunResult runNative(const workloads::WorkloadDef &w, double scale,
-                        bool manual_fix);
-    RunResult runLaser(const workloads::WorkloadDef &w, double scale,
-                       bool with_repair);
-    RunResult runVTune(const workloads::WorkloadDef &w, double scale);
-    RunResult runSheriff(const workloads::WorkloadDef &w, double scale,
-                         bool detect_mode);
-
-    workloads::BuildOptions
-    makeOptions(double scale, bool manual_fix,
-                std::uint64_t heap_shift) const;
+    /** The monitored run of @p scheme at @p scale under this config. */
+    trace::CaptureOptions captureOptions(Scheme scheme, double scale) const;
+    /** LASER's analysis of a capture: detection, then repair if asked. */
+    void analyzeLaser(const workloads::WorkloadDef &w,
+                      const trace::CaptureRun &run, RunResult *result) const;
 
     ExperimentConfig cfg_;
 };

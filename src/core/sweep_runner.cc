@@ -119,11 +119,6 @@ SweepRunner::loadOrRun(std::uint64_t key,
         // open() verifies it against the config section).
         if (file->open(path) == trace::TraceStatus::Ok &&
                 file->storedConfigHash() == key) {
-            // Touch the file so mtime-LRU eviction (laser_trace cache
-            // gc) treats last-modified as last-used.
-            std::error_code ec;
-            std::filesystem::last_write_time(
-                path, std::filesystem::file_time_type::clock::now(), ec);
             metrics.diskHits.inc();
             util::MutexLock lock(&mu_);
             ++stats_.diskCacheHits;

@@ -69,7 +69,9 @@ Detector::processAll(const std::vector<pebs::PebsRecord> &recs)
     // stream arrives in same-core bursts. Records carry timestamps;
     // processing them in time order restores the interleaving the
     // cache-line model needs to tell false from true sharing.
-    analysis::drainSorted(recs, pipeline_);
+    std::vector<pebs::PebsRecord> ordered(recs);
+    analysis::sortByCycle(&ordered);
+    analysis::drain(ordered, pipeline_);
 }
 
 } // namespace laser::detect

@@ -152,8 +152,6 @@ exportProcessMetrics(const std::string &name, const Registry &reg)
     const Snapshot snap = reg.snapshot();
     bool ok = writeFileAtomicEnough(dir + "/METRICS_" + name + ".json",
                                     snap.toJson().dump(2) + "\n");
-    ok &= writeFileAtomicEnough(dir + "/METRICS_" + name + ".prom",
-                                snap.toPrometheus());
 
     const SpanCollector &spans = SpanCollector::global();
     if (spans.eventCount() > 0)
@@ -222,8 +220,6 @@ BenchReport::write(const Registry &reg)
     artifacts.set("bench_json", Json(path()));
     artifacts.set("metrics_json",
                   Json(dir + "/METRICS_" + name_ + ".json"));
-    artifacts.set("metrics_prom",
-                  Json(dir + "/METRICS_" + name_ + ".prom"));
     if (SpanCollector::global().eventCount() > 0)
         artifacts.set("trace_json", Json(traceEventPath(dir, name_)));
     root.set("artifacts", std::move(artifacts));

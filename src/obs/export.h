@@ -1,14 +1,12 @@
 /**
  * @file
- * Telemetry export: registry snapshots, Prometheus text dumps, span
- * traces and per-bench machine-readable reports, all keyed off one
- * environment switch.
+ * Telemetry export: registry snapshots, span traces and per-bench
+ * machine-readable reports, all keyed off one environment switch.
  *
  * LASER_METRICS_OUT=<dir> makes every tool and bench drop artifacts
  * into <dir> (created on demand):
  *
  *   METRICS_<name>.json  registry snapshot (counters/gauges/histograms)
- *   METRICS_<name>.prom  the same snapshot as Prometheus text
  *   TRACE_<name>.json    Chrome trace-event spans (when any were
  *                        collected; LASER_TRACE_EVENTS=<file> overrides
  *                        the path)
@@ -69,7 +67,7 @@ RunContext currentRunContext();
 double processCpuSeconds();
 
 /**
- * Write METRICS_<name>.json/.prom (and the span trace, if any events
+ * Write METRICS_<name>.json (and the span trace, if any events
  * were collected) for @p reg into the metrics dir. No-op returning
  * false when LASER_METRICS_OUT is unset; best-effort on I/O errors.
  */

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -289,127 +288,6 @@ Snapshot::toJson() const
     root.set("gauges", std::move(gauges_obj));
     root.set("histograms", std::move(hists_obj));
     return root;
-}
-
-bool
-Snapshot::fromJson(const Json &doc, Snapshot *out)
-{
-    const Json *counters_obj = doc.find("counters");
-    const Json *gauges_obj = doc.find("gauges");
-    const Json *hists_obj = doc.find("histograms");
-    if (!counters_obj || !counters_obj->isObject() || !gauges_obj ||
-        !gauges_obj->isObject() || !hists_obj || !hists_obj->isObject())
-        return false;
-
-    Snapshot snap;
-    for (const auto &[name, v] : counters_obj->members())
-        snap.counters.emplace_back(
-            name, static_cast<std::uint64_t>(v.asNumber()));
-    for (const auto &[name, v] : gauges_obj->members())
-        snap.gauges.emplace_back(name, v.asNumber());
-    for (const auto &[name, h] : hists_obj->members()) {
-        Histogram::Data d;
-        if (const Json *v = h.find("count"))
-            d.count = static_cast<std::uint64_t>(v->asNumber());
-        if (const Json *v = h.find("sum"))
-            d.sum = v->asNumber();
-        if (const Json *v = h.find("min"))
-            d.min = v->asNumber();
-        if (const Json *v = h.find("max"))
-            d.max = v->asNumber();
-        if (const Json *buckets = h.find("buckets")) {
-            for (const Json &pair : buckets->items()) {
-                if (pair.items().size() != 2)
-                    continue;
-                // toJson saturates the overflow bucket's +Inf bound to
-                // DBL_MAX (JSON has no Inf); undo that so re-exported
-                // Prometheus text matches the live formatting.
-                double upper = pair.items()[0].asNumber();
-                if (upper >= std::numeric_limits<double>::max())
-                    upper = std::numeric_limits<double>::infinity();
-                d.buckets.emplace_back(
-                    upper, static_cast<std::uint64_t>(
-                               pair.items()[1].asNumber()));
-            }
-        }
-        snap.histograms.emplace_back(name, std::move(d));
-    }
-    *out = std::move(snap);
-    return true;
-}
-
-std::string
-promEscapeLabel(std::string_view value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (char c : value) {
-        switch (c) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
-namespace {
-
-std::string
-promName(const std::string &name)
-{
-    std::string out = "laser_";
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
-std::string
-promDouble(double d)
-{
-    if (std::isinf(d))
-        return d > 0 ? "+Inf" : "-Inf";
-    char buf[32];
-    const auto r = std::to_chars(buf, buf + sizeof buf, d);
-    return std::string(buf, r.ptr);
-}
-
-} // namespace
-
-std::string
-Snapshot::toPrometheus() const
-{
-    std::string out;
-    for (const auto &[name, v] : counters) {
-        const std::string pn = promName(name);
-        out += "# TYPE " + pn + " counter\n";
-        out += pn + " " + std::to_string(v) + "\n";
-    }
-    for (const auto &[name, v] : gauges) {
-        const std::string pn = promName(name);
-        out += "# TYPE " + pn + " gauge\n";
-        out += pn + " " + promDouble(v) + "\n";
-    }
-    for (const auto &[name, d] : histograms) {
-        const std::string pn = promName(name);
-        out += "# TYPE " + pn + " histogram\n";
-        std::uint64_t cum = 0;
-        for (const auto &[upper, c] : d.buckets) {
-            cum += c;
-            out += pn + "_bucket{le=\"" +
-                   promEscapeLabel(promDouble(upper)) + "\"} " +
-                   std::to_string(cum) + "\n";
-        }
-        out += pn + "_bucket{le=\"+Inf\"} " + std::to_string(d.count) +
-               "\n";
-        out += pn + "_sum " + promDouble(d.sum) + "\n";
-        out += pn + "_count " + std::to_string(d.count) + "\n";
-    }
-    return out;
 }
 
 } // namespace laser::obs

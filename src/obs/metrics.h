@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -194,27 +193,7 @@ struct Snapshot
 
     /** {"counters":{...},"gauges":{...},"histograms":{...}} */
     Json toJson() const;
-
-    /**
-     * Prometheus text exposition: metric names are prefixed "laser_"
-     * and dots become underscores; histograms emit cumulative _bucket
-     * series plus _sum and _count.
-     */
-    std::string toPrometheus() const;
-
-    /**
-     * Rebuild a snapshot from toJson() output (the inverse transform;
-     * bucket upper bounds saturated to DBL_MAX by toJson turn back into
-     * +Inf). Returns false when @p doc is not a snapshot document.
-     */
-    static bool fromJson(const Json &doc, Snapshot *out);
 };
-
-/**
- * Escape a Prometheus label value per the text exposition format:
- * backslash, double quote and newline become \\, \" and \n.
- */
-std::string promEscapeLabel(std::string_view value);
 
 /**
  * Named-metric owner. Metric creation takes a lock; returned references

@@ -5,8 +5,6 @@
 #include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
-#include "pebs/monitor.h"
-#include "sim/machine.h"
 
 namespace laser::trace {
 
@@ -74,15 +72,17 @@ makeCaptureMeta(const workloads::WorkloadDef &workload,
     return meta;
 }
 
-Trace
-captureTrace(const workloads::WorkloadDef &workload,
-             const CaptureOptions &opt)
+CaptureRun
+runCapture(const workloads::WorkloadDef &workload, const CaptureOptions &opt)
 {
-    Trace trace;
+    CaptureRun run;
+    Trace &trace = run.trace;
     trace.meta = makeCaptureMeta(workload, opt);
 
     workloads::WorkloadBuild build = workload.build(trace.meta.build);
-    sim::Machine machine(std::move(build.program), trace.meta.machine);
+    run.machine = std::make_unique<sim::Machine>(std::move(build.program),
+                                                 trace.meta.machine);
+    sim::Machine &machine = *run.machine;
     build.applyTo(machine);
 
     const std::string &scheme = opt.scheme;
@@ -94,35 +94,43 @@ captureTrace(const workloads::WorkloadDef &workload,
         trace.meta.stats = machine.run();
         monitor.finish();
         trace.records = monitor.records();
+        run.pebs = monitor.stats();
     } else if (scheme == "vtune") {
         baselines::VTuneModel vtune(machine.program(),
                                     machine.addressSpace(), opt.timing,
                                     opt.vtune);
         machine.setPmuSink(&vtune);
         trace.meta.stats = machine.run();
-        // Drain the sampler (finish's aggregation is replayed offline).
-        vtune.finish(trace.meta.stats.cycles);
+        vtune.finish();
         trace.records = vtune.records();
     } else if (isSheriffScheme(scheme)) {
-        baselines::SheriffModel sheriff(trace.meta.sheriff,
-                                        /*capture_stream=*/true);
+        baselines::SheriffModel sheriff(trace.meta.sheriff);
         machine.setPmuSink(&sheriff);
         trace.meta.stats = machine.run();
         trace.records = sheriff.records();
     } else if (scheme == "native") {
         trace.meta.stats = machine.run();
     } else {
-        throw std::invalid_argument("captureTrace: unknown scheme \"" +
+        throw std::invalid_argument("runCapture: unknown scheme \"" +
                                     scheme + "\"");
     }
+    // The sinks above die here; the returned machine must not call them.
+    machine.setPmuSink(nullptr);
 
     trace.meta.runtimeCycles = trace.meta.stats.cycles;
     trace.meta.mapsText = machine.addressSpace().renderProcMaps();
     // Canonical stream order: per-core buffers arrive in same-core
-    // bursts; the stable cycle sort here is the same one every sink's
-    // driver applies, so the stored stream replays without re-sorting.
+    // bursts; the stable cycle sort recovers the interleaving the
+    // analyzers need, so the stored stream replays without re-sorting.
     analysis::sortByCycle(&trace.records);
-    return trace;
+    return run;
+}
+
+Trace
+captureTrace(const workloads::WorkloadDef &workload,
+             const CaptureOptions &opt)
+{
+    return runCapture(workload, opt).trace;
 }
 
 } // namespace laser::trace

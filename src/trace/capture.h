@@ -11,21 +11,25 @@
  * any AnalysisSink — serial or sharded — can replay it without
  * re-simulating.
  *
- * The defaults reproduce the monitored phase of the experiment harness's
- * schemes exactly (SAV 19, the fork/attach heap shift, the default
- * machine seed for LASER; no heap shift for the baselines), so a
- * captured trace replayed through the matching analyzer yields the same
- * report as the in-process pipeline.
+ * This is the one monitored run in the system: core::ExperimentRunner
+ * runs every scheme through runCapture() and analyzes the returned
+ * stream, so a live report and an offline replay of the same capture
+ * are the same function of the same records. The defaults are the
+ * experiment harness's (SAV 19, the fork/attach heap shift, the default
+ * machine seed for LASER; no heap shift for the baselines).
  */
 
 #ifndef LASER_TRACE_CAPTURE_H
 #define LASER_TRACE_CAPTURE_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
+#include "pebs/monitor.h"
+#include "sim/machine.h"
 #include "sim/protocol.h"
 #include "sim/timing.h"
 #include "trace/trace.h"
@@ -71,7 +75,25 @@ struct CaptureOptions
 TraceMeta makeCaptureMeta(const workloads::WorkloadDef &workload,
                           const CaptureOptions &opt);
 
-/** Run the simulation under @p opt's scheme and return the trace. */
+/** One monitored run: its trace and what the live analyses need. */
+struct CaptureRun
+{
+    /** Run metadata plus the record stream in canonical cycle order. */
+    Trace trace;
+    /**
+     * The machine that ran: its program and address space back the
+     * live detector's context and the repairer.
+     */
+    std::unique_ptr<sim::Machine> machine;
+    /** PEBS driver statistics of a "laser-detect" run (zero otherwise). */
+    pebs::PebsStats pebs;
+};
+
+/** Run the simulation under @p opt's scheme. */
+CaptureRun runCapture(const workloads::WorkloadDef &workload,
+                      const CaptureOptions &opt = {});
+
+/** runCapture(workload, opt).trace */
 Trace captureTrace(const workloads::WorkloadDef &workload,
                    const CaptureOptions &opt = {});
 

@@ -5,9 +5,10 @@
  *
  * The replayer rebuilds the capture's program from the workload registry
  * (workload builders are deterministic for fixed BuildOptions) and its
- * address-space layout, then drives the record stream through an
- * analysis::RecordSink — a fresh DetectorPipeline for the LASER scheme,
- * the VTune offline aggregation, or the Sheriff sync-stream decoder.
+ * address-space layout, then runs the scheme's analyzer over the record
+ * stream: a fresh DetectorPipeline (an analysis::RecordSink) for the
+ * LASER scheme, the VTune offline aggregation or the Sheriff
+ * sync-stream decoder.
  * The rebuilt environment (program, address space, parsed maps,
  * load/store sets) is shared and immutable, so one replayer can serve
  * many configurations and many shard pipelines concurrently.
@@ -119,8 +120,6 @@ class TraceReplayer
      * with the Trace ctor (source-backed replayers have none).
      */
     const Trace &trace() const { return *trace_; }
-    /** True when trace() is valid. */
-    bool hasTrace() const { return trace_ != nullptr; }
 
     const isa::Program &program() const { return program_; }
     const mem::AddressSpace &space() const { return *space_; }

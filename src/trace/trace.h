@@ -72,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
 #include "pebs/monitor.h"
@@ -156,9 +155,7 @@ struct Trace
 };
 
 /**
- * Streaming trace encoder (always writes kTraceVersion). Also an
- * analysis::RecordSink, so a capture path can tee one record stream
- * into a live analyzer and a trace file through identical plumbing.
+ * Streaming trace encoder (always writes kTraceVersion).
  *
  * Records are buffered per column; every @p block_records appends the
  * writer encodes one block (choosing each column's codec for those
@@ -178,7 +175,7 @@ struct Trace
  *   w.writeFile("run.ltrace");
  * @endcode
  */
-class TraceWriter : public analysis::RecordSink
+class TraceWriter
 {
   public:
     explicit TraceWriter(
@@ -188,9 +185,6 @@ class TraceWriter : public analysis::RecordSink
     /** Append one record (encoded block-at-a-time). */
     void append(const pebs::PebsRecord &rec);
     void appendAll(const std::vector<pebs::PebsRecord> &recs);
-
-    /** RecordSink: streams append in arrival order. */
-    void onRecord(const pebs::PebsRecord &rec) override { append(rec); }
 
     /** Complete file image: header + payload + checksum trailer. */
     [[nodiscard]] std::vector<std::uint8_t> finalize() const;

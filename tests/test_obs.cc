@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the observability layer: JSON round-trips, lock-free
  * counter exactness under contention, histogram percentile accuracy,
- * span nesting, the trace-event / Prometheus export formats, run
+ * span nesting, the trace-event / snapshot export formats, run
  * identity and the BENCH_<name>.json document BenchReport writes.
  */
 
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -254,6 +255,9 @@ TEST_F(ObsTest, SnapshotToJsonHasAllSections)
     reg.counter("c.one").inc(4);
     reg.gauge("g.one").set(2.5);
     reg.histogram("h.one").record(3.0);
+    // Past the last finite bound: the +Inf overflow bucket, whose bound
+    // the document saturates to DBL_MAX (JSON has no Inf).
+    reg.histogram("h.overflow").record(1e12);
 
     const Json doc = reg.snapshot().toJson();
     Json back;
@@ -272,80 +276,14 @@ TEST_F(ObsTest, SnapshotToJsonHasAllSections)
     EXPECT_DOUBLE_EQ(h->find("sum")->asNumber(), 3.0);
     ASSERT_NE(h->find("buckets"), nullptr);
     EXPECT_EQ(h->find("buckets")->items().size(), 1u);
-}
-
-TEST_F(ObsTest, PrometheusTextFormat)
-{
-    Registry reg;
-    reg.counter("sweep.machine_runs").inc(7);
-    reg.gauge("pool.queue_depth").set(3.0);
-    reg.histogram("span.replay.shard").record(0.5);
-    reg.histogram("span.replay.shard").record(2.0);
-
-    const std::string text = reg.snapshot().toPrometheus();
-    EXPECT_NE(text.find("# TYPE laser_sweep_machine_runs counter\n"
-                        "laser_sweep_machine_runs 7\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE laser_pool_queue_depth gauge\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE laser_span_replay_shard histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("laser_span_replay_shard_bucket{le=\"+Inf\"} 2"),
-              std::string::npos);
-    EXPECT_NE(text.find("laser_span_replay_shard_count 2"),
-              std::string::npos);
-    EXPECT_NE(text.find("laser_span_replay_shard_sum 2.5"),
-              std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Prometheus label escaping and Snapshot::fromJson (`laser_trace stats FILE`)
-// ---------------------------------------------------------------------
-
-TEST_F(ObsTest, PromEscapeLabelQuotesTheTextFormatSpecials)
-{
-    EXPECT_EQ(promEscapeLabel("plain"), "plain");
-    EXPECT_EQ(promEscapeLabel("a\\b"), "a\\\\b");
-    EXPECT_EQ(promEscapeLabel("say \"hi\""), "say \\\"hi\\\"");
-    EXPECT_EQ(promEscapeLabel("two\nlines"), "two\\nlines");
-}
-
-TEST_F(ObsTest, SnapshotFromJsonRoundTripsIncludingOverflowBucket)
-{
-    Registry reg;
-    reg.counter("c").inc(9);
-    reg.gauge("g").set(-1.25);
-    Histogram &h = reg.histogram("h");
-    h.record(0.125);
-    h.record(1e12); // lands in the +Inf overflow bucket
-
-    const Snapshot orig = reg.snapshot();
-    Json doc;
-    std::string err;
-    ASSERT_TRUE(Json::parse(orig.toJson().dump(2), &doc, &err)) << err;
-    Snapshot back;
-    ASSERT_TRUE(Snapshot::fromJson(doc, &back));
-    // The round-trip must preserve the exposition text exactly —
-    // DBL_MAX-saturated bucket bounds turn back into +Inf.
-    EXPECT_EQ(back.toPrometheus(), orig.toPrometheus());
-    ASSERT_EQ(back.histograms.size(), 1u);
-    EXPECT_EQ(back.histograms[0].second.count, 2u);
-}
-
-TEST_F(ObsTest, SnapshotFromJsonRejectsNonSnapshotDocuments)
-{
-    const auto parse = [](const char *text) {
-        Json doc;
-        EXPECT_TRUE(Json::parse(text, &doc));
-        Snapshot out;
-        return Snapshot::fromJson(doc, &out);
-    };
-    EXPECT_FALSE(parse("{}"));
-    EXPECT_FALSE(parse("{\"counters\":{},\"gauges\":{}}"));
-    EXPECT_FALSE(parse("{\"counters\":3,\"gauges\":{},"
-                       "\"histograms\":{}}"));
-    EXPECT_TRUE(parse("{\"counters\":{},\"gauges\":{},"
-                      "\"histograms\":{}}"));
+    const Json *overflow = back.find("histograms")->find("h.overflow");
+    ASSERT_NE(overflow, nullptr);
+    const std::vector<Json> &buckets = overflow->find("buckets")->items();
+    ASSERT_EQ(buckets.size(), 1u);
+    ASSERT_EQ(buckets[0].items().size(), 2u);
+    EXPECT_EQ(buckets[0].items()[0].asNumber(),
+              std::numeric_limits<double>::max());
+    EXPECT_DOUBLE_EQ(buckets[0].items()[1].asNumber(), 1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -570,10 +508,16 @@ TEST(Export, BenchReportWritesSchemaV2Document)
         ASSERT_NE(artifacts, nullptr);
         EXPECT_EQ(artifacts->find("bench_json")->asString(),
                   report.path());
-        for (const char *key : {"metrics_json", "metrics_prom"})
-            EXPECT_TRUE(std::filesystem::exists(
-                artifacts->find(key)->asString()))
+        EXPECT_TRUE(std::filesystem::exists(
+            artifacts->find("metrics_json")->asString()));
+        // JSON is the one metrics format: no other metrics artifact is
+        // listed, and no Prometheus text is written beside it.
+        for (const auto &[key, value] : artifacts->members())
+            EXPECT_TRUE(key == "bench_json" || key == "metrics_json" ||
+                        key == "trace_json")
                 << key;
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            EXPECT_NE(entry.path().extension(), ".prom") << entry.path();
         EXPECT_NE(doc.find("metrics"), nullptr);
     }
     // The constructor armed span collection for the bench run.

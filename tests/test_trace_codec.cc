@@ -12,7 +12,6 @@
 #include <filesystem>
 
 #include "detect/types.h"
-#include "trace/cache.h"
 #include "trace/capture.h"
 #include "trace/columnar.h"
 #include "trace/parallel_replay.h"
@@ -416,78 +415,6 @@ TEST(StreamingReplay, PeakBufferedRecordsIsBlockBound)
     EXPECT_TRUE(detect::reportsIdentical(mem_env.replay(cfg),
                                          parallel.replay(cfg)));
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Cache gc vs concurrent use: spared and vanished entries
-// ---------------------------------------------------------------------
-
-fs::path
-writeCacheTrace(const fs::path &dir, const std::string &stem,
-                fs::file_time_type mtime)
-{
-    Trace t;
-    t.meta = syntheticMeta();
-    t.records = syntheticRecords(50);
-    const fs::path path = dir / (stem + kTraceExtension);
-    EXPECT_EQ(writeTraceFile(t, path.string()), TraceStatus::Ok);
-    fs::last_write_time(path, mtime);
-    return path;
-}
-
-TEST(TraceCacheGc, ToleratesFilesVanishingAfterListing)
-{
-    const fs::path dir = fs::temp_directory_path() / "laser_gc_vanish";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const auto now = fs::file_time_type::clock::now();
-    const fs::path oldest =
-        writeCacheTrace(dir, "a", now - std::chrono::hours(3));
-    writeCacheTrace(dir, "b", now - std::chrono::hours(2));
-    writeCacheTrace(dir, "c", now - std::chrono::hours(1));
-
-    // A concurrent gc (or cache wipe) deletes the LRU victim between
-    // this gc's listing and its deletion pass.
-    const std::vector<CacheEntry> entries = listTraceCache(dir.string());
-    ASSERT_EQ(entries.size(), 3u);
-    fs::remove(oldest);
-
-    const CacheGcResult gc = gcTraceCacheFrom(entries, 0);
-    EXPECT_EQ(gc.vanished, 1u);
-    EXPECT_EQ(gc.evicted, 2u);
-    EXPECT_EQ(gc.bytesAfter, 0u);
-    fs::remove_all(dir);
-}
-
-TEST(TraceCacheGc, SparesEntriesTouchedByConcurrentDiskHits)
-{
-    const fs::path dir = fs::temp_directory_path() / "laser_gc_spare";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    const auto now = fs::file_time_type::clock::now();
-    const fs::path oldest =
-        writeCacheTrace(dir, "victim", now - std::chrono::hours(3));
-    const fs::path newer =
-        writeCacheTrace(dir, "keeper", now - std::chrono::hours(1));
-
-    const std::vector<CacheEntry> entries = listTraceCache(dir.string());
-    ASSERT_EQ(entries.size(), 2u);
-    ASSERT_EQ(fs::path(entries[0].path).filename(), oldest.filename());
-
-    // A sweep's disk hit refreshes the victim's mtime after the
-    // listing: it is no longer the LRU victim and must be spared, even
-    // though the stale listing nominates it first.
-    fs::last_write_time(oldest, now);
-
-    // Budget admits exactly one file: without the mtime re-check the
-    // just-used victim would be deleted.
-    const CacheGcResult gc =
-        gcTraceCacheFrom(entries, entries[1].bytes);
-    EXPECT_EQ(gc.spared, 1u);
-    EXPECT_TRUE(fs::exists(oldest)) << "just-used entry was evicted";
-    EXPECT_EQ(gc.evicted, 1u);
-    EXPECT_FALSE(fs::exists(newer));
-    fs::remove_all(dir);
 }
 
 } // namespace

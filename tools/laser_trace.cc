@@ -28,7 +28,8 @@
  *       --thresholds replays several configurations from one digest
  *       (multi-config single-pass). --cycles replays only the records
  *       in a cycle window, decoding only the blocks that overlap it
- *       (prints how many payload bytes the seek touched).
+ *       (prints how many payload bytes the seek touched); it replays
+ *       serially, so it cannot be combined with --shards.
  *       VTune and Sheriff traces replay through their own offline
  *       analyzers.
  *
@@ -39,37 +40,29 @@
  *       (Figure 9 style), fanned across cores, optionally backed by an
  *       on-disk trace cache shared between invocations. --protocol /
  *       --line-bytes sweep under a different coherence backend or
- *       cache geometry.
+ *       cache geometry. -j is capped at the core count.
  *
- *   laser_trace cache ls DIR
- *   laser_trace cache gc DIR --max-bytes N
- *       Inventory a trace-cache directory / evict least-recently-used
- *       traces until it fits the byte budget.
- *
- *   laser_trace stats [FILE] [--json | --prom]
- *       Dump the process metrics registry snapshot as JSON (the
- *       default, or explicitly with --json; Prometheus text with
- *       --prom). With FILE, load a previously exported
- *       METRICS_<name>.json snapshot and re-emit it instead — the
- *       offline path for converting archived snapshots.
+ * Integer flags take decimal digits only and must fit the field they
+ * set (--sav and --line-bytes 32 bits; --threads, -j and --shards
+ * INT_MAX); anything else is an error, never a wrapped value.
  *
  * Every command honors LASER_METRICS_OUT=<dir>: on exit the invocation
  * is recorded there as BENCH_laser_trace_<command>.json plus the
  * METRICS_/TRACE_ artifacts (paths printed after sweep/replay).
  */
 
-#include <chrono>
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <climits>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include <fstream>
-#include <sstream>
 
 #include "core/accuracy.h"
 #include "core/sweep_runner.h"
@@ -78,7 +71,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/protocol.h"
-#include "trace/cache.h"
 #include "trace/capture.h"
 #include "trace/columnar.h"
 #include "trace/parallel_replay.h"
@@ -106,10 +98,7 @@ usage()
         "         [--shards N] [--cycles BEGIN:END]\n"
         "  sweep [--workloads a,b,...] [--thresholds t1,t2,...]\n"
         "        [--cache-dir DIR] [-j N] [--shards N]\n"
-        "        [--protocol mesi|dragon] [--line-bytes N]\n"
-        "  cache ls DIR\n"
-        "  cache gc DIR --max-bytes N\n"
-        "  stats [FILE] [--json | --prom]\n");
+        "        [--protocol mesi|dragon] [--line-bytes N]\n");
     return 1;
 }
 
@@ -143,21 +132,28 @@ numArg(const std::string &v, const char *flag)
 }
 
 /**
- * Parse a non-negative integer value (unsigned flags) no larger than
- * @p max, or exit.
+ * Parse a decimal integer no larger than @p max, or exit with a clean
+ * error naming @p flag. The whole value must be digits (no sign,
+ * whitespace, fraction or exponent), so nothing is rounded or wrapped.
  */
 std::uint64_t
-uintArg(const std::string &v, const char *flag, double max = 1.8e19)
+uintArg(const std::string &v, const char *flag,
+        std::uint64_t max = UINT64_MAX)
 {
-    const double d = numArg(v, flag);
-    if (d < 0.0 || d > max || d != std::floor(d)) {
+    errno = 0;
+    char *end = nullptr;
+    const bool digits =
+        !v.empty() && std::isdigit(static_cast<unsigned char>(v[0]));
+    const unsigned long long n =
+        digits ? std::strtoull(v.c_str(), &end, 10) : 0;
+    if (!digits || *end != '\0' || errno == ERANGE || n > max) {
         std::fprintf(stderr,
-                     "laser_trace: %s: expected a non-negative integer, "
+                     "laser_trace: %s: expected an integer in [0, %llu], "
                      "got \"%s\"\n",
-                     flag, v.c_str());
+                     flag, (unsigned long long)max, v.c_str());
         std::exit(1);
     }
-    return static_cast<std::uint64_t>(d);
+    return n;
 }
 
 /** uintArg for int-typed flags: values above INT_MAX are rejected. */
@@ -165,6 +161,13 @@ int
 intArg(const std::string &v, const char *flag)
 {
     return static_cast<int>(uintArg(v, flag, INT_MAX));
+}
+
+/** uintArg for 32-bit fields. */
+std::uint32_t
+u32Arg(const std::string &v, const char *flag)
+{
+    return static_cast<std::uint32_t>(uintArg(v, flag, UINT32_MAX));
 }
 
 /** Apply a --protocol value to @p opt or exit with a clean error. */
@@ -184,8 +187,7 @@ protocolArg(const std::string &v, trace::CaptureOptions *opt)
 void
 lineBytesArg(const std::string &v, trace::CaptureOptions *opt)
 {
-    opt->geometry.lineBytes =
-        static_cast<std::uint32_t>(uintArg(v, "--line-bytes"));
+    opt->geometry.lineBytes = u32Arg(v, "--line-bytes");
     if (!opt->geometry.valid()) {
         std::fprintf(stderr,
                      "laser_trace: --line-bytes must be a power of two "
@@ -321,7 +323,7 @@ cmdRecord(int argc, char **argv)
         else if (nextArg(argc, argv, &i, "--scheme", &v))
             ; // handled above
         else if (nextArg(argc, argv, &i, "--sav", &v))
-            opt.sav = std::uint32_t(uintArg(v, "--sav"));
+            opt.sav = u32Arg(v, "--sav");
         else if (nextArg(argc, argv, &i, "--seed", &v))
             opt.machineSeed = uintArg(v, "--seed");
         else if (nextArg(argc, argv, &i, "--heap-shift", &v))
@@ -616,6 +618,7 @@ cmdReplay(int argc, char **argv)
         return usage();
     std::vector<double> thresholds;
     int shards = 1;
+    bool have_shards = false;
     bool have_cycles = false;
     std::uint64_t cycle_begin = 0;
     std::uint64_t cycle_end = 0;
@@ -627,9 +630,10 @@ cmdReplay(int argc, char **argv)
             thresholds.clear();
             for (const std::string &s : splitCommas(v))
                 thresholds.push_back(numArg(s, "--thresholds"));
-        } else if (nextArg(argc, argv, &i, "--shards", &v))
+        } else if (nextArg(argc, argv, &i, "--shards", &v)) {
             shards = intArg(v, "--shards");
-        else if (nextArg(argc, argv, &i, "--cycles", &v)) {
+            have_shards = true;
+        } else if (nextArg(argc, argv, &i, "--cycles", &v)) {
             const std::size_t colon = v.find(':');
             if (colon == std::string::npos) {
                 std::fprintf(stderr, "laser_trace: --cycles expects "
@@ -648,6 +652,11 @@ cmdReplay(int argc, char **argv)
             return usage();
     }
 
+    if (have_cycles && have_shards) {
+        std::fprintf(stderr, "laser_trace: --cycles replays serially; "
+                             "drop --shards\n");
+        return 1;
+    }
     if (have_cycles) {
         // The windowed path needs the block index; it never touches
         // blocks outside the window.
@@ -734,7 +743,12 @@ cmdSweep(int argc, char **argv)
         } else if (nextArg(argc, argv, &i, "--cache-dir", &v))
             rc.cacheDir = v;
         else if (nextArg(argc, argv, &i, "-j", &v))
-            rc.numWorkers = intArg(v, "-j");
+            // Sweep jobs queue on the pool: threads beyond the core
+            // count add nothing.
+            rc.numWorkers = std::min(
+                intArg(v, "-j"),
+                std::max(1, static_cast<int>(
+                                std::thread::hardware_concurrency())));
         else if (nextArg(argc, argv, &i, "--shards", &v))
             shards = intArg(v, "--shards");
         else if (nextArg(argc, argv, &i, "--protocol", &v))
@@ -796,140 +810,6 @@ cmdSweep(int argc, char **argv)
     return 0;
 }
 
-int
-cmdCache(int argc, char **argv)
-{
-    if (argc < 4)
-        return usage();
-    const std::string sub = argv[2];
-    const std::string dir = argv[3];
-
-    if (sub == "ls") {
-        if (argc != 4)
-            return usage();
-        const std::vector<trace::CacheEntry> entries =
-            trace::listTraceCache(dir);
-        TablePrinter table(
-            {"trace", "config hash", "size", "age (s)", "header"});
-        const auto now =
-            std::filesystem::file_time_type::clock::now();
-        std::uint64_t total = 0;
-        for (const trace::CacheEntry &entry : entries) {
-            total += entry.bytes;
-            const double age =
-                std::chrono::duration<double>(now - entry.mtime).count();
-            char hash[17];
-            std::snprintf(hash, sizeof hash, "%016llx",
-                          (unsigned long long)entry.configHash);
-            table.addRow({
-                std::filesystem::path(entry.path).filename().string(),
-                entry.status == trace::TraceStatus::Ok ? hash : "-",
-                humanBytes(entry.bytes),
-                fmtDouble(age < 0 ? 0.0 : age, 0),
-                trace::traceStatusName(entry.status),
-            });
-        }
-        if (entries.empty())
-            std::printf("(no traces under %s)\n", dir.c_str());
-        else
-            std::fputs(table.render().c_str(), stdout);
-        std::printf("%zu traces, %s total (oldest first = "
-                    "first to evict)\n",
-                    entries.size(), humanBytes(total).c_str());
-        return 0;
-    }
-
-    if (sub == "gc") {
-        std::uint64_t max_bytes = 0;
-        bool have_budget = false;
-        std::string v;
-        for (int i = 4; i < argc; ++i) {
-            if (nextArg(argc, argv, &i, "--max-bytes", &v)) {
-                max_bytes = uintArg(v, "--max-bytes");
-                have_budget = true;
-            } else
-                return usage();
-        }
-        if (!have_budget) {
-            std::fprintf(stderr,
-                         "laser_trace: cache gc requires --max-bytes N\n");
-            return 1;
-        }
-        const trace::CacheGcResult gc =
-            trace::gcTraceCache(dir, max_bytes);
-        std::printf("scanned %zu traces (%s), evicted %zu (LRU by "
-                    "mtime), spared %zu just-used, %zu vanished, "
-                    "%s remain (budget %s)\n",
-                    gc.scanned, humanBytes(gc.bytesBefore).c_str(),
-                    gc.evicted, gc.spared, gc.vanished,
-                    humanBytes(gc.bytesAfter).c_str(),
-                    humanBytes(max_bytes).c_str());
-        return 0;
-    }
-    return usage();
-}
-
-int
-cmdStats(int argc, char **argv)
-{
-    bool prom = false;
-    bool json = false;
-    std::string file;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--prom") == 0)
-            prom = true;
-        else if (std::strcmp(argv[i], "--json") == 0)
-            json = true;
-        else if (argv[i][0] != '-' && file.empty())
-            file = argv[i];
-        else
-            return usage();
-    }
-    if (prom && json) {
-        std::fprintf(stderr,
-                     "laser_trace: --prom and --json are exclusive\n");
-        return usage();
-    }
-
-    obs::Snapshot snap;
-    if (file.empty()) {
-        snap = obs::Registry::global().snapshot();
-    } else {
-        std::ifstream in(file, std::ios::binary);
-        if (!in) {
-            std::fprintf(stderr, "laser_trace: cannot read %s\n",
-                         file.c_str());
-            return 2;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        obs::Json doc;
-        std::string err;
-        if (!obs::Json::parse(ss.str(), &doc, &err)) {
-            std::fprintf(stderr, "laser_trace: %s: invalid JSON: %s\n",
-                         file.c_str(), err.c_str());
-            return 2;
-        }
-        // Accept either a bare snapshot or a BENCH_*.json wrapper.
-        const obs::Json *root =
-            doc.find("metrics") ? doc.find("metrics") : &doc;
-        if (!obs::Snapshot::fromJson(*root, &snap)) {
-            std::fprintf(stderr,
-                         "laser_trace: %s is not a metrics snapshot\n",
-                         file.c_str());
-            return 2;
-        }
-    }
-
-    // JSON is the default; --json requests it explicitly (mirrors
-    // --prom, keeps scripts self-documenting).
-    if (prom)
-        std::fputs(snap.toPrometheus().c_str(), stdout);
-    else
-        std::printf("%s\n", snap.toJson().dump(2).c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -939,7 +819,7 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     if (cmd != "record" && cmd != "info" && cmd != "replay" &&
-        cmd != "sweep" && cmd != "cache" && cmd != "stats")
+        cmd != "sweep")
         return usage();
 
     // Every invocation is one telemetry record: BENCH_laser_trace_<cmd>
@@ -956,10 +836,6 @@ main(int argc, char **argv)
         rc = cmdReplay(argc, argv);
     else if (cmd == "sweep")
         rc = cmdSweep(argc, argv);
-    else if (cmd == "cache")
-        rc = cmdCache(argc, argv);
-    else if (cmd == "stats")
-        rc = cmdStats(argc, argv);
 
     invocation.results().set("command", obs::Json(cmd));
     invocation.results().set("exit_status", obs::Json(rc));
@@ -977,10 +853,9 @@ main(int argc, char **argv)
         const std::string name = "laser_trace_" + cmd;
         std::printf("telemetry artifacts (LASER_METRICS_OUT=%s):\n"
                     "  %s/BENCH_%s.json\n"
-                    "  %s/METRICS_%s.json\n"
-                    "  %s/METRICS_%s.prom\n",
+                    "  %s/METRICS_%s.json\n",
                     dir.c_str(), dir.c_str(), name.c_str(), dir.c_str(),
-                    name.c_str(), dir.c_str(), name.c_str());
+                    name.c_str());
         if (obs::SpanCollector::global().eventCount() > 0) {
             const char *traceOverride =
                 std::getenv("LASER_TRACE_EVENTS");
