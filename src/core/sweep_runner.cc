@@ -148,8 +148,8 @@ SweepRunner::loadOrRun(std::uint64_t key,
             if (file->open(path) == trace::TraceStatus::Ok)
                 return file;
             // The file vanished or was clobbered between write and
-            // open (e.g. a concurrent gc); serve the in-memory image
-            // instead.
+            // open (e.g. the cache dir was deleted); serve the
+            // in-memory image instead.
         } else {
             // Deliberate discard-with-accounting: cache population is
             // best-effort (a failed write just means a re-simulation

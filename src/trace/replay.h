@@ -115,12 +115,6 @@ class TraceReplayer
     const RecordSource &source() const { return *source_; }
     std::uint64_t recordCount() const { return source_->recordCount(); }
 
-    /**
-     * The backing materialized trace. Only valid for replayers built
-     * with the Trace ctor (source-backed replayers have none).
-     */
-    const Trace &trace() const { return *trace_; }
-
     const isa::Program &program() const { return program_; }
     const mem::AddressSpace &space() const { return *space_; }
     /** Shared immutable detector environment (maps, load/store sets). */
