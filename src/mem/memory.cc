@@ -7,22 +7,19 @@ namespace laser::mem {
 Memory::Page *
 Memory::pageFor(std::uint64_t addr)
 {
-    const std::uint64_t pfn = addr / kPageBytes;
-    auto it = pages_.find(pfn);
-    if (it == pages_.end()) {
-        auto page = std::make_unique<Page>();
+    std::unique_ptr<Page> &page = pages_[addr / kPageBytes];
+    if (!page) {
+        page = std::make_unique<Page>();
         page->fill(0);
-        it = pages_.emplace(pfn, std::move(page)).first;
     }
-    return it->second.get();
+    return page.get();
 }
 
 const Memory::Page *
 Memory::pageForConst(std::uint64_t addr) const
 {
-    const std::uint64_t pfn = addr / kPageBytes;
-    auto it = pages_.find(pfn);
-    return it == pages_.end() ? nullptr : it->second.get();
+    const std::unique_ptr<Page> *page = pages_.find(addr / kPageBytes);
+    return page ? page->get() : nullptr;
 }
 
 std::uint64_t
@@ -68,13 +65,6 @@ void
 Memory::writeByte(std::uint64_t addr, std::uint8_t value)
 {
     (*pageFor(addr))[addr % kPageBytes] = value;
-}
-
-void
-Memory::fill(std::uint64_t addr, std::uint64_t count, std::uint8_t value)
-{
-    for (std::uint64_t i = 0; i < count; ++i)
-        writeByte(addr + i, value);
 }
 
 } // namespace laser::mem

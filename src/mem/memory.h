@@ -13,7 +13,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+
+#include "util/flat_table.h"
 
 namespace laser::mem {
 
@@ -35,9 +36,6 @@ class Memory
     /** Write a single byte. */
     void writeByte(std::uint64_t addr, std::uint8_t value);
 
-    /** Bulk fill helper for workload initialization. */
-    void fill(std::uint64_t addr, std::uint64_t count, std::uint8_t value);
-
     /** Number of distinct pages touched so far. */
     std::size_t pagesTouched() const { return pages_.size(); }
 
@@ -47,7 +45,8 @@ class Memory
     Page *pageFor(std::uint64_t addr);
     const Page *pageForConst(std::uint64_t addr) const;
 
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+    /** Keyed by page number. */
+    FlatTable<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace laser::mem

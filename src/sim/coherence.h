@@ -109,6 +109,8 @@ class CoherenceDirectory
     std::size_t linesTouched() const { return lines_.size(); }
 
   private:
+    // Not util::FlatTable like MesiDirectory: the fuzz that compares the
+    // two needs them to share no table code.
     std::unordered_map<std::uint64_t, LineInfo> lines_;
     int numCores_;
     std::uint32_t lineShift_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +10,29 @@ namespace laser::sim {
 using isa::Instruction;
 using isa::Op;
 using isa::SyncKind;
+
+namespace {
+
+/** Ops a run-ahead block may contain: thread-local, except Halt. */
+constexpr bool
+inBlock(Op op)
+{
+    return op != Op::Halt && isa::opIsThreadLocal(op);
+}
+
+/** Cycle cost of a block op; it depends on the opcode alone. */
+std::uint64_t
+localCost(Op op, const TimingModel &tm)
+{
+    std::uint64_t cost = tm.base;
+    if (op == Op::Mul || op == Op::MulImm)
+        cost += 2; // multiply latency
+    else if (op == Op::Pause)
+        cost += tm.pauseCost;
+    return cost;
+}
+
+} // namespace
 
 Machine::Machine(isa::Program prog, MachineConfig cfg)
     : prog_(std::move(prog)),
@@ -37,6 +59,22 @@ Machine::Machine(isa::Program prog, MachineConfig cfg)
     }
     stats_.threadCycles.resize(cfg.numCores, 0);
     stats_.threadInstructions.resize(cfg.numCores, 0);
+
+    // One backward scan: a block extends the block of the next
+    // instruction unless it is a branch, which ends its block.
+    blocks_.resize(prog_.code.size() + 1);
+    for (std::size_t pc = prog_.code.size(); pc-- > 0;) {
+        const Op op = prog_.code[pc].op;
+        if (!inBlock(op))
+            continue;
+        const Block &next = blocks_[pc + 1];
+        if (isa::opIsBranch(op) || next.length == 0) {
+            blocks_[pc] = {1, 0};
+        } else {
+            blocks_[pc] = {next.length + 1,
+                           localCost(op, cfg.timing) + next.leadCycles};
+        }
+    }
 }
 
 void
@@ -173,12 +211,17 @@ Machine::flushSsb(ThreadCtx &t)
     // Coalescing mode: the flush is one hardware transaction — all lines
     // are acquired and all bytes become visible atomically (strong
     // atomicity, Section 5.5), so no illegal reordering is observable.
+    // The drain is ordered by chunk address, so equal lines are
+    // adjacent and each line is acquired once, in ascending order.
     const std::uint64_t line_bytes = proto_->lineBytes();
-    std::set<std::uint64_t> lines;
+    std::vector<std::uint64_t> lines;
+    lines.reserve(entries.size());
     std::uint64_t min_seq = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_seq = 0;
     for (const SsbDrainEntry &e : entries) {
-        lines.insert(proto_->lineOf(e.addr));
+        const std::uint64_t line = proto_->lineOf(e.addr);
+        if (lines.empty() || lines.back() != line)
+            lines.push_back(line);
         min_seq = std::min(min_seq, e.minSeq);
         max_seq = std::max(max_seq, e.maxSeq);
     }
@@ -212,22 +255,17 @@ Machine::syncComplete(ThreadCtx &t, SyncKind kind)
     return cost;
 }
 
-void
-Machine::execute(ThreadCtx &t)
+inline std::uint32_t
+Machine::stepLocal(ThreadCtx &t, const Instruction &insn, std::uint32_t pc)
 {
-    const Instruction &insn = prog_.code[t.pc];
-    const TimingModel &tm = cfg_.timing;
-    std::uint64_t cost = tm.base;
-    std::uint32_t next = t.pc + 1;
+    std::uint32_t next = pc + 1;
     auto regU = [&](isa::Reg r) {
         return static_cast<std::uint64_t>(t.regs[r]);
     };
 
     switch (insn.op) {
       case Op::Nop:
-        break;
-      case Op::Halt:
-        t.halted = true;
+      case Op::Pause:
         break;
       case Op::MovImm:
         setReg(t, insn.dst, insn.imm);
@@ -263,14 +301,12 @@ Machine::execute(ThreadCtx &t)
         setReg(t, insn.dst,
                static_cast<std::int64_t>(regU(insn.src1) *
                                          regU(insn.src2)));
-        cost += 2; // multiply latency
         break;
       case Op::MulImm:
         setReg(t, insn.dst,
                static_cast<std::int64_t>(
                    regU(insn.src1) *
                    static_cast<std::uint64_t>(insn.imm)));
-        cost += 2;
         break;
       case Op::And:
         setReg(t, insn.dst, t.regs[insn.src1] & t.regs[insn.src2]);
@@ -288,6 +324,60 @@ Machine::execute(ThreadCtx &t)
       case Op::ShrImm:
         setReg(t, insn.dst,
                static_cast<std::int64_t>(regU(insn.src1) >> insn.imm));
+        break;
+      case Op::Tid:
+        setReg(t, insn.dst, t.tid);
+        break;
+
+      case Op::Jmp:
+        next = static_cast<std::uint32_t>(insn.target);
+        break;
+      case Op::JmpReg:
+      case Op::Ret:
+        next = static_cast<std::uint32_t>(regU(insn.src1));
+        break;
+      case Op::Call:
+        setReg(t, insn.dst, pc + 1);
+        next = static_cast<std::uint32_t>(insn.target);
+        break;
+      case Op::Beq:
+        if (t.regs[insn.src1] == t.regs[insn.src2])
+            next = static_cast<std::uint32_t>(insn.target);
+        break;
+      case Op::Bne:
+        if (t.regs[insn.src1] != t.regs[insn.src2])
+            next = static_cast<std::uint32_t>(insn.target);
+        break;
+      case Op::Blt:
+        if (t.regs[insn.src1] < t.regs[insn.src2])
+            next = static_cast<std::uint32_t>(insn.target);
+        break;
+      case Op::Bge:
+        if (t.regs[insn.src1] >= t.regs[insn.src2])
+            next = static_cast<std::uint32_t>(insn.target);
+        break;
+
+      default:
+        // Not a block op: execute() handles it.
+        break;
+    }
+    return next;
+}
+
+void
+Machine::execute(ThreadCtx &t)
+{
+    const Instruction &insn = prog_.code[t.pc];
+    const TimingModel &tm = cfg_.timing;
+    std::uint64_t cost = tm.base;
+    std::uint32_t next = t.pc + 1;
+    auto regU = [&](isa::Reg r) {
+        return static_cast<std::uint64_t>(t.regs[r]);
+    };
+
+    switch (insn.op) {
+      case Op::Halt:
+        t.halted = true;
         break;
 
       case Op::Load: {
@@ -415,41 +505,6 @@ Machine::execute(ThreadCtx &t)
         cost += flushSsb(t);
         break;
 
-      case Op::Jmp:
-        next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::JmpReg:
-      case Op::Ret:
-        next = static_cast<std::uint32_t>(regU(insn.src1));
-        break;
-      case Op::Call:
-        setReg(t, insn.dst, t.pc + 1);
-        next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Beq:
-        if (t.regs[insn.src1] == t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Bne:
-        if (t.regs[insn.src1] != t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Blt:
-        if (t.regs[insn.src1] < t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-      case Op::Bge:
-        if (t.regs[insn.src1] >= t.regs[insn.src2])
-            next = static_cast<std::uint32_t>(insn.target);
-        break;
-
-      case Op::Pause:
-        cost += tm.pauseCost;
-        break;
-      case Op::Tid:
-        setReg(t, insn.dst, t.tid);
-        break;
-
       case Op::SsbFlush:
         cost += flushSsb(t);
         break;
@@ -466,12 +521,55 @@ Machine::execute(ThreadCtx &t)
         }
         break;
       }
+
+      default:
+        // Thread-local: registers, pc and clock only.
+        cost = localCost(insn.op, tm);
+        next = stepLocal(t, insn, t.pc);
+        break;
     }
 
     t.pc = next;
     t.clock += cost;
     ++t.instructions;
     ++stats_.instructions;
+}
+
+void
+Machine::runAhead(ThreadCtx &t, std::uint64_t pick_clock,
+                  std::uint64_t others)
+{
+    // An instruction may run ahead only if instructions + others *
+    // (clock - pick_clock + 1) < maxInstructions when t reaches it (see
+    // the file comment of machine.h).
+    const std::uint64_t max = cfg_.maxInstructions;
+    for (;;) {
+        const Block &b = blocks_[t.pc];
+        if (b.length == 0)
+            return;
+        // Checked at the block's last instruction; both terms only grow
+        // along the block, so the bound held at every earlier one.
+        if (stats_.instructions + (b.length - 1) +
+                others * (t.clock + b.leadCycles - pick_clock + 1) >=
+            max) {
+            // Near the cut: check before every instruction.
+            while (blocks_[t.pc].length != 0 &&
+                   stats_.instructions +
+                           others * (t.clock - pick_clock + 1) <
+                       max)
+                execute(t);
+            return;
+        }
+        const Instruction *code = prog_.code.data();
+        const Op last = code[t.pc + b.length - 1].op;
+        std::uint32_t pc = t.pc;
+        for (std::uint32_t n = b.length; n > 0; --n)
+            pc = stepLocal(t, code[pc], pc);
+        t.pc = pc;
+        t.clock += b.leadCycles + localCost(last, cfg_.timing);
+        t.instructions += b.length;
+        stats_.instructions += b.length;
+    }
 }
 
 MachineStats
@@ -482,7 +580,7 @@ Machine::run()
     ran_ = true;
 
     // Run-ahead is exact only if every instruction costs at least one
-    // cycle (the guard below counts on it); with a zero base cost every
+    // cycle (runAhead's bound counts on it); with a zero base cost every
     // instruction gets its own scheduling decision.
     const bool run_ahead = cfg_.timing.base > 0;
     while (stats_.instructions < cfg_.maxInstructions) {
@@ -499,17 +597,9 @@ Machine::run()
             break;
         ThreadCtx &t = *best;
         const std::uint64_t pick_clock = t.clock;
-        const std::uint64_t others = runnable - 1;
         execute(t);
-        // Keep running while the next instruction is thread-local and
-        // the single-step order would also run it before the cut: each
-        // other thread has at most (t.clock - pick_clock + 1)
-        // instructions that order runs first.
-        while (run_ahead && !t.halted &&
-               stats_.instructions + others * (t.clock - pick_clock + 1) <
-                   cfg_.maxInstructions &&
-               isa::opIsThreadLocal(prog_.code[t.pc].op))
-            execute(t);
+        if (run_ahead && !t.halted)
+            runAhead(t, pick_clock, runnable - 1);
     }
 
     if (stats_.instructions >= cfg_.maxInstructions)

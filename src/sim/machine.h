@@ -21,15 +21,27 @@
  * global minimum: every coherence access, HITM, PEBS sample, sync
  * callback and TSO event keeps its order and cycle stamp.
  *
+ * Run-ahead goes a block at a time. The constructor scans the program
+ * once and records, per instruction index, the straight run of
+ * thread-local instructions that starts there (a branch ends its run
+ * and belongs to it; Halt is left to the scheduler) and the cycle cost
+ * of the run's instructions before its last one. A thread-local op's
+ * cost depends on its opcode alone, so that sum is exact.
+ *
  * Only the maxInstructions cut could tell the difference: running ahead
  * past it would execute instructions the one-at-a-time order never
  * reaches. Every instruction costs at least timing.base >= 1 cycle, so
  * each of the other runnable threads has at most
  * (clock - pickClock + 1) instructions that order runs before the
- * run-ahead thread's next one. Run-ahead continues only while
- * instructions + others * (clock - pickClock + 1) < maxInstructions, and
- * a truncated run therefore executes exactly the same instructions. With
- * timing.base == 0 the bound fails and every instruction is scheduled
+ * run-ahead thread's next one. An instruction may run ahead only if
+ * instructions + others * (clock - pickClock + 1) < maxInstructions
+ * when the thread reaches it. The machine evaluates this once per
+ * block, at the block's last instruction, from the counts and the
+ * recorded cost. Both terms only grow along a block, so if the bound
+ * holds there it held at every earlier instruction of the block. If it
+ * fails, the thread steps singly with the check before each
+ * instruction. A truncated run therefore executes exactly the same
+ * instructions. With timing.base == 0 every instruction is scheduled
  * singly.
  */
 
@@ -201,6 +213,27 @@ class Machine
     void traceVisibility(ThreadCtx &t, std::uint64_t min_seq,
                          std::uint64_t max_seq, std::uint64_t count);
     void execute(ThreadCtx &t);
+    /** Semantics of a thread-local op other than Halt; returns the
+     *  next pc. */
+    std::uint32_t stepLocal(ThreadCtx &t, const isa::Instruction &insn,
+                            std::uint32_t pc);
+    /** Runs @p t ahead over whole blocks after its pick (see file
+     *  comment). */
+    void runAhead(ThreadCtx &t, std::uint64_t pick_clock,
+                  std::uint64_t others);
+
+    /**
+     * A straight run of thread-local instructions other than Halt; a
+     * branch ends the run and belongs to it.
+     */
+    struct Block
+    {
+        /** Instructions in the run starting here; 0 for Halt and shared
+         *  ops. */
+        std::uint32_t length = 0;
+        /** Cycle cost of the run's instructions before its last one. */
+        std::uint64_t leadCycles = 0;
+    };
 
     isa::Program prog_;
     MachineConfig cfg_;
@@ -210,6 +243,8 @@ class Machine
     mem::BumpAllocator globals_;
     std::unique_ptr<CoherenceProtocol> proto_;
     std::vector<ThreadCtx> threads_;
+    /** Per instruction index, plus a zero-length sentinel at the end. */
+    std::vector<Block> blocks_;
     PmuSink *sink_ = nullptr;
     MachineStats stats_;
     std::vector<TsoEvent> tsoTrace_;

@@ -91,14 +91,13 @@ DragonBus::access(int core, std::uint64_t addr, bool is_write,
 const DragonBus::LineInfo *
 DragonBus::probe(std::uint64_t line_addr) const
 {
-    auto it = lines_.find(line_addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    return lines_.find(line_addr);
 }
 
 bool
 DragonBus::checkInvariants() const
 {
-    for (const auto &[line, li] : lines_) {
+    return lines_.allOf([this](const LineInfo &li) {
         if (li.sharers == 0)
             return false;
         if (li.sharers >= (1u << numCores_))
@@ -116,8 +115,8 @@ DragonBus::checkInvariants() const
             if (std::popcount(li.sharers) != 1 || li.owner != -1)
                 return false;
         }
-    }
-    return true;
+        return true;
+    });
 }
 
 } // namespace laser::sim

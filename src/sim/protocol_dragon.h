@@ -29,9 +29,8 @@
 #define LASER_SIM_PROTOCOL_DRAGON_H
 
 #include <cstdint>
-#include <unordered_map>
-
 #include "sim/protocol.h"
+#include "util/flat_table.h"
 
 namespace laser::sim {
 
@@ -67,7 +66,7 @@ class DragonBus final : public CoherenceProtocol
     std::uint64_t busUpdates() const { return busUpdates_; }
 
   private:
-    std::unordered_map<std::uint64_t, LineInfo> lines_;
+    FlatTable<LineInfo> lines_;
     std::uint64_t busUpdates_ = 0;
 };
 

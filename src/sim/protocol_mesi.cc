@@ -81,14 +81,13 @@ MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
 const MesiDirectory::LineInfo *
 MesiDirectory::probe(std::uint64_t line_addr) const
 {
-    auto it = lines_.find(line_addr);
-    return it == lines_.end() ? nullptr : &it->second;
+    return lines_.find(line_addr);
 }
 
 bool
 MesiDirectory::checkInvariants() const
 {
-    for (const auto &[line, li] : lines_) {
+    return lines_.allOf([this](const LineInfo &li) {
         if (li.sharers == 0)
             return false;
         if (li.modified && li.exclusive)
@@ -109,8 +108,8 @@ MesiDirectory::checkInvariants() const
         }
         if (li.sharers >= (1u << numCores_))
             return false;
-    }
-    return true;
+        return true;
+    });
 }
 
 } // namespace laser::sim

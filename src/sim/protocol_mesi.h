@@ -21,9 +21,8 @@
 #define LASER_SIM_PROTOCOL_MESI_H
 
 #include <cstdint>
-#include <unordered_map>
-
 #include "sim/protocol.h"
+#include "util/flat_table.h"
 
 namespace laser::sim {
 
@@ -56,7 +55,7 @@ class MesiDirectory final : public CoherenceProtocol
     const LineInfo *probe(std::uint64_t line_addr) const;
 
   private:
-    std::unordered_map<std::uint64_t, LineInfo> lines_;
+    FlatTable<LineInfo> lines_;
 };
 
 } // namespace laser::sim

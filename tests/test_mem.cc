@@ -62,15 +62,6 @@ TEST(Memory, CrossPageAccess)
     EXPECT_EQ(m.pagesTouched(), 2u);
 }
 
-TEST(Memory, FillWritesRange)
-{
-    Memory m;
-    m.fill(0x3000, 16, 0x7f);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(m.readByte(0x3000 + i), 0x7f);
-    EXPECT_EQ(m.readByte(0x3010), 0);
-}
-
 TEST(AddressSpace, ClassifiesAllRegionKinds)
 {
     AddressSpace space(tinyProgram(true), 4);

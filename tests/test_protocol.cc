@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iterator>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "machine_digest.h"
@@ -217,11 +218,17 @@ TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
         CoherenceDirectory reference(cores);
         MesiDirectory mesi(cores);
 
+        std::set<std::uint64_t> touched;
+
         for (int i = 0; i < 20000; ++i) {
             const int core = static_cast<int>(rng() % cores);
             // A small address pool concentrates contention so every
-            // transition arm is exercised.
-            const std::uint64_t addr = (rng() % 64) * 8;
+            // transition arm is exercised; one access in eight goes to
+            // a sparse pool of 2048 lines instead, which grows the line
+            // table through several rehashes.
+            const std::uint64_t addr = rng() % 8 != 0
+                                           ? (rng() % 64) * 8
+                                           : (rng() % 2048) * 4096 + 64;
             const bool is_write = (rng() & 1) != 0;
             const bool is_load_class = !is_write || (rng() & 1) != 0;
 
@@ -231,10 +238,26 @@ TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
                 mesi.access(core, addr, is_write, is_load_class);
             ASSERT_EQ(actual, expected)
                 << "seed " << seed << " step " << i;
+            touched.insert(mesi.lineOf(addr));
         }
         EXPECT_TRUE(reference.checkInvariants());
         EXPECT_TRUE(mesi.checkInvariants());
         EXPECT_EQ(mesi.linesTouched(), reference.linesTouched());
+        EXPECT_EQ(mesi.linesTouched(), touched.size());
+        for (std::uint64_t line : touched) {
+            const CoherenceDirectory::LineInfo *want =
+                reference.probe(line);
+            const MesiDirectory::LineInfo *got = mesi.probe(line);
+            ASSERT_NE(want, nullptr) << "seed " << seed << " line " << line;
+            ASSERT_NE(got, nullptr) << "seed " << seed << " line " << line;
+            EXPECT_EQ(got->sharers, want->sharers) << "line " << line;
+            EXPECT_EQ(got->owner, want->owner) << "line " << line;
+            EXPECT_EQ(got->modified, want->modified) << "line " << line;
+            EXPECT_EQ(got->exclusive, want->exclusive) << "line " << line;
+        }
+        // A line no access touched is absent from both.
+        EXPECT_EQ(reference.probe(mesi.lineOf(0x7fff0000)), nullptr);
+        EXPECT_EQ(mesi.probe(mesi.lineOf(0x7fff0000)), nullptr);
     }
 }
 

@@ -10,6 +10,7 @@
 
 #include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 #include "isa/assembler.h"
 #include "machine_digest.h"
@@ -784,14 +785,13 @@ constexpr TruncationGolden kTruncationGoldens[] = {
 };
 
 std::uint64_t
-truncatedRunDigest(const workloads::WorkloadDef &def, ProtocolKind kind,
+truncatedRunDigest(const workloads::WorkloadBuild &build, ProtocolKind kind,
                    std::uint64_t max_instructions)
 {
-    workloads::WorkloadBuild build = def.build({});
     MachineConfig mc;
     mc.protocol = kind;
     mc.maxInstructions = max_instructions;
-    Machine machine(std::move(build.program), mc);
+    Machine machine(build.program, mc);
     build.applyTo(machine);
     StreamHashSink sink;
     machine.setPmuSink(&sink);
@@ -816,13 +816,90 @@ TEST(Machine, TruncatedRunsMatchGoldens)
         ASSERT_NE(def, nullptr) << golden.workload;
         for (std::size_t i = 0; i < std::size(kTruncationLimits); ++i) {
             const std::uint64_t got = truncatedRunDigest(
-                *def, golden.protocol, kTruncationLimits[i]);
+                def->build({}), golden.protocol, kTruncationLimits[i]);
             EXPECT_EQ(got, golden.digest[i])
                 << golden.workload << " "
                 << protocolName(golden.protocol) << " maxInstructions="
                 << kTruncationLimits[i] << " digest 0x" << std::hex
                 << got;
         }
+    }
+}
+
+/**
+ * Four threads contend for a CAS spin lock around a critical section
+ * that multiplies. A failed acquire backs off through a straight run of
+ * pauses ending in the retry jump, so waiting threads run ahead over
+ * multi-instruction blocks whose cost is dominated by pause cycles.
+ */
+isa::Program
+spinLockContention()
+{
+    Asm a("spin");
+    a.movi(R12, 0x1000900); // lock word
+    a.movi(R2, 0x1000940);  // shared counter, its own line
+    a.movi(R3, 8);          // critical sections per thread
+    Asm::Label loop = a.here();
+    Asm::Label retry = a.here();
+    Asm::Label got = a.newLabel();
+    a.movi(R13, 1);
+    a.markSync(a.cas(R13, R12, 0, R0), SyncKind::LockAcquire);
+    a.beq(R13, R0, got);
+    for (int p = 0; p < 4; ++p)
+        a.pause();
+    a.jmp(retry);
+    a.bind(got);
+    a.load(R4, R2, 0, 8);
+    a.muli(R4, R4, 3);
+    a.addi(R4, R4, 1);
+    a.store(R2, 0, R4, 8);
+    a.markSync(a.store(R12, 0, R0, 8), SyncKind::LockRelease);
+    a.subi(R3, R3, 1);
+    a.bne(R3, R0, loop);
+    a.halt();
+    return a.finalize();
+}
+
+struct TruncationSweepGolden
+{
+    const char *program;
+    ProtocolKind protocol;
+    std::uint64_t digest;
+};
+
+constexpr std::uint64_t kSweepCuts = 1024;
+
+/**
+ * One hash over the truncatedRunDigest of every cut in [1, kSweepCuts],
+ * captured with the per-instruction run-ahead check. Every cut lands on
+ * some instruction of a run-ahead block, so a bound that is checked once
+ * per block must fall back to exact single steps at each of them.
+ */
+constexpr TruncationSweepGolden kTruncationSweepGoldens[] = {
+    {"kmeans", ProtocolKind::Mesi, 0x973ca283ae868b41ULL},
+    {"kmeans", ProtocolKind::Dragon, 0xc47586107a51c3b8ULL},
+    {"spin_lock", ProtocolKind::Mesi, 0xd61f5bf371331ba5ULL},
+    {"spin_lock", ProtocolKind::Dragon, 0x753a3302c99202a9ULL},
+};
+
+TEST(Machine, DenseTruncationSweepMatchesGoldens)
+{
+    for (const TruncationSweepGolden &golden : kTruncationSweepGoldens) {
+        workloads::WorkloadBuild build;
+        if (std::string_view(golden.program) == "spin_lock") {
+            build.program = spinLockContention();
+        } else {
+            const workloads::WorkloadDef *def =
+                workloads::findWorkload(golden.program);
+            ASSERT_NE(def, nullptr) << golden.program;
+            build = def->build({});
+        }
+        Fnv64 h;
+        for (std::uint64_t cut = 1; cut <= kSweepCuts; ++cut)
+            h.mix(truncatedRunDigest(build, golden.protocol, cut));
+        EXPECT_EQ(h.hash, golden.digest)
+            << golden.program << " " << protocolName(golden.protocol)
+            << " digest 0x" << std::hex << h.hash;
     }
 }
 

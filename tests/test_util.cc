@@ -1,16 +1,20 @@
 /**
  * @file
- * Unit tests for the util module: stats estimators, deterministic RNG and
- * table/CSV rendering.
+ * Unit tests for the util module: stats estimators, deterministic RNG,
+ * table/CSV rendering and the open-addressing FlatTable.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "util/flat_table.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -157,6 +161,71 @@ TEST(Table, Formatters)
     EXPECT_EQ(fmtPercent(0.02), "2.0%");
     EXPECT_EQ(fmtCount(1234567), "1,234,567");
     EXPECT_EQ(fmtCount(12), "12");
+}
+
+TEST(FlatTable, InsertThenFind)
+{
+    FlatTable<int> t;
+    EXPECT_EQ(t.find(7), nullptr); // miss on the never-allocated table
+    t[7] = 70;
+    t[0] = 1; // zero is an ordinary key
+    ASSERT_NE(t.find(7), nullptr);
+    EXPECT_EQ(*t.find(7), 70);
+    EXPECT_EQ(*t.find(0), 1);
+    EXPECT_EQ(t.find(8), nullptr);
+    EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(FlatTable, IndexingValueInitializesOnceAndCountsKeysOnce)
+{
+    FlatTable<int> t;
+    EXPECT_EQ(t[42], 0);
+    t[42] += 5;
+    t[42] += 5;
+    EXPECT_EQ(t[42], 10);
+    EXPECT_EQ(t.size(), 1u);
+    // find never inserts.
+    EXPECT_EQ(t.find(43), nullptr);
+    EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(FlatTable, KeepsEveryEntryAcrossSeveralRehashes)
+{
+    // 5000 keys take the 16-slot table through nine doublings. Strided
+    // keys (line numbers of one array) and keys that differ only in
+    // high bits both land in probe clusters.
+    FlatTable<std::uint64_t> t;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 2500; ++i) {
+        keys.push_back(0x40000 + 3 * i);
+        keys.push_back(i << 40);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        t[keys[i]] = keys[i] ^ 0x5a5a;
+        EXPECT_EQ(t.size(), i + 1);
+    }
+    for (std::uint64_t k : keys) {
+        ASSERT_NE(t.find(k), nullptr) << k;
+        EXPECT_EQ(*t.find(k), k ^ 0x5a5a);
+    }
+    EXPECT_EQ(t.find(0x40001), nullptr);
+    EXPECT_EQ(t.find(std::uint64_t{1} << 63), nullptr);
+    EXPECT_TRUE(t.allOf([](std::uint64_t v) { return v != 0; }));
+    EXPECT_FALSE(
+        t.allOf([](std::uint64_t v) { return v != (0x40000 ^ 0x5a5a); }));
+}
+
+TEST(FlatTable, MovesOwningValuesOnGrowth)
+{
+    FlatTable<std::unique_ptr<int>> t;
+    for (int i = 0; i < 100; ++i)
+        t[static_cast<std::uint64_t>(i)] = std::make_unique<int>(i);
+    for (int i = 0; i < 100; ++i) {
+        const std::unique_ptr<int> *p = t.find(static_cast<std::uint64_t>(i));
+        ASSERT_NE(p, nullptr);
+        ASSERT_NE(p->get(), nullptr);
+        EXPECT_EQ(**p, i);
+    }
 }
 
 TEST(ThreadPool, ParallelForRunsEveryIndex)
