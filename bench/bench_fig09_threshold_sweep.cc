@@ -36,20 +36,16 @@ shardedReplayDemo(core::SweepRunner &runner,
                   const std::vector<const workloads::WorkloadDef *> &defs,
                   const std::vector<double> &thresholds)
 {
-    // Memory hits on the sweep's slots; only the winner is decoded.
-    const workloads::WorkloadDef *biggest_def = nullptr;
-    std::uint64_t biggest_records = 0;
+    // Memory hits on the sweep's slots.
+    std::shared_ptr<const trace::TraceFile> biggest;
     for (const auto *def : defs) {
-        const std::uint64_t n = runner.captureFile(*def, {})->recordCount();
-        if (!biggest_def || n > biggest_records) {
-            biggest_def = def;
-            biggest_records = n;
-        }
+        auto file = runner.captureFile(*def, {});
+        if (!biggest || file->recordCount() > biggest->recordCount())
+            biggest = std::move(file);
     }
-    if (biggest_records == 0)
+    if (!biggest || biggest->recordCount() == 0)
         return;
-    const auto biggest = runner.capture(*biggest_def, {});
-    trace::TraceReplayer env(*biggest);
+    trace::TraceReplayer env(biggest->meta(), *biggest);
     if (!env.ok())
         return;
 
@@ -66,7 +62,8 @@ shardedReplayDemo(core::SweepRunner &runner,
                 "%zu configs from one digest, reports identical to "
                 "serial; serial %.1fms vs sharded %.1fms -> %.2fx "
                 "speedup.\n",
-                biggest->meta.workload.c_str(), biggest->records.size(),
+                biggest->meta().workload.c_str(),
+                static_cast<std::size_t>(biggest->recordCount()),
                 check.shards, thresholds.size(),
                 1e3 * check.serialSeconds, 1e3 * check.shardedSeconds,
                 check.speedup());

@@ -53,19 +53,21 @@ main()
         Row &row = rows[i];
 
         row.nativeCycles =
-            sweep.capture(w, trace::CaptureOptions::forScheme("native"))
-                ->meta.runtimeCycles;
+            sweep.captureFile(w, trace::CaptureOptions::forScheme("native"))
+                ->meta()
+                .runtimeCycles;
         row.vtuneCycles =
-            sweep.capture(w, trace::CaptureOptions::forScheme("vtune"))
-                ->meta.runtimeCycles;
+            sweep.captureFile(w, trace::CaptureOptions::forScheme("vtune"))
+                ->meta()
+                .runtimeCycles;
 
         // LASER: the monitored phase is the capture; the repair decision
         // replays offline (sharded, on the sweep's shared pool).
-        const auto laser_trace = sweep.capture(w, {});
+        const auto laser_trace = sweep.captureFile(w, {});
         const detect::DetectionReport detection =
             trace::replayDetection(*laser_trace, 4, &sweep.pool());
         row.repairRequested = detection.repairRequested;
-        row.laserCycles = laser_trace->meta.runtimeCycles;
+        row.laserCycles = laser_trace->meta().runtimeCycles;
         if (detection.repairRequested) {
             // Only the repair path re-simulates: the remainder runs a
             // different (instrumented) execution.

@@ -48,7 +48,7 @@ main()
     // all twelve SAV jobs but simulated exactly once (trace cache).
     std::vector<std::vector<double>> norms(nsav,
                                            std::vector<double>(nseed));
-    std::vector<std::shared_ptr<const trace::Trace>> last_trace(nsav);
+    std::vector<std::shared_ptr<const trace::TraceFile>> last_trace(nsav);
     const auto capture_start = std::chrono::steady_clock::now();
     runner.parallelFor(nsav * nseed, [&](std::size_t job) {
         const std::size_t si = job / nseed;
@@ -64,10 +64,10 @@ main()
         native_opt.machineSeed = seeds[ki];
         native_opt.scheme = "native";
 
-        const auto monitored = runner.capture(*dedup, mon_opt);
-        const auto native = runner.capture(*dedup, native_opt);
-        norms[si][ki] = double(monitored->meta.runtimeCycles) /
-                        double(native->meta.runtimeCycles);
+        const auto monitored = runner.captureFile(*dedup, mon_opt);
+        const auto native = runner.captureFile(*dedup, native_opt);
+        norms[si][ki] = double(monitored->meta().runtimeCycles) /
+                        double(native->meta().runtimeCycles);
         if (ki == nseed - 1)
             last_trace[si] = monitored;
     });
@@ -81,7 +81,8 @@ main()
     std::vector<std::uint64_t> records(nsav, 0);
     const auto replay_start = std::chrono::steady_clock::now();
     runner.parallelFor(nsav, [&](std::size_t si) {
-        trace::TraceReplayer replayer(*last_trace[si]);
+        trace::TraceReplayer replayer(last_trace[si]->meta(),
+                                      *last_trace[si]);
         records[si] = replayer.replayAtThreshold(1000.0).totalRecords;
     });
     const double replay_seconds =

@@ -74,8 +74,9 @@ main()
             w.info.sheriff == workloads::SheriffCompat::Incompatible;
 
         row.nativeCycles =
-            sweep.capture(w, trace::CaptureOptions::forScheme("native"))
-                ->meta.runtimeCycles;
+            sweep.captureFile(w, trace::CaptureOptions::forScheme("native"))
+                ->meta()
+                .runtimeCycles;
         row.sheriffNativeCycles = row.nativeCycles;
 
         if (w.info.hasManualFix) {
@@ -83,13 +84,13 @@ main()
                 trace::CaptureOptions::forScheme("native");
             mf.manualFix = true;
             row.manualFixCycles =
-                sweep.capture(w, mf)->meta.runtimeCycles;
+                sweep.captureFile(w, mf)->meta().runtimeCycles;
         }
 
         // LASER monitored phase from the trace cache; re-simulate only
         // when the offline (sharded) replay requests repair.
-        const auto laser_trace = sweep.capture(w, {});
-        row.laserCycles = laser_trace->meta.runtimeCycles;
+        const auto laser_trace = sweep.captureFile(w, {});
+        row.laserCycles = laser_trace->meta().runtimeCycles;
         if (trace::replayDetection(*laser_trace, 4, &sweep.pool())
                 .repairRequested)
             row.laserCycles =
@@ -106,18 +107,18 @@ main()
                 trace::CaptureOptions::forScheme("native");
             nat.scale = scale;
             row.sheriffNativeCycles =
-                sweep.capture(w, nat)->meta.runtimeCycles;
+                sweep.captureFile(w, nat)->meta().runtimeCycles;
         }
         for (const char *scheme : {"sheriff-detect", "sheriff-protect"}) {
             trace::CaptureOptions so =
                 trace::CaptureOptions::forScheme(scheme);
             so.scale = scale;
-            const auto trace = sweep.capture(w, so);
+            const auto file = sweep.captureFile(w, so);
             // The captured sync stream replays the cost model offline;
             // at the capture config the estimate equals the simulated
             // runtime exactly.
             const std::uint64_t cycles =
-                trace::TraceReplayer(*trace)
+                trace::TraceReplayer(file->meta(), *file)
                     .replaySheriff()
                     .estimatedRuntimeCycles;
             (std::string(scheme) == "sheriff-detect"

@@ -13,8 +13,8 @@
 #include <benchmark/benchmark.h>
 
 #include "detect/cacheline_model.h"
+#include "detect/pipeline.h"
 #include "obs/export.h"
-#include "detect/detector.h"
 #include "isa/assembler.h"
 #include "pebs/monitor.h"
 #include "sim/machine.h"
@@ -75,14 +75,21 @@ BM_SsbFlushDrain(benchmark::State &state)
 }
 BENCHMARK(BM_SsbFlushDrain)->Arg(8)->Arg(64)->Arg(512);
 
+/** Figure 5's decision: one access's footprint against the previous. */
 static void
 BM_CacheLineModel(benchmark::State &state)
 {
-    detect::CacheLineModel model;
     Rng rng(42);
+    std::uint64_t prev_mask = 0;
+    bool prev_write = false;
     for (auto _ : state) {
-        const std::uint64_t addr = 0x1000000 + rng.below(64) * 8;
-        benchmark::DoNotOptimize(model.access(addr, 8, rng.chance(0.5)));
+        const std::uint64_t addr = 0x1000000 + rng.below(8) * 8;
+        const bool is_write = rng.chance(0.5);
+        const std::uint64_t mask = detect::CacheLineModel::byteMask(addr, 8);
+        benchmark::DoNotOptimize(detect::CacheLineModel::classify(
+            prev_mask, prev_write, mask, is_write));
+        prev_mask = mask;
+        prev_write = is_write;
     }
 }
 BENCHMARK(BM_CacheLineModel);
@@ -124,8 +131,9 @@ BM_DetectorPipeline(benchmark::State &state)
     isa::Program prog = detectorProgram();
     mem::AddressSpace space(prog, 4);
     sim::TimingModel timing;
-    detect::Detector det(prog, space, space.renderProcMaps(), timing,
-                         {});
+    const detect::DetectorContext ctx(prog, space, space.renderProcMaps(),
+                                      timing);
+    detect::DetectorPipeline pipeline(ctx);
     Rng rng(44);
     pebs::PebsRecord rec;
     for (auto _ : state) {
@@ -133,7 +141,7 @@ BM_DetectorPipeline(benchmark::State &state)
             rng.below(prog.size())));
         rec.dataAddr = 0x1000000 + rng.below(16) * 8;
         rec.cycle = 1000;
-        det.processRecord(rec);
+        pipeline.onRecord(rec);
     }
 }
 BENCHMARK(BM_DetectorPipeline);
@@ -238,7 +246,14 @@ BM_ReplayReport(benchmark::State &state)
     opt.sav = 1;
     const trace::Trace trace =
         trace::captureTrace(*workloads::findWorkload("histogram'"), opt);
-    const trace::TraceReplayer env(trace);
+    trace::TraceWriter writer(trace.meta);
+    writer.appendAll(trace.records);
+    trace::TraceFile file;
+    if (file.openBytes(writer.finalize()) != trace::TraceStatus::Ok) {
+        state.SkipWithError("encoded trace does not open");
+        return;
+    }
+    const trace::TraceReplayer env(file.meta(), file);
     const trace::ParallelReplayer digest(env);
     const std::vector<double> thresholds = {32,   64,   128,  256,
                                             512,  1000, 2000, 4000,

@@ -3,7 +3,8 @@
  * Observability-overhead micro-bench: per-record metrics increments in
  * the detector pipeline (detect.records_ingested and friends) ride the
  * hottest replay path, so this bench measures ParallelReplayer digest
- * throughput with the registry enabled vs disabled
+ * throughput — trace-file block decode into DetectorPipeline::onColumns,
+ * the path every replay takes — with the registry enabled vs disabled
  * (obs::setEnabled(false), the LASER_OBS=0 path).
  *
  * Acceptance (ISSUE 6): the enabled path must stay within 5% of the
@@ -23,6 +24,7 @@
 #include "obs/span.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
+#include "trace/trace_file.h"
 
 using namespace laser;
 
@@ -69,26 +71,37 @@ main()
     // Digest the suite's biggest captured record stream — amplified by
     // tiling it end-to-end, so each digest runs a few milliseconds and
     // fixed per-digest costs (shard dispatch, state merge) stop
-    // dominating what is meant to be a per-record measurement.
+    // dominating what is meant to be a per-record measurement. The
+    // tiled stream is encoded into an in-memory trace file, so the
+    // digests decode blocks exactly as a cached trace's replay does.
     core::SweepRunner runner(bench::sweepConfig());
-    std::shared_ptr<const trace::Trace> biggest;
+    std::shared_ptr<const trace::TraceFile> biggest;
     for (const auto &w : workloads::allWorkloads()) {
-        auto t = runner.capture(w, {});
-        if (!biggest || t->records.size() > biggest->records.size())
-            biggest = t;
+        auto file = runner.captureFile(w, {});
+        if (!biggest || file->recordCount() > biggest->recordCount())
+            biggest = std::move(file);
+    }
+    trace::Trace source;
+    if (biggest->readAll(&source) != trace::TraceStatus::Ok) {
+        std::fprintf(stderr, "cached trace does not decode\n");
+        return 1;
     }
     const int copies = 40;
-    trace::Trace big;
-    big.meta = biggest->meta;
-    big.records.reserve(biggest->records.size() * copies);
+    trace::TraceWriter writer(source.meta);
     const std::uint64_t stride =
-        biggest->records.empty() ? 1 : biggest->records.back().cycle + 1;
+        source.records.empty() ? 1 : source.records.back().cycle + 1;
     for (int c = 0; c < copies; ++c)
-        for (pebs::PebsRecord r : biggest->records) {
+        for (pebs::PebsRecord r : source.records) {
             r.cycle += stride * std::uint64_t(c);
-            big.records.push_back(r);
+            writer.append(r);
         }
-    trace::TraceReplayer env(big);
+    trace::TraceFile big;
+    if (big.openBytes(writer.finalize()) != trace::TraceStatus::Ok) {
+        std::fprintf(stderr, "tiled trace does not open: %s\n",
+                     big.error().c_str());
+        return 1;
+    }
+    trace::TraceReplayer env(big.meta(), big);
     if (!env.ok()) {
         std::fprintf(stderr, "replay environment failed to build\n");
         return 1;
@@ -144,7 +157,7 @@ main()
 
     std::printf("workload %s: %llu records/digest, %d rounds x %d "
                 "digests, 4 shards\n",
-                biggest->meta.workload.c_str(),
+                big.meta().workload.c_str(),
                 (unsigned long long)records, rounds, batch);
     std::printf("obs enabled:  %.2f Mrec/s (best %.3fms/batch)\n",
                 on_rps / 1e6, 1e3 * on_best);
@@ -155,7 +168,7 @@ main()
                 1e2 * overhead, (int)pair_overheads.size());
 
     telemetry.results()
-        .set("workload", obs::Json(biggest->meta.workload))
+        .set("workload", obs::Json(big.meta().workload))
         .set("records_per_digest", obs::Json(records))
         .set("rounds", obs::Json(rounds))
         .set("enabled_records_per_sec", obs::Json(on_rps))

@@ -73,8 +73,8 @@ main()
         trace::CaptureOptions opt;
         opt.protocol = cell.protocol;
         opt.geometry.lineBytes = cell.lineBytes;
-        const auto trace = runner.capture(w, opt);
-        tallies[job].hitms = trace->meta.stats.hitmTotal();
+        const auto trace = runner.captureFile(w, opt);
+        tallies[job].hitms = trace->meta().stats.hitmTotal();
         tallies[job].accuracy = core::evaluateAccuracy(
             w.info, core::reportLocations(trace::replayDetection(
                         *trace, 4, &runner.pool())));

@@ -50,15 +50,15 @@ main()
         const workloads::WorkloadDef &w = all[i];
 
         // LASER: sharded replay of the captured PEBS stream.
-        const auto laser_trace = runner.capture(w, {});
+        const auto laser_trace = runner.captureFile(w, {});
         rows[i].laser = core::evaluateAccuracy(
             w.info, core::reportLocations(trace::replayDetection(
                         *laser_trace, 4, &runner.pool())));
 
         // VTune: offline aggregation of the captured event stream.
-        const auto vt_trace = runner.capture(
+        const auto vt_trace = runner.captureFile(
             w, trace::CaptureOptions::forScheme("vtune"));
-        trace::TraceReplayer vt_env(*vt_trace);
+        trace::TraceReplayer vt_env(vt_trace->meta(), *vt_trace);
         std::vector<std::string> vt_lines;
         for (const auto &l : vt_env.replayVTune().lines)
             vt_lines.push_back(l.location);

@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -188,19 +188,26 @@ main()
     // The totals keep their historical v2_/v3_ result keys so archived
     // BENCH_trace_codec.json files stay comparable.
     core::SweepRunner runner(bench::sweepConfig());
-    std::shared_ptr<const trace::Trace> biggest;
+    std::optional<trace::Trace> biggest;
     std::uint64_t row_bytes = 0, columnar_bytes = 0;
     WinCounts wins = {};
     std::size_t corpus = 0;
     for (const auto &w : workloads::allWorkloads()) {
-        auto t = runner.capture(w, {});
-        if (t->records.empty())
+        trace::Trace t;
+        // The row-wise baseline re-encodes the decoded record vector.
+        if (runner.captureFile(w, {})->readAll(&t) !=
+                trace::TraceStatus::Ok) {
+            std::fprintf(stderr, "%s: cached trace does not decode\n",
+                         w.info.name.c_str());
+            return 1;
+        }
+        if (t.records.empty())
             continue;
         ++corpus;
-        row_bytes += rowWiseRecordBytes(*t);
-        columnar_bytes += columnarRecordBytes(*t, wins);
-        if (!biggest || t->records.size() > biggest->records.size())
-            biggest = t;
+        row_bytes += rowWiseRecordBytes(t);
+        columnar_bytes += columnarRecordBytes(t, wins);
+        if (!biggest || t.records.size() > biggest->records.size())
+            biggest = std::move(t);
     }
     const double ratio =
         columnar_bytes > 0 ? double(row_bytes) / double(columnar_bytes) : 0.0;

@@ -5,7 +5,7 @@
  * via the experiment harness, prints the detection report, the online
  * repair outcome and the manual-fix comparison (Figure 11's 16.9x).
  *
- *   ./examples/detect_and_repair [workload]
+ *   ./build/detect_and_repair [workload]
  */
 
 #include <cstdio>

@@ -6,7 +6,7 @@
  * a demonstration of why LASERDETECT's pipeline is built to tolerate
  * noisy records.
  *
- *   ./examples/pebs_characterization
+ *   ./build/pebs_characterization
  */
 
 #include <cstdio>

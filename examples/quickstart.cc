@@ -7,12 +7,14 @@
  * detection pipeline), prints the report, lets LASERREPAIR rewrite the
  * binary with a software store buffer, and shows the speedup.
  *
- *   ./examples/quickstart
+ *   ./build/quickstart
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "detect/detector.h"
+#include "analysis/sink.h"
+#include "detect/pipeline.h"
 #include "isa/assembler.h"
 #include "pebs/monitor.h"
 #include "repair/repairer.h"
@@ -58,10 +60,15 @@ main()
     sim::MachineStats native = machine.run();
     monitor.finish();
 
-    detect::Detector detector(prog, machine.addressSpace(),
-                              machine.addressSpace().renderProcMaps(),
-                              mc.timing, {});
-    detector.processAll(monitor.records());
+    // The driver drains whole per-core buffers at a time; the detector
+    // needs the records back in time order to see the interleaving.
+    std::vector<pebs::PebsRecord> records = monitor.records();
+    analysis::sortByCycle(&records);
+    const detect::DetectorContext ctx(
+        prog, machine.addressSpace(),
+        machine.addressSpace().renderProcMaps(), mc.timing);
+    detect::DetectorPipeline detector(ctx);
+    analysis::drain(records, detector);
     detect::DetectionReport report = detector.finish(native.cycles);
 
     std::printf("== LASERDETECT report ==\n");

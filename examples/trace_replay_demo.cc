@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal tour of the trace subsystem: capture one monitored run, write
- * it to disk, read it back, and replay the detector at two different
+ * it to disk, open it back, and replay the detector at two different
  * rate thresholds without re-simulating — the "adjust thresholds
  * offline" workflow of Section 4.
  */
@@ -11,6 +11,7 @@
 #include "trace/capture.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
+#include "trace/trace_file.h"
 #include "workloads/workload.h"
 
 using namespace laser;
@@ -27,21 +28,21 @@ main()
                 captured.records.size(),
                 (unsigned long long)captured.meta.runtimeCycles);
 
-    // 2. Persist + reload (round-trips byte-exactly).
+    // 2. Persist + reopen (round-trips byte-exactly). Opening reads only
+    //    the header, metadata and block index; replay decodes blocks.
     const std::string path = "linear_regression_demo.ltrace";
     if (trace::writeTraceFile(captured, path) != trace::TraceStatus::Ok) {
         std::fprintf(stderr, "write failed\n");
         return 1;
     }
-    trace::TraceReader reader;
-    if (reader.readFile(path) != trace::TraceStatus::Ok) {
-        std::fprintf(stderr, "read failed: %s\n", reader.error().c_str());
+    trace::TraceFile loaded;
+    if (loaded.open(path) != trace::TraceStatus::Ok) {
+        std::fprintf(stderr, "read failed: %s\n", loaded.error().c_str());
         return 1;
     }
-    const trace::Trace loaded = reader.takeTrace();
 
     // 3. Replay the detector at two thresholds; no simulation happens.
-    trace::TraceReplayer replayer(loaded);
+    trace::TraceReplayer replayer(loaded.meta(), loaded);
     for (double threshold : {1000.0, 16000.0}) {
         const detect::DetectionReport report =
             replayer.replayAtThreshold(threshold);

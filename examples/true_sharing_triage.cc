@@ -6,7 +6,7 @@
  * ticket dispenser) plus kmeans, shows how LASERDETECT types the
  * contention, and why that matters for triage (Section 7.4.2).
  *
- *   ./examples/true_sharing_triage
+ *   ./build/true_sharing_triage
  */
 
 #include <cstdio>

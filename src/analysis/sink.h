@@ -83,8 +83,8 @@ void drain(const std::vector<pebs::PebsRecord> &records, RecordSink &sink);
  * Restore canonical time order: a stable sort by cycle, preserving
  * driver-delivery order among equal cycles. Per-core PEBS buffers are
  * drained in same-core bursts, and this sort recovers the interleaving
- * the cache-line model needs; every producer of canonical streams
- * (trace capture, detect::Detector) applies it.
+ * the cache-line model needs; trace capture, the producer of every
+ * canonical stream, applies it.
  */
 void sortByCycle(std::vector<pebs::PebsRecord> *records);
 

@@ -33,7 +33,7 @@
 
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
-#include "detect/detector.h"
+#include "detect/types.h"
 #include "pebs/monitor.h"
 #include "repair/repairer.h"
 #include "sim/machine.h"

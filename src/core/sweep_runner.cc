@@ -207,26 +207,6 @@ SweepRunner::captureFile(const workloads::WorkloadDef &workload,
     return entry->file;
 }
 
-std::shared_ptr<const trace::Trace>
-SweepRunner::capture(const workloads::WorkloadDef &workload,
-                     const trace::CaptureOptions &opt)
-{
-    const std::shared_ptr<const trace::TraceFile> file =
-        captureFile(workload, opt);
-    auto trace = std::make_shared<trace::Trace>();
-    const trace::TraceStatus status = file->readAll(trace.get());
-    if (status != trace::TraceStatus::Ok) {
-        const std::string path = cachePath(file->storedConfigHash());
-        throw std::runtime_error(
-            "capture: " +
-            (path.empty() ? "in-memory trace of " + workload.info.name
-                          : path) +
-            ": record blocks do not decode (" +
-            trace::traceStatusName(status) + ")");
-    }
-    return trace;
-}
-
 SweepStats
 SweepRunner::stats() const
 {

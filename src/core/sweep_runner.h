@@ -10,9 +10,8 @@
  * once per key, even under concurrent requests) and populate the cache.
  * With a cache directory configured, traces also persist across
  * processes as <hash>.ltrace files, so a second sweep over the same
- * configuration performs zero machine runs. A key has one slot whether
- * it is requested as a seekable file (captureFile()) or materialized
- * (capture()), so mixing the two never simulates a configuration twice.
+ * configuration performs zero machine runs. Each key has one slot,
+ * holding the open seekable trace::TraceFile that captureFile() returns.
  *
  * thresholdSweep() digests each trace once and queues the digests
  * largest first (descending record count, workload order among ties):
@@ -33,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "detect/detector.h"
 #include "trace/capture.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
@@ -102,16 +100,6 @@ class SweepRunner
     std::shared_ptr<const trace::TraceFile>
     captureFile(const workloads::WorkloadDef &workload,
                 const trace::CaptureOptions &opt);
-
-    /**
-     * captureFile() materialized: the same cache slot, decoded whole
-     * through TraceFile::readAll (every block checksum-verified).
-     * Throws std::runtime_error naming the file when a cached record
-     * block fails its checksum or does not decode.
-     */
-    std::shared_ptr<const trace::Trace>
-    capture(const workloads::WorkloadDef &workload,
-            const trace::CaptureOptions &opt);
 
     /** Fan fn(0..n-1) across the worker pool (blocking). */
     void

@@ -16,10 +16,10 @@ validLineBytes(int line_bytes)
 
 } // namespace
 
-CacheLineModel::CacheLineModel(int line_bytes)
-    : lineBytes_(validLineBytes(line_bytes) ? line_bytes
-                                            : kDefaultLineBytes)
+int
+CacheLineModel::lineBytesOrDefault(int line_bytes)
 {
+    return validLineBytes(line_bytes) ? line_bytes : kDefaultLineBytes;
 }
 
 std::uint64_t
@@ -51,29 +51,6 @@ CacheLineModel::classify(std::uint64_t prev_mask, bool prev_write,
         return SharingOutcome::None;
     return (prev_mask & mask) != 0 ? SharingOutcome::TrueSharing
                                    : SharingOutcome::FalseSharing;
-}
-
-SharingOutcome
-CacheLineModel::access(std::uint64_t addr, int size, bool is_write)
-{
-    const std::uint64_t mask = byteMask(addr, size, lineBytes_);
-    if (mask == 0)
-        return SharingOutcome::None; // empty footprint: no state change
-
-    const std::uint64_t line =
-        addr / static_cast<std::uint64_t>(lineBytes_);
-    auto it = lines_.find(line);
-    if (it == lines_.end()) {
-        lines_.emplace(line, LastAccess{mask, is_write});
-        return SharingOutcome::None;
-    }
-
-    LastAccess &prev = it->second;
-    const SharingOutcome outcome =
-        classify(prev.byteMask, prev.wasWrite, mask, is_write);
-    prev.byteMask = mask;
-    prev.wasWrite = is_write;
-    return outcome;
 }
 
 } // namespace laser::detect

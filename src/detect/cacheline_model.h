@@ -1,14 +1,16 @@
 /**
  * @file
- * The LASERDETECT cache-line model (Figure 5).
+ * The LASERDETECT cache-line model (Figure 5): the per-access decision.
  *
  * Each tracked line remembers the type (read/write) and byte footprint
  * (bitmap) of its previous access. When a new access arrives, true
  * sharing is flagged if it overlaps the previous access and at least one
  * of the two is a write; false sharing if they touch disjoint bytes of
  * the same line (again with a write involved); read-read pairs are not
- * contention. Lines live in a hash table so only the small number of
- * contended lines consume space (Section 4.3).
+ * contention. The per-line state lives in DetectorState::lines, a hash
+ * table, so only the small number of contended lines consume space
+ * (Section 4.3); this header holds the stateless halves the pipeline
+ * and shard merging share: the footprint and the classification.
  *
  * The line size is a parameter and must agree with the simulated
  * machine's CacheGeometry::lineBytes — detector classification and
@@ -23,7 +25,6 @@
 #define LASER_DETECT_CACHELINE_MODEL_H
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace laser::detect {
 
@@ -34,62 +35,44 @@ enum class SharingOutcome : std::uint8_t {
     FalseSharing, ///< disjoint bytes of the same line, at least one write
 };
 
-/** Figure 5's per-line last-access model. */
+/** Figure 5's per-access footprint and decision. */
 class CacheLineModel
 {
   public:
+    CacheLineModel() = delete;
+
     /** Default line size; matches CacheGeometry's default. */
     static constexpr int kDefaultLineBytes = 64;
 
-    /** @p line_bytes must be a power of two in [8, 128] (the simulated
-     *  geometry's range); lines wider than 64 bytes are tracked at
-     *  2-byte granularity so the footprint still fits a 64-bit mask. */
-    explicit CacheLineModel(int line_bytes = kDefaultLineBytes);
+    /**
+     * @p line_bytes when it is a power of two in [8, 128] (the simulated
+     * geometry's range), else kDefaultLineBytes. Lines wider than 64
+     * bytes are tracked at 2-byte granularity so the footprint still
+     * fits a 64-bit mask.
+     */
+    static int lineBytesOrDefault(int line_bytes);
 
     /**
      * Byte footprint of a @p size-byte access at @p addr within its
      * line; accesses that would cross the line boundary are clipped.
-     * Degenerate sizes (<= 0) yield the empty mask.
+     * Degenerate sizes (<= 0) and invalid line sizes yield the empty
+     * mask.
      */
     static std::uint64_t byteMask(std::uint64_t addr, int size,
                                   int line_bytes = kDefaultLineBytes);
 
     /**
-     * The Figure 5 decision, exposed statically so shard merging can
-     * reclassify a shard's first access to a line against the previous
-     * shard's last access: contention needs a write on either side and
-     * a non-empty footprint on both; then overlapping bytes mean true
-     * sharing, disjoint bytes false sharing.
+     * The Figure 5 decision of an access with footprint @p mask against
+     * the line's previous access (@p prev_mask is empty when there is
+     * none). Shard merging also uses it to reclassify a shard's first
+     * access to a line against the previous shard's last access:
+     * contention needs a write on either side and a non-empty footprint
+     * on both; then overlapping bytes mean true sharing, disjoint bytes
+     * false sharing.
      */
     static SharingOutcome classify(std::uint64_t prev_mask,
                                    bool prev_write, std::uint64_t mask,
                                    bool is_write);
-
-    /**
-     * Model one access of @p size bytes at @p addr; accesses that would
-     * cross the line boundary are clipped to the line. Empty-footprint
-     * accesses return None and leave the line's state untouched.
-     */
-    SharingOutcome access(std::uint64_t addr, int size, bool is_write);
-
-    /** The configured line size in bytes. */
-    int lineBytes() const { return lineBytes_; }
-
-    /** Number of lines currently tracked. */
-    std::size_t linesTracked() const { return lines_.size(); }
-
-    /** Drop all state (used between detection windows in tests). */
-    void clear() { lines_.clear(); }
-
-  private:
-    struct LastAccess
-    {
-        std::uint64_t byteMask = 0;
-        bool wasWrite = false;
-    };
-
-    int lineBytes_;
-    std::unordered_map<std::uint64_t, LastAccess> lines_;
 };
 
 } // namespace laser::detect

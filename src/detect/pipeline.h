@@ -1,7 +1,27 @@
 /**
  * @file
- * The thin streaming pipeline over DetectorState, and the shared report
+ * LASERDETECT: the HITM record-processing pipeline (Section 4, Figure 4)
+ * as a thin streaming pass over DetectorState, and the shared report
  * builder.
+ *
+ * Records stream in from the driver; each passes through:
+ *  1. PC filtering against the parsed /proc maps (application/library
+ *     PCs kept, everything else dropped as spurious);
+ *  2. stack-data filtering (thread stacks are not shared);
+ *  3. aggregation by PC and source line (rate threshold applied at
+ *     reporting time; adjustable offline without rerunning);
+ *  4. load/store-set decoding of the record's PC;
+ *  5. the cache-line model, yielding true-/false-sharing events
+ *     attributed to the incoming record's source line;
+ *  6. a periodic rate check that invokes LASERREPAIR when false sharing
+ *     is significant (Section 4.4).
+ *
+ * The pipeline is deliberately robust to the record errors Section 3
+ * characterizes: wrong data addresses never affect source-location
+ * aggregation, and small PC skids usually stay within the same source
+ * line. When data addresses are too noisy to classify (the write-write
+ * pattern of linear_regression at -O3), a line's contention type is
+ * reported as Unknown rather than guessed.
  *
  * DetectorContext holds everything a pipeline needs that is derived
  * from the program and its address space — the parsed /proc maps, the
@@ -21,9 +41,9 @@
  * path), and onColumns() runs it over a run of decoded trace columns
  * (trace::TraceFile cursors), so both paths digest identically and no
  * PebsRecord is built per stored record. In Streaming mode it runs the
- * Section 4.4 rate check online (the classic Detector behaviour); in
- * Shard mode it collects RateEvents instead, deferring repair semantics
- * to the merge-time sequential scan.
+ * Section 4.4 rate check online (the live behaviour); in Shard mode it
+ * collects RateEvents instead, deferring repair semantics to the
+ * merge-time sequential scan.
  */
 
 #ifndef LASER_DETECT_PIPELINE_H

@@ -49,9 +49,8 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env)
 ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
     : env_(&env)
 {
-    // The replayer's source is already canonical (the Trace ctor sorts
-    // hand-built streams; file sources are canonical by construction).
-    const std::uint64_t n = env.source().recordCount();
+    // The replayer's file stream is canonical by construction.
+    const std::uint64_t n = env.recordCount();
     shards_ = std::max(1, opt.shards);
     if (static_cast<std::uint64_t>(shards_) > n)
         shards_ = static_cast<int>(std::max<std::uint64_t>(1, n));
@@ -85,7 +84,7 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
         detect::DetectorPipeline pipeline(
             env.context(), {}, detect::DetectorPipeline::Mode::Shard);
         const std::unique_ptr<RecordCursor> cur =
-            env.source().cursorForRecords(begin, end);
+            env.file().cursorForRecords(begin, end);
         const std::uint64_t digested = cur->drain(pipeline);
         shard_status[s] = cur->status();
         states[s] = pipeline.takeState();
@@ -204,9 +203,9 @@ checkShardedReplay(const TraceReplayer &env,
 }
 
 detect::DetectionReport
-replayDetection(const Trace &trace, int shards, util::ThreadPool *pool)
+replayDetection(const TraceFile &file, int shards, util::ThreadPool *pool)
 {
-    TraceReplayer env(trace);
+    TraceReplayer env(file.meta(), file);
     if (!env.ok())
         throw std::runtime_error("replayDetection: " + env.error());
     ParallelReplayer::Options opt;
@@ -214,8 +213,22 @@ replayDetection(const Trace &trace, int shards, util::ThreadPool *pool)
     opt.pool = pool;
     ParallelReplayer digest(env, opt);
     detect::DetectorConfig cfg;
-    cfg.sav = trace.meta.pebs.sav;
+    cfg.sav = file.meta().pebs.sav;
     return digest.replay(cfg);
+}
+
+detect::DetectionReport
+replayDetection(const Trace &trace, int shards, util::ThreadPool *pool)
+{
+    TraceWriter writer(trace.meta);
+    writer.appendAll(trace.records);
+    TraceFile file;
+    const TraceStatus status = file.openBytes(writer.finalize());
+    if (status != TraceStatus::Ok)
+        throw std::runtime_error(std::string("replayDetection: ") +
+                                 traceStatusName(status) + " (" +
+                                 file.error() + ")");
+    return replayDetection(file, shards, pool);
 }
 
 } // namespace laser::trace

@@ -5,14 +5,14 @@
  * DetectorPipeline on a thread pool, merge the shard states in window
  * order, and build the report once.
  *
- * Each shard pulls its window through its own RecordCursor, so a
- * file-backed replay (TraceReplayer over a trace::TraceFile) holds one
- * decoded columnar block per shard — O(block x shards) record memory —
- * instead of the materialized trace. The cursor hands each decoded
- * block to the shard's pipeline as columns (RecordSink::onColumns). The
- * split is by record index (computed from the source's record count),
- * so exactly the same records land in the same shards as a materialized
- * split would and the serial-identity invariant is unaffected by the
+ * Each shard pulls its window through its own RecordCursor over the
+ * replayer's trace::TraceFile, so a replay holds one decoded columnar
+ * block per shard — O(block x shards) record memory — instead of the
+ * materialized trace. The cursor hands each decoded block to the
+ * shard's pipeline as columns (RecordSink::onColumns). The split is by
+ * record index (computed from the file's record count), so exactly the
+ * same records land in the same shards as a split of the record vector
+ * would and the serial-identity invariant is unaffected by the
  * streaming.
  *
  * One shard is digested inline on the calling thread, never queued on
@@ -140,7 +140,16 @@ checkShardedReplay(const TraceReplayer &env,
  * repair-decision / accuracy convenience the benches share. Pass the
  * already-busy pool (e.g. SweepRunner::pool()) so shard jobs queue
  * there instead of spawning a transient pool per call. Throws
- * std::runtime_error when the trace's workload is unknown.
+ * std::runtime_error when the trace's workload is unknown or a record
+ * block fails to decode.
+ */
+detect::DetectionReport replayDetection(const TraceFile &file, int shards,
+                                        util::ThreadPool *pool = nullptr);
+
+/**
+ * replayDetection() over an in-memory capture: encodes @p trace (which
+ * must be canonical, as every captured trace is) into a TraceFile image
+ * and replays that.
  */
 detect::DetectionReport replayDetection(const Trace &trace, int shards,
                                         util::ThreadPool *pool = nullptr);

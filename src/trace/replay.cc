@@ -5,36 +5,8 @@
 
 namespace laser::trace {
 
-TraceReplayer::TraceReplayer(const Trace &trace)
-    : trace_(&trace), meta_(&trace.meta)
-{
-    // Stored streams are canonical (cycle-ordered; the reader rejects
-    // anything else), but hand-built in-memory traces may not be — give
-    // them the same stable cycle sort every other driver applies.
-    if (std::is_sorted(trace.records.begin(), trace.records.end(),
-                       [](const pebs::PebsRecord &a,
-                          const pebs::PebsRecord &b) {
-                           return a.cycle < b.cycle;
-                       })) {
-        ownedSource_ = std::make_unique<MemoryRecordSource>(trace.records);
-    } else {
-        ownedSorted_ = trace.records;
-        analysis::sortByCycle(&ownedSorted_);
-        ownedSource_ = std::make_unique<MemoryRecordSource>(ownedSorted_);
-    }
-    source_ = ownedSource_.get();
-    buildEnvironment();
-}
-
-TraceReplayer::TraceReplayer(const TraceMeta &meta,
-                             const RecordSource &source)
-    : meta_(&meta), source_(&source)
-{
-    buildEnvironment();
-}
-
-void
-TraceReplayer::buildEnvironment()
+TraceReplayer::TraceReplayer(const TraceMeta &meta, const TraceFile &file)
+    : meta_(&meta), file_(&file)
 {
     const workloads::WorkloadDef *def =
         workloads::findWorkload(meta_->workload);
@@ -54,7 +26,7 @@ TraceReplayer::buildEnvironment()
 void
 TraceReplayer::drive(analysis::RecordSink &sink) const
 {
-    const std::unique_ptr<RecordCursor> cur = source_->cursor();
+    const std::unique_ptr<RecordCursor> cur = file_->cursor();
     cur->drain(sink);
     if (cur->status() != TraceStatus::Ok)
         throw std::runtime_error(
@@ -66,8 +38,8 @@ std::vector<pebs::PebsRecord>
 TraceReplayer::materializeRecords() const
 {
     std::vector<pebs::PebsRecord> records;
-    records.reserve(static_cast<std::size_t>(source_->recordCount()));
-    const std::unique_ptr<RecordCursor> cur = source_->cursor();
+    records.reserve(static_cast<std::size_t>(file_->recordCount()));
+    const std::unique_ptr<RecordCursor> cur = file_->cursor();
     pebs::PebsRecord rec;
     while (cur->next(&rec))
         records.push_back(rec);
@@ -100,13 +72,8 @@ TraceReplayer::replayVTune(const baselines::VTuneConfig &cfg) const
 {
     // The interrupt-per-event stream records every HITM (SAV 1), so the
     // stream length is the event count. The baseline aggregators take a
-    // vector; file-backed streams materialize here (these streams are a
+    // vector, so the stream materializes here (these streams are a
     // small fraction of a detection stream's length).
-    if (trace_)
-        return baselines::aggregateVTune(program_, *space_,
-                                         trace_->records,
-                                         trace_->records.size(),
-                                         meta_->runtimeCycles, cfg);
     const std::vector<pebs::PebsRecord> records = materializeRecords();
     return baselines::aggregateVTune(program_, *space_, records,
                                      records.size(), meta_->runtimeCycles,
@@ -120,10 +87,9 @@ TraceReplayer::replayVTune() const
 }
 
 SheriffReplay
-TraceReplayer::replaySheriffOver(
-    const std::vector<pebs::PebsRecord> &records,
-    const baselines::SheriffConfig &cfg) const
+TraceReplayer::replaySheriff(const baselines::SheriffConfig &cfg) const
 {
+    const std::vector<pebs::PebsRecord> records = materializeRecords();
     SheriffReplay out;
     out.report = baselines::replaySheriffStream(records, cfg);
     const baselines::SheriffConfig &cap = meta_->sheriff;
@@ -147,14 +113,6 @@ TraceReplayer::replaySheriffOver(
                                    : 0;
     out.estimatedRuntimeCycles = base + replayed_wall;
     return out;
-}
-
-SheriffReplay
-TraceReplayer::replaySheriff(const baselines::SheriffConfig &cfg) const
-{
-    if (trace_)
-        return replaySheriffOver(trace_->records, cfg);
-    return replaySheriffOver(materializeRecords(), cfg);
 }
 
 SheriffReplay

@@ -13,12 +13,11 @@
  * load/store sets) is shared and immutable, so one replayer can serve
  * many configurations and many shard pipelines concurrently.
  *
- * The record stream is pull-based: a replayer wraps any RecordSource —
- * a materialized Trace (the classic ctor) or a seekable trace::TraceFile
- * that decodes one columnar block at a time — and detection replay
- * never materializes more than the source's cursor buffering. Only the
- * VTune/Sheriff baseline replays (different, much shorter stream
- * schemes) materialize the stream when file-backed.
+ * The record stream is pull-based: a replayer reads an open
+ * trace::TraceFile, whose cursors decode one columnar block at a time,
+ * so detection replay never holds more than one decoded block. Only
+ * the VTune/Sheriff baseline replays (different, much shorter stream
+ * schemes) materialize the stream, through the same cursor.
  */
 
 #ifndef LASER_TRACE_REPLAY_H
@@ -30,12 +29,11 @@
 #include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
-#include "detect/detector.h"
 #include "detect/pipeline.h"
 #include "isa/program.h"
 #include "mem/address_space.h"
-#include "trace/source.h"
 #include "trace/trace.h"
+#include "trace/trace_file.h"
 
 namespace laser::trace {
 
@@ -56,26 +54,17 @@ struct SheriffReplay
 };
 
 /**
- * Rebuilt replay environment for one trace. The backing trace or
- * source must outlive the replayer (it is read on every replay() call).
+ * Rebuilt replay environment for one trace. The backing file must
+ * outlive the replayer (it is read on every replay() call).
  */
 class TraceReplayer
 {
   public:
     /**
-     * Replay a materialized trace. Hand-built in-memory traces need not
-     * be cycle-sorted; an unsorted stream is copied and sorted once
-     * here (stored streams are canonical, so the copy never happens for
-     * traces that came from files).
+     * Replay the records of the open @p file under @p meta (normally
+     * file.meta()). Every Ok-opened file's stream is canonical.
      */
-    explicit TraceReplayer(const Trace &trace);
-
-    /**
-     * Replay an arbitrary record source (typically an open
-     * trace::TraceFile) under @p meta. The source's stream must already
-     * be canonical — every Ok-opened trace file's is.
-     */
-    TraceReplayer(const TraceMeta &meta, const RecordSource &source);
+    TraceReplayer(const TraceMeta &meta, const TraceFile &file);
 
     /** False when the trace's workload is unknown to this build. */
     bool ok() const { return error_.empty(); }
@@ -83,8 +72,8 @@ class TraceReplayer
 
     /**
      * Stream every record through @p sink in canonical order. Throws
-     * std::runtime_error if the source fails mid-stream (a corrupt
-     * block discovered lazily by a file-backed source).
+     * std::runtime_error if the file fails mid-stream (a corrupt block
+     * discovered lazily by its cursor).
      */
     void drive(analysis::RecordSink &sink) const;
 
@@ -109,11 +98,11 @@ class TraceReplayer
     /** ...at the capture-time Sheriff configuration. */
     SheriffReplay replaySheriff() const;
 
-    /** Capture metadata (valid for both ctors). */
+    /** Capture metadata. */
     const TraceMeta &meta() const { return *meta_; }
-    /** The record stream being replayed. */
-    const RecordSource &source() const { return *source_; }
-    std::uint64_t recordCount() const { return source_->recordCount(); }
+    /** The trace file being replayed. */
+    const TraceFile &file() const { return *file_; }
+    std::uint64_t recordCount() const { return file_->recordCount(); }
 
     const isa::Program &program() const { return program_; }
     const mem::AddressSpace &space() const { return *space_; }
@@ -121,19 +110,11 @@ class TraceReplayer
     const detect::DetectorContext &context() const { return *ctx_; }
 
   private:
-    void buildEnvironment();
-    /** The stream as a vector (copies when source-backed). */
+    /** The stream decoded into a vector (the baseline analyzers). */
     std::vector<pebs::PebsRecord> materializeRecords() const;
-    SheriffReplay
-    replaySheriffOver(const std::vector<pebs::PebsRecord> &records,
-                      const baselines::SheriffConfig &cfg) const;
 
-    const Trace *trace_ = nullptr;
     const TraceMeta *meta_ = nullptr;
-    const RecordSource *source_ = nullptr;
-    /** Sorted copy backing ownedSource_ for unsorted in-memory traces. */
-    std::vector<pebs::PebsRecord> ownedSorted_;
-    std::unique_ptr<MemoryRecordSource> ownedSource_;
+    const TraceFile *file_ = nullptr;
     isa::Program program_;
     std::unique_ptr<mem::AddressSpace> space_;
     std::unique_ptr<detect::DetectorContext> ctx_;

@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include "trace/trace_file.h"
 #include "trace/wire.h"
 
 namespace laser::trace {
@@ -554,75 +553,6 @@ writeTraceFile(const Trace &trace, const std::string &path)
     TraceWriter writer(trace.meta);
     writer.appendAll(trace.records);
     return writer.writeFile(path);
-}
-
-// ---------------------------------------------------------------------
-// TraceReader
-// ---------------------------------------------------------------------
-
-TraceStatus
-TraceReader::fail(TraceStatus status, std::string detail)
-{
-    trace_ = {};
-    error_ = std::move(detail);
-    return status;
-}
-
-TraceStatus
-TraceReader::parseImage(std::vector<std::uint8_t> bytes)
-{
-    trace_ = {};
-    error_.clear();
-
-    TraceFile file;
-    const TraceStatus open_status = file.openBytes(std::move(bytes));
-    if (open_status != TraceStatus::Ok)
-        return fail(open_status, file.error());
-    if (!file.payloadChecksumOk())
-        return fail(TraceStatus::Corrupt, "payload checksum mismatch");
-
-    switch (file.readAll(&trace_)) {
-      case TraceStatus::Ok:
-        return TraceStatus::Ok;
-      case TraceStatus::NonMonotonic:
-        return fail(TraceStatus::NonMonotonic,
-                    "a record's cycle precedes the previous record's "
-                    "cycle");
-      default:
-        return fail(TraceStatus::Corrupt,
-                    "a record block fails its checksum or does not "
-                    "decode to its index entry");
-    }
-}
-
-TraceStatus
-TraceReader::parse(const std::uint8_t *data, std::size_t size)
-{
-    return parseImage(std::vector<std::uint8_t>(data, data + size));
-}
-
-TraceStatus
-TraceReader::parse(const std::vector<std::uint8_t> &bytes)
-{
-    return parseImage(bytes);
-}
-
-TraceStatus
-TraceReader::readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return fail(TraceStatus::IoError, "cannot open " + path);
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error)
-        return fail(TraceStatus::IoError, "read error on " + path);
-    return parseImage(std::move(bytes));
 }
 
 } // namespace laser::trace

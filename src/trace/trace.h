@@ -40,14 +40,14 @@
  *                      payload (fixed-width; always the last 8 payload
  *                      bytes)
  *
- * The block index makes the file seekable: trace::TraceFile reads the
- * header, the trailing index offset and the index, binary-searches the
- * blocks for a record range or cycle window, and decodes only the
- * overlapping blocks — no prefix decode and no whole-file checksum pass
- * on the seek path (the meta/index/block checksums cover every byte it
- * reads). A full TraceReader parse adds the whole-payload checksum and
- * then decodes every block through that same TraceFile path, so there
- * is exactly one record decoder.
+ * The block index makes the file seekable: trace::TraceFile — the one
+ * reader, and its cursor the one record decoder — reads the header, the
+ * trailing index offset and the index, binary-searches the blocks for a
+ * record range or cycle window, and decodes only the overlapping blocks
+ * — no prefix decode and no whole-file checksum pass on the seek path
+ * (the meta/index/block checksums cover every byte it reads).
+ * TraceFile::payloadChecksumOk() checks the trailer for callers that
+ * want the whole payload verified.
  *
  * Within the payload, integers are LEB128 varints (signed values
  * zigzag-encoded), doubles are fixed 8-byte IEEE bit patterns, strings
@@ -217,35 +217,6 @@ class TraceWriter
 /** Convenience: encode and write a whole trace. */
 TraceStatus writeTraceFile(const Trace &trace, const std::string &path);
 
-/**
- * Strict whole-trace decoder: TraceFile's validation and block decode
- * (trace/trace_file.h) plus the whole-payload checksum. All entry
- * points return a TraceStatus; trace() is only meaningful after an Ok
- * parse. error() carries a human-readable detail string for every
- * failure.
- */
-class TraceReader
-{
-  public:
-    TraceStatus parse(const std::uint8_t *data, std::size_t size);
-    TraceStatus parse(const std::vector<std::uint8_t> &bytes);
-    TraceStatus readFile(const std::string &path);
-
-    const Trace &trace() const { return trace_; }
-    /** Move the parsed trace out (reader resets to empty). */
-    Trace takeTrace() { return std::move(trace_); }
-    /** Detail message for the last non-Ok status ("" after Ok). */
-    const std::string &error() const { return error_; }
-
-  private:
-    TraceStatus fail(TraceStatus status, std::string detail);
-    /** parse() over an image the reader owns (no copy on readFile). */
-    TraceStatus parseImage(std::vector<std::uint8_t> bytes);
-
-    Trace trace_;
-    std::string error_;
-};
-
 namespace detail {
 
 /** Parsed fixed header fields. */
@@ -257,9 +228,7 @@ struct HeaderInfo
 
 /**
  * Validate the fixed 28-byte header (magic, version == kTraceVersion,
- * endianness) and extract its fields. Shared by the full reader, the
- * seekable TraceFile and the cache's header-only inventory so all
- * three reject foreign files identically.
+ * endianness) and extract its fields; TraceFile::open's first check.
  */
 TraceStatus parseTraceHeader(const std::uint8_t *data, std::size_t size,
                              HeaderInfo *out, std::string *err);

@@ -1,6 +1,7 @@
 #include "trace/trace_file.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -32,186 +33,210 @@ struct FileMetrics
     }
 };
 
+std::atomic<std::size_t> g_bufferedLive{0};
+std::atomic<std::size_t> g_bufferedPeak{0};
+
+void
+addBufferedRecords(std::size_t n)
+{
+    const std::size_t live =
+        g_bufferedLive.fetch_add(n, std::memory_order_relaxed) + n;
+    std::size_t peak = g_bufferedPeak.load(std::memory_order_relaxed);
+    while (live > peak &&
+           !g_bufferedPeak.compare_exchange_weak(
+               peak, live, std::memory_order_relaxed)) {
+    }
+}
+
+void
+subBufferedRecords(std::size_t n)
+{
+    g_bufferedLive.fetch_sub(n, std::memory_order_relaxed);
+}
+
 } // namespace
 
-/**
- * Cursor over a contiguous block range of an open TraceFile, decoding
- * one block at a time. Emits only records within the global record
- * range [recFirst, recEnd) AND the cycle window [cycleBegin, cycleEnd);
- * callers set the dimension they don't filter on to [0, max].
- *
- * drain() hands the sink each block's in-window records as one column
- * slice. Within a verified block record indices rise and cycles never
- * fall, so the records next() would return from the block form one
- * contiguous run, found by two binary searches per bound.
- */
-class FileCursor : public RecordCursor
+std::size_t
+bufferedRecordsLive()
 {
-  public:
-    FileCursor(const TraceFile *file, std::size_t first_block,
-               std::size_t end_block, std::uint64_t rec_first,
-               std::uint64_t rec_end, std::uint64_t cycle_begin,
-               std::uint64_t cycle_end)
-        : file_(file), block_(first_block), endBlock_(end_block),
-          recFirst_(rec_first), recEnd_(rec_end),
-          cycleBegin_(cycle_begin), cycleEnd_(cycle_end)
-    {
-    }
+    return g_bufferedLive.load(std::memory_order_relaxed);
+}
 
-    ~FileCursor() override { unloadBlock(); }
+std::size_t
+bufferedRecordsPeak()
+{
+    return g_bufferedPeak.load(std::memory_order_relaxed);
+}
 
-    bool
-    next(pebs::PebsRecord *rec) override
-    {
-        while (status_ == TraceStatus::Ok) {
-            if (!loaded_) {
-                if (block_ >= endBlock_ || !loadBlock())
-                    return false;
-            }
-            const columnar::BlockInfo &b = file_->index_.blocks[block_];
-            const std::vector<std::uint64_t> &cycles =
-                cols_[columnar::kColCycle];
-            while (pos_ < b.records) {
-                const std::uint64_t global = b.firstRecord + pos_;
-                if (global >= recEnd_)
-                    return false;
-                const std::uint64_t cycle = cycles[pos_];
-                if (cycle >= cycleEnd_)
-                    return false; // sorted: nothing later can match
-                if (global < recFirst_ || cycle < cycleBegin_) {
-                    ++pos_;
-                    continue;
-                }
-                *rec = columns(pos_, pos_ + 1).record(0);
-                ++pos_;
-                return true;
-            }
-            unloadBlock();
-            ++block_;
+void
+resetBufferedRecordsPeak()
+{
+    g_bufferedPeak.store(g_bufferedLive.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+}
+
+// ---------------------------------------------------------------------
+// RecordCursor
+// ---------------------------------------------------------------------
+
+RecordCursor::RecordCursor(const TraceFile *file, std::size_t first_block,
+                           std::size_t end_block, std::uint64_t rec_first,
+                           std::uint64_t rec_end, std::uint64_t cycle_begin,
+                           std::uint64_t cycle_end)
+    : file_(file), block_(first_block), endBlock_(end_block),
+      recFirst_(rec_first), recEnd_(rec_end), cycleBegin_(cycle_begin),
+      cycleEnd_(cycle_end)
+{
+}
+
+RecordCursor::~RecordCursor()
+{
+    unloadBlock();
+}
+
+bool
+RecordCursor::next(pebs::PebsRecord *rec)
+{
+    while (status_ == TraceStatus::Ok) {
+        if (!loaded_) {
+            if (block_ >= endBlock_ || !loadBlock())
+                return false;
         }
+        const columnar::BlockInfo &b = file_->index_.blocks[block_];
+        const std::vector<std::uint64_t> &cycles = cols_[columnar::kColCycle];
+        while (pos_ < b.records) {
+            const std::uint64_t global = b.firstRecord + pos_;
+            if (global >= recEnd_)
+                return false;
+            const std::uint64_t cycle = cycles[pos_];
+            if (cycle >= cycleEnd_)
+                return false; // sorted: nothing later can match
+            if (global < recFirst_ || cycle < cycleBegin_) {
+                ++pos_;
+                continue;
+            }
+            *rec = columns(pos_, pos_ + 1).record(0);
+            ++pos_;
+            return true;
+        }
+        unloadBlock();
+        ++block_;
+    }
+    return false;
+}
+
+/*
+ * Within a verified block record indices rise and cycles never fall, so
+ * the records next() would return from the block form one contiguous
+ * run, found by two binary searches per bound.
+ */
+std::uint64_t
+RecordCursor::drain(analysis::RecordSink &sink)
+{
+    std::uint64_t delivered = 0;
+    while (status_ == TraceStatus::Ok) {
+        if (!loaded_) {
+            if (block_ >= endBlock_ || !loadBlock())
+                break;
+        }
+        const columnar::BlockInfo &b = file_->index_.blocks[block_];
+        const std::size_t records = static_cast<std::size_t>(b.records);
+        const auto cycles = cols_[columnar::kColCycle].begin();
+        const auto block_pos = [&](std::uint64_t global) {
+            return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+                global > b.firstRecord ? global - b.firstRecord : 0, pos_,
+                records));
+        };
+        // [lo, hi): the records next() would return from pos_ on;
+        // hi is the first one past the record or cycle window.
+        const std::size_t hi = static_cast<std::size_t>(
+            std::lower_bound(cycles + pos_, cycles + block_pos(recEnd_),
+                             cycleEnd_) -
+            cycles);
+        const std::size_t lo = static_cast<std::size_t>(
+            std::lower_bound(cycles + std::min(block_pos(recFirst_), hi),
+                             cycles + hi, cycleBegin_) -
+            cycles);
+        if (lo < hi) {
+            sink.onColumns(columns(lo, hi));
+            delivered += hi - lo;
+        }
+        pos_ = hi;
+        if (hi < records)
+            break; // past the window: nothing later can match
+        unloadBlock();
+        ++block_;
+    }
+    return delivered;
+}
+
+bool
+RecordCursor::loadBlock()
+{
+    const columnar::BlockInfo &b = file_->index_.blocks[block_];
+    const std::uint8_t *bp = file_->blob() + b.blobOffset;
+    const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
+    if (wire::fnv1a(bp, bytes) != b.checksum) {
+        status_ = TraceStatus::Corrupt;
         return false;
     }
-
-    std::uint64_t
-    drain(analysis::RecordSink &sink) override
-    {
-        std::uint64_t delivered = 0;
-        while (status_ == TraceStatus::Ok) {
-            if (!loaded_) {
-                if (block_ >= endBlock_ || !loadBlock())
-                    break;
-            }
-            const columnar::BlockInfo &b = file_->index_.blocks[block_];
-            const std::size_t records = static_cast<std::size_t>(b.records);
-            const auto cycles = cols_[columnar::kColCycle].begin();
-            const auto block_pos = [&](std::uint64_t global) {
-                return static_cast<std::size_t>(std::clamp<std::uint64_t>(
-                    global > b.firstRecord ? global - b.firstRecord : 0,
-                    pos_, records));
-            };
-            // [lo, hi): the records next() would return from pos_ on;
-            // hi is the first one past the record or cycle window.
-            const std::size_t hi = static_cast<std::size_t>(
-                std::lower_bound(cycles + pos_, cycles + block_pos(recEnd_),
-                                 cycleEnd_) -
-                cycles);
-            const std::size_t lo = static_cast<std::size_t>(
-                std::lower_bound(cycles + std::min(block_pos(recFirst_), hi),
-                                 cycles + hi, cycleBegin_) -
-                cycles);
-            if (lo < hi) {
-                sink.onColumns(columns(lo, hi));
-                delivered += hi - lo;
-            }
-            pos_ = hi;
-            if (hi < records)
-                break; // past the window: nothing later can match
-            unloadBlock();
-            ++block_;
-        }
-        return delivered;
-    }
-
-    TraceStatus status() const override { return status_; }
-
-  private:
-    bool
-    loadBlock()
-    {
-        const columnar::BlockInfo &b = file_->index_.blocks[block_];
-        const std::uint8_t *bp = file_->blob() + b.blobOffset;
-        const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
-        if (wire::fnv1a(bp, bytes) != b.checksum) {
+    for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
+        if (!columnar::decodeColumn(
+                b.codec[c], bp + b.columnOffset(c),
+                static_cast<std::size_t>(b.columnBytes[c]),
+                static_cast<std::size_t>(b.records), &cols_[c])) {
             status_ = TraceStatus::Corrupt;
             return false;
         }
-        for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
-            if (!columnar::decodeColumn(
-                    b.codec[c], bp + b.columnOffset(c),
-                    static_cast<std::size_t>(b.columnBytes[c]),
-                    static_cast<std::size_t>(b.records), &cols_[c])) {
-                status_ = TraceStatus::Corrupt;
-                return false;
-            }
-        }
-        // The index's cycle range must describe the records it points
-        // at, or window selection would silently skip/include records.
-        const std::vector<std::uint64_t> &cycles = cols_[columnar::kColCycle];
-        if (cycles.front() != b.firstCycle || cycles.back() != b.lastCycle) {
-            status_ = TraceStatus::Corrupt;
-            return false;
-        }
-        // Window cursors stop at the first record past the window, so a
-        // cycle that goes backwards inside a block would hide records.
-        if (!std::is_sorted(cycles.begin(), cycles.end())) {
-            status_ = TraceStatus::NonMonotonic;
-            return false;
-        }
-        FileMetrics::get().bytesRead.inc(bytes);
-        FileMetrics::get().blocksDecoded.inc();
-        detail::addBufferedRecords(static_cast<std::size_t>(b.records));
-        loaded_ = true;
-        pos_ = 0;
-        return true;
     }
-
-    /** Decoded records [lo, hi) of the loaded block as columns. */
-    analysis::RecordColumns
-    columns(std::size_t lo, std::size_t hi) const
-    {
-        analysis::RecordColumns c;
-        c.pc = cols_[columnar::kColPc].data() + lo;
-        c.dataAddr = cols_[columnar::kColAddr].data() + lo;
-        c.core = cols_[columnar::kColCore].data() + lo;
-        c.cycle = cols_[columnar::kColCycle].data() + lo;
-        c.size = hi - lo;
-        return c;
+    // The index's cycle range must describe the records it points at,
+    // or window selection would silently skip/include records.
+    const std::vector<std::uint64_t> &cycles = cols_[columnar::kColCycle];
+    if (cycles.front() != b.firstCycle || cycles.back() != b.lastCycle) {
+        status_ = TraceStatus::Corrupt;
+        return false;
     }
-
-    void
-    unloadBlock()
-    {
-        if (!loaded_)
-            return;
-        detail::subBufferedRecords(static_cast<std::size_t>(
-            file_->index_.blocks[block_].records));
-        for (auto &col : cols_)
-            col.clear();
-        loaded_ = false;
+    // Window cursors stop at the first record past the window, so a
+    // cycle that goes backwards inside a block would hide records.
+    if (!std::is_sorted(cycles.begin(), cycles.end())) {
+        status_ = TraceStatus::NonMonotonic;
+        return false;
     }
+    FileMetrics::get().bytesRead.inc(bytes);
+    FileMetrics::get().blocksDecoded.inc();
+    addBufferedRecords(static_cast<std::size_t>(b.records));
+    loaded_ = true;
+    pos_ = 0;
+    return true;
+}
 
-    const TraceFile *file_;
-    std::size_t block_;
-    std::size_t endBlock_;
-    std::uint64_t recFirst_;
-    std::uint64_t recEnd_;
-    std::uint64_t cycleBegin_;
-    std::uint64_t cycleEnd_;
-    std::vector<std::uint64_t> cols_[columnar::kColumnCount];
-    std::size_t pos_ = 0;
-    bool loaded_ = false;
-    TraceStatus status_ = TraceStatus::Ok;
-};
+analysis::RecordColumns
+RecordCursor::columns(std::size_t lo, std::size_t hi) const
+{
+    analysis::RecordColumns c;
+    c.pc = cols_[columnar::kColPc].data() + lo;
+    c.dataAddr = cols_[columnar::kColAddr].data() + lo;
+    c.core = cols_[columnar::kColCore].data() + lo;
+    c.cycle = cols_[columnar::kColCycle].data() + lo;
+    c.size = hi - lo;
+    return c;
+}
+
+void
+RecordCursor::unloadBlock()
+{
+    if (!loaded_)
+        return;
+    subBufferedRecords(
+        static_cast<std::size_t>(file_->index_.blocks[block_].records));
+    for (auto &col : cols_)
+        col.clear();
+    loaded_ = false;
+}
+
+// ---------------------------------------------------------------------
+// TraceFile
+// ---------------------------------------------------------------------
 
 TraceFile::~TraceFile()
 {
@@ -367,10 +392,10 @@ TraceFile::cursorForRecords(std::uint64_t first, std::uint64_t end) const
     first = std::min<std::uint64_t>(first, index_.records);
     end = std::clamp(end, first, index_.records);
     if (!open_ || first == end)
-        return std::make_unique<FileCursor>(this, 0, 0, 0, 0, 0, 0);
+        return std::make_unique<RecordCursor>(this, 0, 0, 0, 0, 0, 0);
     const std::size_t first_block = index_.blockForRecord(first);
     const std::size_t end_block = index_.blockForRecord(end - 1) + 1;
-    return std::make_unique<FileCursor>(
+    return std::make_unique<RecordCursor>(
         this, first_block, end_block, first, end, 0,
         ~static_cast<std::uint64_t>(0));
 }
@@ -379,11 +404,11 @@ std::unique_ptr<RecordCursor>
 TraceFile::cursorForCycles(std::uint64_t begin, std::uint64_t end) const
 {
     if (!open_ || begin >= end)
-        return std::make_unique<FileCursor>(this, 0, 0, 0, 0, 0, 0);
+        return std::make_unique<RecordCursor>(this, 0, 0, 0, 0, 0, 0);
     std::size_t first_block = 0;
     std::size_t end_block = 0;
     index_.blocksForCycles(begin, end, &first_block, &end_block);
-    return std::make_unique<FileCursor>(
+    return std::make_unique<RecordCursor>(
         this, first_block, end_block, 0, index_.records, begin, end);
 }
 

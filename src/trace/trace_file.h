@@ -1,8 +1,8 @@
 /**
  * @file
- * Seekable trace reader: verify-and-decode only the bytes a replay
- * actually touches. Also the one record decoder: TraceReader's full
- * parse is openBytes() + readAll() plus the whole-payload checksum.
+ * The trace reader: verify-and-decode only the bytes a replay actually
+ * touches. Every stored or captured trace is read back through
+ * TraceFile, and its RecordCursor is the one record decoder.
  *
  * TraceFile::open() maps the file (openBytes() adopts an in-memory
  * image), validates the fixed header, reads the trailing index offset,
@@ -13,17 +13,20 @@
  * the point. Cursors then decode blocks on demand:
  *
  *   - cursorForRecords(first, end) binary-searches the index for the
- *     blocks containing that global record range;
+ *     blocks containing that global record range (how ParallelReplayer
+ *     splits shards, so sharded replay stays bit-identical to serial);
  *   - cursorForCycles(begin, end) binary-searches the blocks' cycle
  *     ranges for the window and skips boundary records outside it;
  *
  * each verifying a block's FNV-1a checksum before trusting its bytes,
  * so every byte actually read is still integrity-checked, and checking
  * the decoded cycles against the block's index range and for
- * non-decreasing order (NonMonotonic otherwise). A cursor
- * holds one decoded block at a time (O(block) memory, reported through
- * the trace/source.h buffered-records accounting) and latches a typed
- * TraceStatus if a block is corrupt mid-stream.
+ * non-decreasing order (NonMonotonic otherwise). A cursor holds one
+ * decoded block at a time (O(block) memory, reported through the
+ * buffered-records accounting below) and latches a typed TraceStatus if
+ * a block is corrupt mid-stream. payloadChecksumOk() adds the
+ * whole-payload check for callers that want every byte verified before
+ * a full replay (laser_trace replay does).
  *
  * Read volume is observable via the obs counters trace.file.bytes_read
  * (header + meta + index on open, plus each decoded block's encoded
@@ -41,17 +44,86 @@
 #include <string>
 #include <vector>
 
+#include "analysis/sink.h"
+#include "pebs/record.h"
 #include "trace/columnar.h"
-#include "trace/source.h"
 #include "trace/trace.h"
 
 namespace laser::trace {
 
-class TraceFile : public RecordSource
+/**
+ * Records currently decoded into cursor block buffers, process-wide.
+ * The replay-memory regression test asserts the peak stays under
+ * O(block x shards) where a materializing replay would hold the whole
+ * trace.
+ */
+std::size_t bufferedRecordsLive();
+/** High-water mark of bufferedRecordsLive() since the last reset. */
+std::size_t bufferedRecordsPeak();
+/** Reset the peak to the current live count (test isolation). */
+void resetBufferedRecordsPeak();
+
+class TraceFile;
+
+/**
+ * Single-pass pull iterator over a contiguous block range of an open
+ * TraceFile, in canonical (cycle) order, decoding one block at a time.
+ * Emits only records within the global record range [first, end) AND
+ * the cycle window [begin, end); TraceFile's factories set the
+ * dimension they don't filter on to [0, max].
+ *
+ * next() returns false at end-of-stream *or* on a decode error — check
+ * status() after the stream ends to tell the two apart (Ok means a
+ * clean end).
+ */
+class RecordCursor
+{
+  public:
+    RecordCursor(const TraceFile *file, std::size_t first_block,
+                 std::size_t end_block, std::uint64_t rec_first,
+                 std::uint64_t rec_end, std::uint64_t cycle_begin,
+                 std::uint64_t cycle_end);
+    ~RecordCursor();
+    RecordCursor(const RecordCursor &) = delete;
+    RecordCursor &operator=(const RecordCursor &) = delete;
+
+    /** Produce the next record; false at end-of-stream or error. */
+    bool next(pebs::PebsRecord *rec);
+
+    /**
+     * Push every remaining record into @p sink, each block's in-window
+     * records as one column slice (RecordSink::onColumns); returns the
+     * count.
+     */
+    std::uint64_t drain(analysis::RecordSink &sink);
+
+    /** Ok after a clean end; a typed error if decoding failed. */
+    TraceStatus status() const { return status_; }
+
+  private:
+    bool loadBlock();
+    void unloadBlock();
+    /** Decoded records [lo, hi) of the loaded block as columns. */
+    analysis::RecordColumns columns(std::size_t lo, std::size_t hi) const;
+
+    const TraceFile *file_;
+    std::size_t block_;
+    std::size_t endBlock_;
+    std::uint64_t recFirst_;
+    std::uint64_t recEnd_;
+    std::uint64_t cycleBegin_;
+    std::uint64_t cycleEnd_;
+    std::vector<std::uint64_t> cols_[columnar::kColumnCount];
+    std::size_t pos_ = 0;
+    bool loaded_ = false;
+    TraceStatus status_ = TraceStatus::Ok;
+};
+
+class TraceFile
 {
   public:
     TraceFile() = default;
-    ~TraceFile() override;
+    ~TraceFile();
     TraceFile(const TraceFile &) = delete;
     TraceFile &operator=(const TraceFile &) = delete;
 
@@ -74,17 +146,28 @@ class TraceFile : public RecordSource
     /** Bytes of the encoded record blob alone. */
     std::uint64_t recordBlobBytes() const { return index_.blobBytes(); }
 
-    // RecordSource
-    std::uint64_t recordCount() const override { return index_.records; }
+    /** Total records in the stream. */
+    std::uint64_t recordCount() const { return index_.records; }
+
+    /** Cursor over global record indices [first, end). */
     std::unique_ptr<RecordCursor>
-    cursorForRecords(std::uint64_t first, std::uint64_t end) const override;
+    cursorForRecords(std::uint64_t first, std::uint64_t end) const;
+
+    /** Cursor over the half-open cycle window [begin, end). */
     std::unique_ptr<RecordCursor>
-    cursorForCycles(std::uint64_t begin, std::uint64_t end) const override;
+    cursorForCycles(std::uint64_t begin, std::uint64_t end) const;
+
+    /** Cursor over the whole stream. */
+    std::unique_ptr<RecordCursor>
+    cursor() const
+    {
+        return cursorForRecords(0, recordCount());
+    }
 
     /**
      * Decode the whole file into a materialized Trace (meta copy + all
-     * records). Equivalent to a full TraceReader parse minus the
-     * whole-payload checksum (block checksums cover the same bytes).
+     * records). Block checksums cover every record byte; the
+     * whole-payload checksum is payloadChecksumOk()'s.
      */
     TraceStatus readAll(Trace *out) const;
 
@@ -93,7 +176,7 @@ class TraceFile : public RecordSource
     bool payloadChecksumOk() const;
 
   private:
-    friend class FileCursor;
+    friend class RecordCursor;
 
     TraceStatus fail(TraceStatus status, std::string detail);
     TraceStatus validate();

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "detect/cacheline_model.h"
-#include "detect/detector.h"
 #include "detect/maps_filter.h"
+#include "detect/pipeline.h"
 #include "isa/assembler.h"
 #include "mem/address_space.h"
 #include "pebs/record.h"
@@ -125,72 +125,127 @@ TEST(MapsFilter, ResolvedClassesFollowThePathRules)
 }
 
 // ---------------------------------------------------------------------
-// CacheLineModel (Figure 5)
+// CacheLineModel (Figure 5): footprints and the decision, plus the
+// per-line state DetectorPipeline keeps for them
 // ---------------------------------------------------------------------
+
+/** Figure 5's verdict on two accesses to one line (previous first). */
+SharingOutcome
+verdict(std::uint64_t prev_addr, int prev_size, bool prev_write,
+        std::uint64_t addr, int size, bool is_write, int line_bytes = 64)
+{
+    return CacheLineModel::classify(
+        CacheLineModel::byteMask(prev_addr, prev_size, line_bytes),
+        prev_write, CacheLineModel::byteMask(addr, size, line_bytes),
+        is_write);
+}
+
+/**
+ * A Shard-mode pipeline over a store (index 0) and a load (index 1),
+ * both 8 bytes wide, that classifies against @p line_bytes lines.
+ */
+struct LineFixture
+{
+    isa::Program prog = [] {
+        Asm a("lines");
+        a.at(10).store(R2, 0, R3, 8);
+        a.at(11).load(R4, R2, 0, 8);
+        a.halt();
+        return a.finalize();
+    }();
+    mem::AddressSpace space{prog, 2};
+    DetectorContext ctx;
+    DetectorPipeline pipeline;
+
+    explicit LineFixture(int line_bytes = 64)
+        : ctx(prog, space, space.renderProcMaps(), sim::TimingModel{},
+              line_bytes),
+          pipeline(ctx, {}, DetectorPipeline::Mode::Shard)
+    {
+    }
+
+    /** One 8-byte access at @p addr; returns its outcome. */
+    SharingOutcome
+    access(std::uint64_t addr, bool is_write)
+    {
+        pebs::PebsRecord r;
+        r.pc = space.indexToPc(is_write ? 0 : 1);
+        r.dataAddr = addr;
+        r.cycle = 1000 + pipeline.state().rateEvents.size();
+        pipeline.onRecord(r);
+        return pipeline.state().rateEvents.back().outcome;
+    }
+
+    std::size_t linesTracked() const { return pipeline.state().lines.size(); }
+};
 
 TEST(CacheLineModel, FirstAccessIsNone)
 {
-    CacheLineModel model;
-    EXPECT_EQ(model.access(0x1000, 4, true), SharingOutcome::None);
-    EXPECT_EQ(model.linesTracked(), 1u);
+    LineFixture f;
+    EXPECT_EQ(f.access(0x1000000, true), SharingOutcome::None);
+    EXPECT_EQ(f.linesTracked(), 1u);
+    // Without a previous access the footprint is empty.
+    EXPECT_EQ(verdict(0x1000, 0, false, 0x1000, 4, true),
+              SharingOutcome::None);
 }
 
 TEST(CacheLineModel, Figure5Example)
 {
     // Figure 5: previous 2B write at the line base, incoming 4B write at
     // base+4: disjoint bytes => false sharing.
-    CacheLineModel model;
-    model.access(0x1000, 2, true);
-    EXPECT_EQ(model.access(0x1004, 4, true),
+    EXPECT_EQ(verdict(0x1000, 2, true, 0x1004, 4, true),
               SharingOutcome::FalseSharing);
 }
 
 TEST(CacheLineModel, OverlapWithWriteIsTrueSharing)
 {
-    CacheLineModel model;
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1004, 8, false),
+    EXPECT_EQ(verdict(0x1000, 8, true, 0x1004, 8, false),
               SharingOutcome::TrueSharing);
 }
 
 TEST(CacheLineModel, ReadReadIsNotContention)
 {
-    CacheLineModel model;
-    model.access(0x1000, 8, false);
-    EXPECT_EQ(model.access(0x1000, 8, false), SharingOutcome::None);
-    EXPECT_EQ(model.access(0x1020, 8, false), SharingOutcome::None);
+    EXPECT_EQ(verdict(0x1000, 8, false, 0x1000, 8, false),
+              SharingOutcome::None);
+    EXPECT_EQ(verdict(0x1000, 8, false, 0x1020, 8, false),
+              SharingOutcome::None);
+    LineFixture f;
+    f.access(0x1000000, false);
+    EXPECT_EQ(f.access(0x1000000, false), SharingOutcome::None);
+    EXPECT_EQ(f.access(0x1000020, false), SharingOutcome::None);
 }
 
 TEST(CacheLineModel, ReadThenWriteOverlapIsTrueSharing)
 {
-    CacheLineModel model;
-    model.access(0x1000, 8, false);
-    EXPECT_EQ(model.access(0x1000, 8, true), SharingOutcome::TrueSharing);
+    EXPECT_EQ(verdict(0x1000, 8, false, 0x1000, 8, true),
+              SharingOutcome::TrueSharing);
 }
 
 TEST(CacheLineModel, DistinctLinesIndependent)
 {
-    CacheLineModel model;
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1040, 8, true), SharingOutcome::None);
-    EXPECT_EQ(model.linesTracked(), 2u);
+    LineFixture f;
+    f.access(0x1000000, true);
+    EXPECT_EQ(f.access(0x1000040, true), SharingOutcome::None);
+    EXPECT_EQ(f.linesTracked(), 2u);
 }
 
 TEST(CacheLineModel, TracksLatestAccessOnly)
 {
-    CacheLineModel model;
-    model.access(0x1000, 4, true);  // bytes 0-3
-    model.access(0x1008, 4, false); // bytes 8-11 -> FS, now last
-    // Incoming write to bytes 8-11 overlaps the *previous* (read) access.
-    EXPECT_EQ(model.access(0x1008, 4, true), SharingOutcome::TrueSharing);
+    LineFixture f;
+    f.access(0x1000000, true); // bytes 0-7
+    EXPECT_EQ(f.access(0x1000010, false), // bytes 16-23 -> FS, now last
+              SharingOutcome::FalseSharing);
+    // Incoming write to bytes 16-23 overlaps the *previous* (read)
+    // access, not the first write.
+    EXPECT_EQ(f.access(0x1000010, true), SharingOutcome::TrueSharing);
 }
 
 TEST(CacheLineModel, AccessClippedAtLineBoundary)
 {
-    CacheLineModel model;
-    // 8B access at offset 60 clips to 4 bytes in this line.
-    model.access(0x103c, 8, true);
-    EXPECT_EQ(model.access(0x1000, 4, true), SharingOutcome::FalseSharing);
+    // 8B access at offset 60 clips to bytes 60-63 of this line.
+    EXPECT_EQ(CacheLineModel::byteMask(0x103c, 8), 0xfull << 60);
+    EXPECT_EQ(verdict(0x103c, 8, true, 0x1000, 4, true),
+              SharingOutcome::FalseSharing);
 }
 
 TEST(CacheLineModel, ZeroSizeAccessIsNeverContention)
@@ -198,22 +253,19 @@ TEST(CacheLineModel, ZeroSizeAccessIsNeverContention)
     // Regression: a size-0 access used to produce an empty byte mask
     // that classify() reported as FalseSharing whenever a write was
     // involved — phantom FS events from degenerate records.
-    CacheLineModel model;
-    model.access(0x1000, 0, true);
-    EXPECT_EQ(model.linesTracked(), 0u); // empty footprint: no state
-    EXPECT_EQ(model.access(0x1008, 4, false), SharingOutcome::None);
-
-    model.clear();
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1008, 0, true), SharingOutcome::None);
-    EXPECT_EQ(model.access(0x1010, 0, false), SharingOutcome::None);
+    EXPECT_EQ(CacheLineModel::byteMask(0x1000, 0), 0u);
+    EXPECT_EQ(verdict(0x1000, 0, true, 0x1008, 4, false),
+              SharingOutcome::None);
+    EXPECT_EQ(verdict(0x1000, 8, true, 0x1008, 0, true),
+              SharingOutcome::None);
+    EXPECT_EQ(verdict(0x1000, 8, true, 0x1010, 0, false),
+              SharingOutcome::None);
 }
 
 TEST(CacheLineModel, NegativeSizeAccessIsNeverContention)
 {
-    CacheLineModel model;
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1008, -4, true), SharingOutcome::None);
+    EXPECT_EQ(verdict(0x1000, 8, true, 0x1008, -4, true),
+              SharingOutcome::None);
     EXPECT_EQ(CacheLineModel::byteMask(0x1008, -4), 0u);
 }
 
@@ -230,25 +282,25 @@ TEST(CacheLineModel, ClassifyEmptyMaskIsNone)
 TEST(CacheLineModel, NarrowLinesSeparateNeighbours)
 {
     // With 32-byte lines, offsets 32 bytes apart are different lines.
-    CacheLineModel model(32);
-    EXPECT_EQ(model.lineBytes(), 32);
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1020, 8, true), SharingOutcome::None);
-    EXPECT_EQ(model.linesTracked(), 2u);
+    LineFixture f(32);
+    EXPECT_EQ(f.ctx.lineBytes, 32);
+    f.access(0x1000000, true);
+    EXPECT_EQ(f.access(0x1000020, true), SharingOutcome::None);
+    EXPECT_EQ(f.linesTracked(), 2u);
     // ... but offsets within the same 32-byte line still contend.
-    EXPECT_EQ(model.access(0x1008, 8, true), SharingOutcome::FalseSharing);
+    EXPECT_EQ(f.access(0x1000008, true), SharingOutcome::FalseSharing);
 }
 
 TEST(CacheLineModel, WideLinesJoinNeighbours)
 {
     // With 128-byte lines, offsets 0 and 96 share a line; the footprint
     // is tracked at 2-byte granules so disjointness is still seen.
-    CacheLineModel model(128);
-    EXPECT_EQ(model.lineBytes(), 128);
-    model.access(0x1000, 8, true);
-    EXPECT_EQ(model.access(0x1060, 8, true), SharingOutcome::FalseSharing);
-    EXPECT_EQ(model.linesTracked(), 1u);
-    EXPECT_EQ(model.access(0x1060, 8, false), SharingOutcome::TrueSharing);
+    LineFixture f(128);
+    EXPECT_EQ(f.ctx.lineBytes, 128);
+    f.access(0x1000000, true);
+    EXPECT_EQ(f.access(0x1000060, true), SharingOutcome::FalseSharing);
+    EXPECT_EQ(f.linesTracked(), 1u);
+    EXPECT_EQ(f.access(0x1000060, false), SharingOutcome::TrueSharing);
 }
 
 TEST(CacheLineModel, WideLineMaskGranules)
@@ -265,10 +317,17 @@ TEST(CacheLineModel, WideLineMaskGranules)
 
 TEST(CacheLineModel, InvalidLineBytesFallsBackToDefault)
 {
-    CacheLineModel model(48); // not a power of two
-    EXPECT_EQ(model.lineBytes(), CacheLineModel::kDefaultLineBytes);
-    CacheLineModel huge(4096); // out of the simulated geometry range
-    EXPECT_EQ(huge.lineBytes(), CacheLineModel::kDefaultLineBytes);
+    // 48 is not a power of two; 4096 is out of the simulated geometry
+    // range.
+    for (const int bad : {48, 4096}) {
+        EXPECT_EQ(CacheLineModel::lineBytesOrDefault(bad),
+                  CacheLineModel::kDefaultLineBytes)
+            << bad;
+        EXPECT_EQ(LineFixture(bad).ctx.lineBytes,
+                  CacheLineModel::kDefaultLineBytes)
+            << bad;
+    }
+    EXPECT_EQ(CacheLineModel::lineBytesOrDefault(32), 32);
 }
 
 // ---------------------------------------------------------------------
@@ -293,23 +352,25 @@ struct DetectorFixture
         return r;
     }
 
-    Detector
+    DetectorContext ctx{prog, space, space.renderProcMaps(), timing};
+
+    DetectorPipeline
     makeDetector(DetectorConfig cfg = {}) const
     {
-        return Detector(prog, space, space.renderProcMaps(), timing, cfg);
+        return DetectorPipeline(ctx, cfg);
     }
 };
 
 TEST(Detector, DropsSpuriousPcs)
 {
     DetectorFixture f;
-    Detector d = f.makeDetector();
+    DetectorPipeline d = f.makeDetector();
     pebs::PebsRecord junk;
     junk.pc = 0x30000000; // outside any mapping
     junk.dataAddr = 0x1000000;
-    d.processRecord(junk);
+    d.onRecord(junk);
     junk.pc = 0xffff800000001000ULL; // kernel
-    d.processRecord(junk);
+    d.onRecord(junk);
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.droppedPcFilter, 2u);
     EXPECT_TRUE(rep.lines.empty());
@@ -318,8 +379,8 @@ TEST(Detector, DropsSpuriousPcs)
 TEST(Detector, DropsStackDataAddresses)
 {
     DetectorFixture f;
-    Detector d = f.makeDetector();
-    d.processRecord(f.record(0, f.space.stackTop(0)));
+    DetectorPipeline d = f.makeDetector();
+    d.onRecord(f.record(0, f.space.stackTop(0)));
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.droppedStackData, 1u);
     EXPECT_TRUE(rep.lines.empty());
@@ -330,10 +391,10 @@ TEST(Detector, ReportsHotLineAboveThreshold)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // 1000 records at one PC over ~1ms represented time: far above 1K/s.
     for (int i = 0; i < 1000; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 8));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 8));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_EQ(rep.lines.size(), 1u);
     EXPECT_EQ(rep.lines[0].location, "main.c:10");
@@ -349,9 +410,9 @@ TEST(Detector, RateThresholdFiltersColdLines)
     cfg.sav = 1;
     // 3.4e9 cycles = 1000 represented seconds at compression 1000; three
     // records => 0.003/s, far below any threshold.
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 3; ++i)
-        d.processRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
     DetectionReport rep = d.finish(1'133'333'333ULL);
     EXPECT_TRUE(rep.lines.empty());
 }
@@ -361,11 +422,11 @@ TEST(Detector, ClassifiesFalseSharing)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Alternating disjoint 8-byte halves of one line, written via the
     // store at index 0.
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32));
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::FalseSharing);
@@ -377,9 +438,9 @@ TEST(Detector, ClassifiesTrueSharing)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x1000000)); // same word every time
+        d.onRecord(f.record(0, 0x1000000)); // same word every time
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::TrueSharing);
@@ -390,11 +451,11 @@ TEST(Detector, NoisyAddressesYieldUnknownType)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Unique garbage addresses: no line ever sees two accesses, so
     // nothing classifies (the linear_regression -O3 situation).
     for (int i = 0; i < 2000; ++i)
-        d.processRecord(f.record(0, 0x20000000 + i * 4096));
+        d.onRecord(f.record(0, 0x20000000 + i * 4096));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_EQ(rep.lines[0].type, ContentionType::Unknown);
@@ -405,11 +466,11 @@ TEST(Detector, AggregatesAdjacentPcsToSameLine)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Records at index 0 and (skidded) index 1 belong to lines 10/11.
     for (int i = 0; i < 2400; ++i) {
-        d.processRecord(f.record(0, 0x1000000));
-        d.processRecord(f.record(1, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(1, 0x1000000));
     }
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_NE(rep.findLine("main.c:10"), nullptr);
@@ -422,10 +483,10 @@ TEST(Detector, RepairTriggersOnFalseSharingStorm)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Heavy FS: disjoint halves, cycles advancing so rates compute.
     for (int i = 0; i < 5000 && !d.repairRequested(); ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32,
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32,
                                  1000 + 400ull * i));
     DetectionReport rep = d.finish(1'700'000);
     EXPECT_TRUE(rep.repairRequested);
@@ -440,9 +501,9 @@ TEST(Detector, RepairNotTriggeredByTrueSharing)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 5000; ++i)
-        d.processRecord(f.record(0, 0x1000000, 1000 + 400ull * i));
+        d.onRecord(f.record(0, 0x1000000, 1000 + 400ull * i));
     DetectionReport rep = d.finish(1'700'000);
     EXPECT_FALSE(rep.repairRequested);
 }
@@ -453,10 +514,10 @@ TEST(Detector, RepairNotTriggeredBelowRate)
     DetectorConfig cfg;
     cfg.sav = 19;
     cfg.rateCheckInterval = 100'000;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     // Sparse FS records: far apart in time.
     for (int i = 0; i < 200; ++i)
-        d.processRecord(f.record(0, 0x1000000 + (i % 2) * 32,
+        d.onRecord(f.record(0, 0x1000000 + (i % 2) * 32,
                                  1000 + 10'000'000ull * i));
     DetectionReport rep = d.finish(700'000'000ULL);
     EXPECT_FALSE(rep.repairRequested);
@@ -466,9 +527,9 @@ TEST(Detector, DetectorCyclesScaleWithRecords)
 {
     DetectorFixture f;
     DetectorConfig cfg;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     for (int i = 0; i < 100; ++i)
-        d.processRecord(f.record(0, 0x1000000));
+        d.onRecord(f.record(0, 0x1000000));
     DetectionReport rep = d.finish(1'133'333);
     EXPECT_EQ(rep.detectorCycles, 100ull * f.timing.detectorPerRecord);
 }
@@ -478,10 +539,10 @@ TEST(Detector, LibraryLinesFlagged)
     DetectorFixture f;
     DetectorConfig cfg;
     cfg.sav = 1;
-    Detector d = f.makeDetector(cfg);
+    DetectorPipeline d = f.makeDetector(cfg);
     const std::uint32_t lib_index = f.prog.segments[1].begin;
     for (int i = 0; i < 1000; ++i)
-        d.processRecord(f.record(lib_index, 0x1000000));
+        d.onRecord(f.record(lib_index, 0x1000000));
     DetectionReport rep = d.finish(1'133'333);
     ASSERT_FALSE(rep.lines.empty());
     EXPECT_TRUE(rep.lines[0].library);

@@ -17,9 +17,9 @@
 #include <string>
 #include <utility>
 
+#include "analysis/sink.h"
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
-#include "detect/detector.h"
 #include "detect/detector_state.h"
 #include "detect/pipeline.h"
 #include "isa/assembler.h"
@@ -151,9 +151,8 @@ TEST(DetectorStateMerge, MergedScanMatchesStreamingRepairTrigger)
         recs.push_back(f.record(0, 0x1000000 + (i % 2) * 32,
                                 1000 + 400ull * i));
 
-    detect::Detector streaming(f.prog, f.space, f.space.renderProcMaps(),
-                               f.timing, cfg);
-    streaming.processAll(recs);
+    DetectorPipeline streaming(f.ctx, cfg);
+    analysis::drain(recs, streaming);
     const detect::DetectionReport serial = streaming.finish(1'700'000);
 
     for (std::size_t cut : {std::size_t(0), recs.size() / 3,
@@ -176,8 +175,41 @@ TEST(DetectorStateMerge, MergedScanMatchesStreamingRepairTrigger)
 // Sharded replay == serial replay, for every registered workload
 // ---------------------------------------------------------------------
 
-TEST(ParallelReplay, IdenticalToSerialForEveryWorkload)
+/** @p trace encoded with @p block_records-record blocks and opened. */
+std::unique_ptr<TraceFile>
+openTrace(const Trace &trace,
+          std::size_t block_records = columnar::kDefaultBlockRecords)
 {
+    TraceWriter writer(trace.meta, block_records);
+    writer.appendAll(trace.records);
+    auto file = std::make_unique<TraceFile>();
+    EXPECT_EQ(file->openBytes(writer.finalize()), TraceStatus::Ok)
+        << file->error();
+    return file;
+}
+
+/**
+ * The non-decoding reference: the live path's DetectorPipeline over the
+ * captured records (core::ExperimentRunner's analysis), in @p env's
+ * detector environment.
+ */
+detect::DetectionReport
+directReport(const TraceReplayer &env, const Trace &captured,
+             const detect::DetectorConfig &cfg)
+{
+    DetectorPipeline pipeline(env.context(), cfg);
+    analysis::drain(captured.records, pipeline);
+    return pipeline.finish(captured.meta.runtimeCycles);
+}
+
+TEST(ParallelReplay, FileBackedCursorsIdenticalToSerialForEveryWorkload)
+{
+    // Every workload written to a trace file, mmapped back, replayed
+    // serially and sharded over per-shard block cursors. Both reports
+    // must stay field-identical to the live pipeline over the captured
+    // records: the index-based shard split sees the same record
+    // boundaries whether records come from a vector or from decoded
+    // blocks.
     core::SweepRunner runner;
     const auto &all = workloads::allWorkloads();
     ASSERT_FALSE(all.empty());
@@ -192,21 +224,42 @@ TEST(ParallelReplay, IdenticalToSerialForEveryWorkload)
     std::vector<std::string> failures(all.size());
     runner.parallelFor(all.size(), [&](std::size_t i) {
         const workloads::WorkloadDef &w = all[i];
-        const auto trace = runner.capture(w, trace::CaptureOptions{});
-        TraceReplayer env(*trace);
+        const Trace trace = captureTrace(w);
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             ("laser_filecursor_" + std::to_string(i) + ".ltrace"))
+                .string();
+        if (writeTraceFile(trace, path) != TraceStatus::Ok) {
+            failures[i] = w.info.name + ": cannot write trace file";
+            return;
+        }
+        TraceFile file;
+        const TraceStatus status = file.open(path);
+        std::remove(path.c_str()); // the mapping outlives the name
+        if (status != TraceStatus::Ok) {
+            failures[i] = w.info.name + ": " + file.error();
+            return;
+        }
+        TraceReplayer env(file.meta(), file);
         if (!env.ok()) {
             failures[i] = w.info.name + ": " + env.error();
             return;
         }
         for (const detect::DetectorConfig &cfg : cfgs) {
-            const detect::DetectionReport serial = env.replay(cfg);
-            for (int shards : {2, 4, 7}) {
+            const detect::DetectionReport direct =
+                directReport(env, trace, cfg);
+            if (!detect::reportsIdentical(direct, env.replay(cfg))) {
+                failures[i] = w.info.name + ": serial file replay differs "
+                                            "from the live pipeline";
+                return;
+            }
+            for (int shards : {1, 2, 3, 4, 5, 7}) {
                 ParallelReplayer::Options opt;
                 opt.shards = shards;
                 ParallelReplayer parallel(env, opt);
-                if (!detect::reportsIdentical(serial,
+                if (!detect::reportsIdentical(direct,
                                               parallel.replay(cfg))) {
-                    failures[i] = w.info.name + ": sharded report (" +
+                    failures[i] = w.info.name + ": file-backed replay (" +
                                   std::to_string(shards) +
                                   " shards) differs from serial";
                     return;
@@ -218,69 +271,13 @@ TEST(ParallelReplay, IdenticalToSerialForEveryWorkload)
         EXPECT_TRUE(failure.empty()) << failure;
 }
 
-TEST(ParallelReplay, FileBackedCursorsIdenticalToSerialForEveryWorkload)
-{
-    // The streaming path: every workload written to a trace file, mmapped
-    // back, and sharded over per-shard block cursors. The merged report
-    // must stay field-identical to the serial in-memory replay — the
-    // index-based shard split sees the same record boundaries whether
-    // records come from a vector or from decoded blocks.
-    core::SweepRunner runner;
-    const auto &all = workloads::allWorkloads();
-    ASSERT_FALSE(all.empty());
-
-    detect::DetectorConfig cfg;
-    cfg.sav = 19;
-
-    std::vector<std::string> failures(all.size());
-    runner.parallelFor(all.size(), [&](std::size_t i) {
-        const workloads::WorkloadDef &w = all[i];
-        const auto trace = runner.capture(w, trace::CaptureOptions{});
-        const std::string path =
-            (std::filesystem::temp_directory_path() /
-             ("laser_filecursor_" + std::to_string(i) + ".ltrace"))
-                .string();
-        if (writeTraceFile(*trace, path) != TraceStatus::Ok) {
-            failures[i] = w.info.name + ": cannot write trace file";
-            return;
-        }
-        TraceFile file;
-        if (file.open(path) != TraceStatus::Ok) {
-            failures[i] = w.info.name + ": " + file.error();
-            std::remove(path.c_str());
-            return;
-        }
-        TraceReplayer mem_env(*trace);
-        TraceReplayer file_env(file.meta(), file);
-        if (!mem_env.ok() || !file_env.ok()) {
-            failures[i] = w.info.name + ": replay environment failed";
-            std::remove(path.c_str());
-            return;
-        }
-        const detect::DetectionReport serial = mem_env.replay(cfg);
-        for (int shards : {1, 3, 5}) {
-            ParallelReplayer::Options opt;
-            opt.shards = shards;
-            ParallelReplayer parallel(file_env, opt);
-            if (!detect::reportsIdentical(serial, parallel.replay(cfg))) {
-                failures[i] = w.info.name + ": file-backed replay (" +
-                              std::to_string(shards) +
-                              " shards) differs from serial";
-                break;
-            }
-        }
-        std::remove(path.c_str());
-    });
-    for (const std::string &failure : failures)
-        EXPECT_TRUE(failure.empty()) << failure;
-}
-
 TEST(ParallelReplay, DigestReusedAcrossConfigs)
 {
     const auto *kmeans = workloads::findWorkload("kmeans");
     ASSERT_NE(kmeans, nullptr);
     const Trace trace = captureTrace(*kmeans);
-    TraceReplayer env(trace);
+    const auto file = openTrace(trace);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok());
 
     ParallelReplayer::Options opt;
@@ -294,7 +291,7 @@ TEST(ParallelReplay, DigestReusedAcrossConfigs)
         detect::DetectorConfig cfg;
         cfg.rateThreshold = threshold;
         cfg.sav = trace.meta.pebs.sav;
-        EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+        EXPECT_TRUE(detect::reportsIdentical(directReport(env, trace, cfg),
                                              parallel.replay(cfg)))
             << "threshold " << threshold;
     }
@@ -304,7 +301,8 @@ TEST(ParallelReplay, SharedExternalPool)
 {
     const auto *kmeans = workloads::findWorkload("kmeans");
     const Trace trace = captureTrace(*kmeans);
-    TraceReplayer env(trace);
+    const auto file = openTrace(trace);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok());
 
     util::ThreadPool pool(3);
@@ -312,13 +310,10 @@ TEST(ParallelReplay, SharedExternalPool)
     opt.shards = 5;
     opt.pool = &pool;
     ParallelReplayer parallel(env, opt);
-    EXPECT_TRUE(detect::reportsIdentical(
-        env.replayAtThreshold(1000.0),
-        parallel.replay([&] {
-            detect::DetectorConfig cfg;
-            cfg.sav = trace.meta.pebs.sav;
-            return cfg;
-        }())));
+    detect::DetectorConfig cfg;
+    cfg.sav = trace.meta.pebs.sav;
+    EXPECT_TRUE(detect::reportsIdentical(directReport(env, trace, cfg),
+                                         parallel.replay(cfg)));
 }
 
 TEST(ParallelReplay, NonDefaultRateIntervalMatchesSerial)
@@ -330,7 +325,8 @@ TEST(ParallelReplay, NonDefaultRateIntervalMatchesSerial)
         const auto *w = workloads::findWorkload(name);
         ASSERT_NE(w, nullptr) << name;
         const Trace trace = captureTrace(*w);
-        TraceReplayer env(trace);
+        const auto file = openTrace(trace);
+        TraceReplayer env(file->meta(), *file);
         ASSERT_TRUE(env.ok()) << name;
         ParallelReplayer::Options opt;
         opt.shards = 3;
@@ -340,8 +336,8 @@ TEST(ParallelReplay, NonDefaultRateIntervalMatchesSerial)
             cfg.rateThreshold = threshold;
             cfg.sav = trace.meta.pebs.sav;
             cfg.rateCheckInterval = 100'000;
-            EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
-                                                 parallel.replay(cfg)))
+            EXPECT_TRUE(detect::reportsIdentical(
+                directReport(env, trace, cfg), parallel.replay(cfg)))
                 << name << " threshold " << threshold;
         }
     }
@@ -354,7 +350,8 @@ TEST(ParallelReplay, OneShardPerRecordWithoutPool)
     const auto *w = workloads::findWorkload("histogram'");
     ASSERT_NE(w, nullptr);
     const Trace trace = captureTrace(*w);
-    TraceReplayer env(trace);
+    const auto file = openTrace(trace);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok());
     ASSERT_GT(trace.records.size(), 1u);
 
@@ -364,7 +361,7 @@ TEST(ParallelReplay, OneShardPerRecordWithoutPool)
     EXPECT_EQ(parallel.shards(), opt.shards);
     detect::DetectorConfig cfg;
     cfg.sav = trace.meta.pebs.sav;
-    EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+    EXPECT_TRUE(detect::reportsIdentical(directReport(env, trace, cfg),
                                          parallel.replay(cfg)));
 }
 
@@ -375,7 +372,8 @@ TEST(ParallelReplay, EmptyTraceUsesOneShard)
     ASSERT_NE(w, nullptr);
     const Trace trace = captureTrace(*w);
     ASSERT_TRUE(trace.records.empty());
-    TraceReplayer env(trace);
+    const auto file = openTrace(trace);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok());
 
     ParallelReplayer::Options opt;
@@ -384,7 +382,7 @@ TEST(ParallelReplay, EmptyTraceUsesOneShard)
     EXPECT_EQ(parallel.shards(), 1);
     detect::DetectorConfig cfg;
     cfg.sav = trace.meta.pebs.sav;
-    EXPECT_TRUE(detect::reportsIdentical(env.replay(cfg),
+    EXPECT_TRUE(detect::reportsIdentical(directReport(env, trace, cfg),
                                          parallel.replay(cfg)));
 }
 
@@ -455,15 +453,6 @@ digestRecords(const detect::DetectorContext &ctx,
 /** Small blocks, so record and cycle windows end inside blocks. */
 constexpr std::size_t kSmallBlock = 64;
 
-/** @p trace encoded with kSmallBlock-record blocks. */
-std::vector<std::uint8_t>
-smallBlockImage(const Trace &trace)
-{
-    TraceWriter writer(trace.meta, kSmallBlock);
-    writer.appendAll(trace.records);
-    return writer.finalize();
-}
-
 TEST(ColumnDigest, CursorDrainMatchesRecordFeedForEveryWorkload)
 {
     core::SweepRunner runner;
@@ -473,18 +462,14 @@ TEST(ColumnDigest, CursorDrainMatchesRecordFeedForEveryWorkload)
     std::vector<std::string> failures(all.size());
     runner.parallelFor(all.size(), [&](std::size_t i) {
         const workloads::WorkloadDef &w = all[i];
-        const auto trace = runner.capture(w, trace::CaptureOptions{});
-        TraceFile file;
-        if (file.openBytes(smallBlockImage(*trace)) != TraceStatus::Ok) {
-            failures[i] = w.info.name + ": " + file.error();
-            return;
-        }
-        TraceReplayer env(*trace);
+        const Trace trace = captureTrace(w);
+        const auto file = openTrace(trace, kSmallBlock);
+        TraceReplayer env(file->meta(), *file);
         if (!env.ok()) {
             failures[i] = w.info.name + ": " + env.error();
             return;
         }
-        const std::vector<pebs::PebsRecord> &recs = trace->records;
+        const std::vector<pebs::PebsRecord> &recs = trace.records;
         const std::size_t n = recs.size();
 
         // Whole file, then a record window and a cycle window whose
@@ -500,18 +485,18 @@ TEST(ColumnDigest, CursorDrainMatchesRecordFeedForEveryWorkload)
             std::vector<pebs::PebsRecord> records;
         };
         std::vector<Window> windows;
-        windows.push_back({"whole file", file.cursor(), recs});
+        windows.push_back({"whole file", file->cursor(), recs});
         if (end <= n) {
             windows.push_back(
                 {"records [" + std::to_string(first) + ", " +
                      std::to_string(end) + ")",
-                 file.cursorForRecords(first, end),
+                 file->cursorForRecords(first, end),
                  {recs.begin() + static_cast<std::ptrdiff_t>(first),
                   recs.begin() + static_cast<std::ptrdiff_t>(end)}});
         }
         Window cycles{"cycles [" + std::to_string(begin_cycle) + ", " +
                           std::to_string(end_cycle) + ")",
-                      file.cursorForCycles(begin_cycle, end_cycle),
+                      file->cursorForCycles(begin_cycle, end_cycle),
                       {}};
         for (const pebs::PebsRecord &rec : recs)
             if (rec.cycle >= begin_cycle && rec.cycle < end_cycle)
@@ -545,15 +530,17 @@ TEST(ColumnDigest, CorruptBlockStopsDrainWhereNextStops)
     const auto *w = workloads::findWorkload("histogram'");
     ASSERT_NE(w, nullptr);
     const Trace trace = captureTrace(*w);
-    TraceReplayer env(trace);
+    TraceWriter writer(trace.meta, kSmallBlock);
+    writer.appendAll(trace.records);
+    std::vector<std::uint8_t> image = writer.finalize();
+    TraceFile probe;
+    ASSERT_EQ(probe.openBytes(image), TraceStatus::Ok);
+    TraceReplayer env(probe.meta(), probe);
     ASSERT_TRUE(env.ok());
 
     // Flip the first byte of a middle block: open() still succeeds (it
     // verifies only header, meta and index); the block's checksum fails
     // when a cursor reaches it.
-    std::vector<std::uint8_t> image = smallBlockImage(trace);
-    TraceFile probe;
-    ASSERT_EQ(probe.openBytes(image), TraceStatus::Ok);
     const columnar::BlockIndex &index = probe.index();
     ASSERT_GE(index.blocks.size(), 3u);
     const columnar::BlockInfo bad = index.blocks[index.blocks.size() / 2];
@@ -662,14 +649,15 @@ TEST(RateScan, WindowScanMatchesStepLoop)
 
     // Every workload at SAV 1 and 19, digested with 3 shards.
     const std::size_t n = all.size() * savs.size();
-    std::vector<std::shared_ptr<const Trace>> traces(n);
+    std::vector<std::shared_ptr<const TraceFile>> traces(n);
     std::vector<std::unique_ptr<TraceReplayer>> envs(n);
     std::vector<std::unique_ptr<ParallelReplayer>> digests(n);
     runner.parallelFor(n, [&](std::size_t i) {
         CaptureOptions opt;
         opt.sav = savs[i % savs.size()];
-        traces[i] = runner.capture(all[i / savs.size()], opt);
-        envs[i] = std::make_unique<TraceReplayer>(*traces[i]);
+        traces[i] = runner.captureFile(all[i / savs.size()], opt);
+        envs[i] = std::make_unique<TraceReplayer>(traces[i]->meta(),
+                                                  *traces[i]);
         if (!envs[i]->ok())
             throw std::runtime_error(envs[i]->error());
         ParallelReplayer::Options popt;
@@ -729,7 +717,7 @@ TEST(RateScan, WindowScanMatchesStepLoop)
                             failures.push_back(
                                 all[i / savs.size()].info.name +
                                 " sav " +
-                                std::to_string(traces[i]->meta.pebs.sav) +
+                                std::to_string(traces[i]->meta().pebs.sav) +
                                 " interval " + std::to_string(interval) +
                                 " fs " + std::to_string(fs_rate) +
                                 " hitm " + std::to_string(hitm_rate) +
@@ -762,7 +750,8 @@ TEST(SchemeCapture, VTuneReplayMatchesLiveModel)
     EXPECT_FALSE(captured.records.empty());
     EXPECT_EQ(captured.meta.runtimeCycles, live.runtimeCycles);
 
-    TraceReplayer env(captured);
+    const auto file = openTrace(captured);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok()) << env.error();
     const baselines::VTuneReport replayed = env.replayVTune();
     EXPECT_EQ(replayed.hitmEvents, live.vtune.hitmEvents);
@@ -800,7 +789,8 @@ TEST(SchemeCapture, SheriffReplayMatchesLiveModel)
     EXPECT_FALSE(captured.meta.sheriff.detectMode);
     EXPECT_EQ(captured.meta.runtimeCycles, live.runtimeCycles);
 
-    TraceReplayer env(captured);
+    const auto file = openTrace(captured);
+    TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok()) << env.error();
     const SheriffReplay replay = env.replaySheriff();
     EXPECT_GT(replay.report.syncOps, 0u);
@@ -830,16 +820,14 @@ TEST(SchemeCapture, RoundTripsThroughFileFormat)
          {"native", "vtune", "sheriff-detect", "sheriff-protect"}) {
         const Trace captured =
             captureTrace(*w, CaptureOptions::forScheme(scheme));
-        TraceWriter writer(captured.meta);
-        writer.appendAll(captured.records);
-        TraceReader reader;
-        ASSERT_EQ(reader.parse(writer.finalize()), TraceStatus::Ok)
-            << scheme << ": " << reader.error();
-        EXPECT_EQ(reader.trace().meta.scheme, scheme);
-        EXPECT_EQ(reader.trace().records.size(), captured.records.size())
+        const auto file = openTrace(captured);
+        EXPECT_TRUE(file->payloadChecksumOk()) << scheme;
+        Trace decoded;
+        ASSERT_EQ(file->readAll(&decoded), TraceStatus::Ok) << scheme;
+        EXPECT_EQ(decoded.meta.scheme, scheme);
+        EXPECT_EQ(decoded.records.size(), captured.records.size())
             << scheme;
-        EXPECT_EQ(configHash(reader.trace().meta),
-                  configHash(captured.meta))
+        EXPECT_EQ(configHash(decoded.meta), configHash(captured.meta))
             << scheme;
     }
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the trace capture/replay subsystem and the parallel sweep
- * runner: byte-exact round-trips, strict rejection of malformed files,
- * replay fidelity against the in-process pipeline, and cache-hit
- * behaviour (a repeated sweep performs zero machine runs).
+ * runner: byte-exact round-trips through trace::TraceFile, strict
+ * rejection of malformed files, replay fidelity against the in-process
+ * pipeline, and cache-hit behaviour (a repeated sweep performs zero
+ * machine runs).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 
@@ -20,6 +22,7 @@
 #include "core/sweep_runner.h"
 #include "obs/metrics.h"
 #include "trace/capture.h"
+#include "trace/parallel_replay.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
@@ -80,6 +83,28 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** @p bytes opened as a TraceFile (must open Ok). */
+std::unique_ptr<TraceFile>
+openImage(std::vector<std::uint8_t> bytes)
+{
+    auto file = std::make_unique<TraceFile>();
+    EXPECT_EQ(file->openBytes(std::move(bytes)), TraceStatus::Ok)
+        << file->error();
+    return file;
+}
+
+/** Status of opening @p bytes and then decoding every record block. */
+TraceStatus
+readImage(std::vector<std::uint8_t> bytes)
+{
+    TraceFile file;
+    const TraceStatus status = file.openBytes(std::move(bytes));
+    if (status != TraceStatus::Ok)
+        return status;
+    Trace decoded;
+    return file.readAll(&decoded);
+}
+
 void
 expectTracesEqual(const Trace &a, const Trace &b)
 {
@@ -113,12 +138,14 @@ TEST(TraceFormat, RoundTripByteExact)
     const Trace original = syntheticTrace();
     const std::vector<std::uint8_t> bytes = encode(original);
 
-    TraceReader reader;
-    ASSERT_EQ(reader.parse(bytes), TraceStatus::Ok) << reader.error();
-    expectTracesEqual(original, reader.trace());
+    const auto file = openImage(bytes);
+    EXPECT_TRUE(file->payloadChecksumOk());
+    Trace decoded;
+    ASSERT_EQ(file->readAll(&decoded), TraceStatus::Ok);
+    expectTracesEqual(original, decoded);
 
-    // Re-encoding the parsed trace reproduces the identical file image.
-    EXPECT_EQ(encode(reader.trace()), bytes);
+    // Re-encoding the decoded trace reproduces the identical file image.
+    EXPECT_EQ(encode(decoded), bytes);
 }
 
 TEST(TraceFormat, CapturedRunRoundTripsThroughFile)
@@ -135,10 +162,13 @@ TEST(TraceFormat, CapturedRunRoundTripsThroughFile)
             .string();
     ASSERT_EQ(writeTraceFile(captured, path), TraceStatus::Ok);
 
-    TraceReader reader;
-    ASSERT_EQ(reader.readFile(path), TraceStatus::Ok) << reader.error();
-    expectTracesEqual(captured, reader.trace());
-    EXPECT_EQ(encode(reader.trace()), encode(captured));
+    TraceFile file;
+    ASSERT_EQ(file.open(path), TraceStatus::Ok) << file.error();
+    EXPECT_TRUE(file.payloadChecksumOk());
+    Trace decoded;
+    ASSERT_EQ(file.readAll(&decoded), TraceStatus::Ok);
+    expectTracesEqual(captured, decoded);
+    EXPECT_EQ(encode(decoded), encode(captured));
     std::remove(path.c_str());
 }
 
@@ -146,23 +176,20 @@ TEST(TraceFormat, RejectsBadMagic)
 {
     std::vector<std::uint8_t> bytes = encode(syntheticTrace());
     bytes[0] = 'X';
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::BadMagic);
-    EXPECT_FALSE(reader.error().empty());
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(bytes), TraceStatus::BadMagic);
+    EXPECT_FALSE(file.error().empty());
 }
 
 TEST(TraceFormat, RejectsVersionMismatch)
 {
     // Only kTraceVersion is read: an older or a newer version is
-    // BadVersion from the full reader and the seekable reader alike.
+    // BadVersion.
     const std::vector<std::uint8_t> pristine = encode(syntheticTrace());
     for (const std::uint32_t version :
          {kTraceVersion - 1, kTraceVersion + 1}) {
         std::vector<std::uint8_t> bytes = pristine;
         bytes[4] = static_cast<std::uint8_t>(version);
-        TraceReader reader;
-        EXPECT_EQ(reader.parse(bytes), TraceStatus::BadVersion)
-            << "v" << int(version);
         TraceFile file;
         EXPECT_EQ(file.openBytes(bytes), TraceStatus::BadVersion)
             << "v" << int(version);
@@ -173,16 +200,17 @@ TEST(TraceFormat, RejectsForeignEndianness)
 {
     std::vector<std::uint8_t> bytes = encode(syntheticTrace());
     std::swap(bytes[8], bytes[11]); // byte-swapped endianness marker
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::BadEndianness);
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(bytes), TraceStatus::BadEndianness);
 }
 
 TEST(TraceFormat, RejectsEveryTruncation)
 {
     const std::vector<std::uint8_t> bytes = encode(syntheticTrace());
-    TraceReader reader;
+    TraceFile file;
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        const TraceStatus status = reader.parse(bytes.data(), cut);
+        const TraceStatus status = file.openBytes(
+            {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut)});
         EXPECT_EQ(status, TraceStatus::Truncated)
             << "prefix of " << cut << " bytes parsed as "
             << traceStatusName(status);
@@ -192,23 +220,34 @@ TEST(TraceFormat, RejectsEveryTruncation)
 TEST(TraceFormat, RejectsPayloadCorruption)
 {
     const std::vector<std::uint8_t> pristine = encode(syntheticTrace());
-    // Flip one bit in every payload byte in turn: the checksum (or, for
-    // the header's stored hash, the hash crosscheck) must catch each.
-    TraceReader reader;
+    // Flip one bit in every payload byte in turn: the meta, index or
+    // block checksum covering it must catch each (at open, or when the
+    // block decodes), and so must the whole-payload checksum.
     for (std::size_t i = 28; i + 8 < pristine.size(); i += 7) {
         std::vector<std::uint8_t> bytes = pristine;
         bytes[i] ^= 0x40;
-        EXPECT_EQ(reader.parse(bytes), TraceStatus::Corrupt)
+        TraceFile file;
+        TraceStatus status = file.openBytes(bytes);
+        if (status == TraceStatus::Ok) {
+            EXPECT_FALSE(file.payloadChecksumOk())
+                << "flipped payload byte " << i;
+            Trace decoded;
+            status = file.readAll(&decoded);
+        }
+        EXPECT_EQ(status, TraceStatus::Corrupt)
             << "flipped payload byte " << i;
     }
-    // Corrupting the trailer checksum itself is also detected.
+    // Corrupting the trailer checksum itself leaves every record intact
+    // but fails the whole-payload check (which laser_trace replay
+    // rejects as corrupt).
     std::vector<std::uint8_t> bytes = pristine;
     bytes.back() ^= 0x01;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::Corrupt);
-    // As is corrupting the stored config hash in the header.
+    EXPECT_FALSE(openImage(bytes)->payloadChecksumOk());
+    EXPECT_EQ(readImage(bytes), TraceStatus::Ok);
+    // Corrupting the stored config hash in the header fails the open.
     bytes = pristine;
     bytes[12] ^= 0x01;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::Corrupt);
+    EXPECT_EQ(readImage(bytes), TraceStatus::Corrupt);
 }
 
 TEST(TraceFormat, RejectsNonMonotonicCycles)
@@ -224,14 +263,10 @@ TEST(TraceFormat, RejectsNonMonotonicCycles)
     ends_low.records[2].cycle = ends_low.records[1].cycle - 1;
     Trace dips = syntheticTrace();
     dips.records[1].cycle = dips.records[0].cycle - 1;
-    TraceReader reader;
-    for (const Trace *t : {&ends_low, &dips}) {
-        EXPECT_EQ(reader.parse(encode(*t)), TraceStatus::NonMonotonic);
-        EXPECT_NE(reader.error().find("precedes"), std::string::npos)
-            << reader.error();
-    }
     TraceFile file;
     EXPECT_EQ(file.openBytes(encode(ends_low)), TraceStatus::NonMonotonic);
+    EXPECT_NE(file.error().find("precedes"), std::string::npos)
+        << file.error();
     ASSERT_EQ(file.openBytes(encode(dips)), TraceStatus::Ok);
     Trace decoded;
     EXPECT_EQ(file.readAll(&decoded), TraceStatus::NonMonotonic);
@@ -248,22 +283,21 @@ TEST(TraceFormat, RejectsNonMonotonicCycles)
               TraceStatus::NonMonotonic);
 
     // Equal adjacent cycles (records[0] and records[1]) stay accepted.
-    EXPECT_EQ(reader.parse(encode(syntheticTrace())), TraceStatus::Ok);
+    EXPECT_EQ(readImage(encode(syntheticTrace())), TraceStatus::Ok);
 }
 
 TEST(TraceFormat, RejectsTrailingGarbage)
 {
     std::vector<std::uint8_t> bytes = encode(syntheticTrace());
     bytes.push_back(0xAA);
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(bytes), TraceStatus::Corrupt);
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(bytes), TraceStatus::Corrupt);
 }
 
 TEST(TraceFormat, ReportsIoErrorForMissingFile)
 {
-    TraceReader reader;
-    EXPECT_EQ(reader.readFile("/nonexistent/laser.ltrace"),
-              TraceStatus::IoError);
+    TraceFile file;
+    EXPECT_EQ(file.open("/nonexistent/laser.ltrace"), TraceStatus::IoError);
 }
 
 TEST(TraceFormat, ConfigHashDependsOnConfigOnly)
@@ -290,9 +324,8 @@ TEST(TraceFormat, RoundTripsProtocolAndGeometry)
     t.meta.machine.timing.dragonHitm = 123;
     t.meta.machine.timing.dragonUpdate = 45;
 
-    TraceReader reader;
-    ASSERT_EQ(reader.parse(encode(t)), TraceStatus::Ok) << reader.error();
-    const sim::MachineConfig &mc = reader.trace().meta.machine;
+    const auto file = openImage(encode(t));
+    const sim::MachineConfig &mc = file->meta().machine;
     EXPECT_EQ(mc.protocol, sim::ProtocolKind::Dragon);
     EXPECT_EQ(mc.geometry.lineBytes, 128u);
     EXPECT_EQ(mc.timing.dragonHitm, 123u);
@@ -324,22 +357,22 @@ TEST(TraceFormat, RejectsUnknownProtocol)
     // caught after the checksum passes (the writer encodes it happily).
     Trace t = syntheticTrace();
     t.meta.machine.protocol = static_cast<sim::ProtocolKind>(9);
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(encode(t)), TraceStatus::Corrupt);
-    EXPECT_NE(reader.error().find("invalid coherence protocol"),
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(encode(t)), TraceStatus::Corrupt);
+    EXPECT_NE(file.error().find("invalid coherence protocol"),
               std::string::npos)
-        << reader.error();
+        << file.error();
 }
 
 TEST(TraceFormat, RejectsInvalidLineSize)
 {
     Trace t = syntheticTrace();
     t.meta.machine.geometry.lineBytes = 48; // not a power of two
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(encode(t)), TraceStatus::Corrupt);
-    EXPECT_NE(reader.error().find("invalid cache line size"),
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(encode(t)), TraceStatus::Corrupt);
+    EXPECT_NE(file.error().find("invalid cache line size"),
               std::string::npos)
-        << reader.error();
+        << file.error();
 }
 
 TEST(TraceFormat, CaptureRejectsInvalidLineSize)
@@ -358,13 +391,11 @@ TEST(TraceFormat, CaptureRejectsInvalidLineSize)
 // Replay fidelity: record -> replay reproduces the in-process pipeline.
 // ---------------------------------------------------------------------
 
-/** Encode @p t, parse it back and return the decoded trace. */
-Trace
+/** @p t encoded and opened back as a trace file. */
+std::unique_ptr<TraceFile>
 roundTrip(const Trace &t)
 {
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(encode(t)), TraceStatus::Ok);
-    return reader.takeTrace();
+    return openImage(encode(t));
 }
 
 TEST(TraceReplay, MatchesInProcessPipeline)
@@ -381,25 +412,23 @@ TEST(TraceReplay, MatchesInProcessPipeline)
         {
             const core::RunResult live =
                 runner.run(w, core::Scheme::LaserDetectOnly);
-            const Trace loaded = roundTrip(captureTrace(w));
-            TraceReplayer replayer(loaded);
+            const auto loaded = roundTrip(captureTrace(w));
+            TraceReplayer replayer(loaded->meta(), *loaded);
             ASSERT_TRUE(replayer.ok()) << replayer.error();
             EXPECT_TRUE(detect::reportsIdentical(
                 replayer.replayAtThreshold(1000.0), live.detection))
                 << name;
-            EXPECT_EQ(loaded.meta.stats.cycles, live.stats.cycles) << name;
-            EXPECT_EQ(loaded.meta.stats.instructions,
-                      live.stats.instructions)
-                << name;
-            EXPECT_EQ(loaded.meta.stats.hitmTotal(), live.stats.hitmTotal())
-                << name;
+            const sim::MachineStats &stats = loaded->meta().stats;
+            EXPECT_EQ(stats.cycles, live.stats.cycles) << name;
+            EXPECT_EQ(stats.instructions, live.stats.instructions) << name;
+            EXPECT_EQ(stats.hitmTotal(), live.stats.hitmTotal()) << name;
         }
 
         {
             const core::RunResult live = runner.run(w, core::Scheme::VTune);
-            const Trace loaded = roundTrip(
+            const auto loaded = roundTrip(
                 captureTrace(w, CaptureOptions::forScheme("vtune")));
-            TraceReplayer replayer(loaded);
+            TraceReplayer replayer(loaded->meta(), *loaded);
             ASSERT_TRUE(replayer.ok()) << replayer.error();
             const baselines::VTuneReport replayed = replayer.replayVTune();
             EXPECT_EQ(replayed.hitmEvents, live.vtune.hitmEvents) << name;
@@ -431,8 +460,8 @@ TEST(TraceReplay, MatchesInProcessPipeline)
                 CaptureOptions opt =
                     CaptureOptions::forScheme(core::schemeName(scheme));
                 opt.scale = scale;
-                const Trace loaded = roundTrip(captureTrace(w, opt));
-                TraceReplayer replayer(loaded);
+                const auto loaded = roundTrip(captureTrace(w, opt));
+                TraceReplayer replayer(loaded->meta(), *loaded);
                 ASSERT_TRUE(replayer.ok()) << replayer.error();
                 const SheriffReplay replayed = replayer.replaySheriff();
                 EXPECT_EQ(replayed.report.syncOps, live.sheriff.syncOps)
@@ -452,10 +481,11 @@ TEST(TraceReplay, MatchesInProcessPipeline)
         {
             const core::RunResult live =
                 runner.run(w, core::Scheme::Native);
-            const Trace loaded = roundTrip(
+            const auto loaded = roundTrip(
                 captureTrace(w, CaptureOptions::forScheme("native")));
-            EXPECT_TRUE(loaded.records.empty()) << name;
-            EXPECT_EQ(loaded.meta.runtimeCycles, live.runtimeCycles) << name;
+            EXPECT_EQ(loaded->recordCount(), 0u) << name;
+            EXPECT_EQ(loaded->meta().runtimeCycles, live.runtimeCycles)
+                << name;
         }
     }
 }
@@ -464,7 +494,8 @@ TEST(TraceReplay, UnknownWorkloadFailsCleanly)
 {
     Trace t = syntheticTrace();
     t.meta.workload = "no_such_workload";
-    TraceReplayer replayer(t);
+    const auto file = roundTrip(t);
+    TraceReplayer replayer(file->meta(), *file);
     EXPECT_FALSE(replayer.ok());
     EXPECT_NE(replayer.error().find("no_such_workload"),
               std::string::npos);
@@ -529,8 +560,8 @@ TEST(SweepRunner, Fig09SweepMatchesGoldenAndSerialReplay)
     std::vector<int> serial_fn(thresholds.size(), 0);
     std::vector<int> serial_fp(thresholds.size(), 0);
     for (const workloads::WorkloadDef *def : defs) {
-        const auto trace = runner.capture(*def, opt);
-        TraceReplayer env(*trace);
+        const auto file = runner.captureFile(*def, opt);
+        TraceReplayer env(file->meta(), *file);
         ASSERT_TRUE(env.ok()) << def->info.name;
         for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
             detect::DetectorConfig cfg;
@@ -564,18 +595,18 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners)
         core::SweepRunner::Config cfg;
         cfg.cacheDir = dir.string();
         core::SweepRunner first(cfg);
-        first.capture(*kmeans, opt);
+        EXPECT_NE(first.captureFile(*kmeans, opt), nullptr);
         EXPECT_EQ(first.stats().machineRuns, 1u);
     }
 
     core::SweepRunner::Config cfg;
     cfg.cacheDir = dir.string();
     core::SweepRunner second(cfg);
-    const auto trace = second.capture(*kmeans, opt);
+    const auto file = second.captureFile(*kmeans, opt);
     EXPECT_EQ(second.stats().machineRuns, 0u);
     EXPECT_EQ(second.stats().diskCacheHits, 1u);
-    EXPECT_EQ(trace->meta.workload, "kmeans");
-    EXPECT_FALSE(trace->records.empty());
+    EXPECT_EQ(file->meta().workload, "kmeans");
+    EXPECT_GT(file->recordCount(), 0u);
     fs::remove_all(dir);
 }
 
@@ -597,15 +628,15 @@ TEST(SweepRunner, ConcurrentRunnersShareOneDiskCache)
     cfg.cacheDir = dir.string();
     cfg.numWorkers = 2;
     core::SweepRunner a(cfg), b(cfg);
-    std::vector<std::shared_ptr<const trace::Trace>> got_a(defs.size());
-    std::vector<std::shared_ptr<const trace::Trace>> got_b(defs.size());
+    std::vector<std::shared_ptr<const TraceFile>> got_a(defs.size());
+    std::vector<std::shared_ptr<const TraceFile>> got_b(defs.size());
     std::thread ta([&] {
         for (std::size_t i = 0; i < defs.size(); ++i)
-            got_a[i] = a.capture(*defs[i], opt);
+            got_a[i] = a.captureFile(*defs[i], opt);
     });
     std::thread tb([&] {
         for (std::size_t i = defs.size(); i-- > 0;)
-            got_b[i] = b.capture(*defs[i], opt);
+            got_b[i] = b.captureFile(*defs[i], opt);
     });
     ta.join();
     tb.join();
@@ -621,9 +652,9 @@ TEST(SweepRunner, ConcurrentRunnersShareOneDiskCache)
     for (std::size_t i = 0; i < defs.size(); ++i) {
         ASSERT_NE(got_a[i], nullptr);
         ASSERT_NE(got_b[i], nullptr);
-        EXPECT_EQ(got_a[i]->meta.workload, defs[i]->info.name);
-        EXPECT_EQ(got_b[i]->meta.workload, defs[i]->info.name);
-        EXPECT_EQ(got_a[i]->records.size(), got_b[i]->records.size());
+        EXPECT_EQ(got_a[i]->meta().workload, defs[i]->info.name);
+        EXPECT_EQ(got_b[i]->meta().workload, defs[i]->info.name);
+        EXPECT_EQ(got_a[i]->recordCount(), got_b[i]->recordCount());
     }
 
     // Every cache file opens cleanly, and a third runner is served
@@ -640,11 +671,14 @@ TEST(SweepRunner, ConcurrentRunnersShareOneDiskCache)
     EXPECT_EQ(files, defs.size());
     core::SweepRunner c(cfg);
     for (const auto *def : defs) {
-        TraceReader reader;
-        ASSERT_EQ(reader.readFile(c.cachePath(configHash(
+        TraceFile file;
+        ASSERT_EQ(file.open(c.cachePath(configHash(
                       makeCaptureMeta(*def, opt)))),
                   TraceStatus::Ok);
-        c.capture(*def, opt);
+        EXPECT_TRUE(file.payloadChecksumOk());
+        Trace decoded;
+        EXPECT_EQ(file.readAll(&decoded), TraceStatus::Ok);
+        EXPECT_NE(c.captureFile(*def, opt), nullptr);
     }
     EXPECT_EQ(c.stats().machineRuns, 0u);
     EXPECT_EQ(c.stats().diskCacheHits, defs.size());
@@ -672,69 +706,26 @@ TEST(SweepRunner, UnwritableCacheDirSurfacesWriteFailures)
     cfg.cacheDir = (file / "sub").string();
     core::SweepRunner runner(cfg);
     const auto *kmeans = workloads::findWorkload("kmeans");
-    const auto trace = runner.capture(*kmeans, CaptureOptions{});
+    const auto trace = runner.captureFile(*kmeans, CaptureOptions{});
     ASSERT_NE(trace, nullptr);
-    EXPECT_FALSE(trace->records.empty());
+    EXPECT_GT(trace->recordCount(), 0u);
     EXPECT_EQ(runner.stats().machineRuns, 1u);
     EXPECT_EQ(failures.value(), before + 1);
 
-    // The file-backed request is served by the same slot (the freshly
+    // A repeated request is served by the same slot (the freshly
     // encoded in-memory image): no second simulation, no second write.
-    const auto tf = runner.captureFile(*kmeans, CaptureOptions{});
-    ASSERT_NE(tf, nullptr);
-    EXPECT_EQ(tf->recordCount(), trace->records.size());
+    EXPECT_EQ(runner.captureFile(*kmeans, CaptureOptions{}).get(),
+              trace.get());
     EXPECT_EQ(runner.stats().machineRuns, 1u);
     EXPECT_EQ(failures.value(), before + 1);
     fs::remove_all(file);
 }
 
-TEST(SweepRunner, CaptureAndCaptureFileShareOneSlot)
-{
-    // capture() is captureFile() materialized: whichever is asked
-    // first simulates, the other is a memory hit on the same slot —
-    // with and without a cache directory.
-    const fs::path dir =
-        fs::temp_directory_path() / "laser_sweep_one_slot_test";
-    const auto *kmeans = workloads::findWorkload("kmeans");
-    const CaptureOptions opt;
-    for (const bool on_disk : {false, true}) {
-        for (const bool file_first : {false, true}) {
-            SCOPED_TRACE(std::string(on_disk ? "cache dir" : "in memory") +
-                         (file_first ? ", captureFile() first"
-                                     : ", capture() first"));
-            fs::remove_all(dir);
-            core::SweepRunner::Config cfg;
-            if (on_disk)
-                cfg.cacheDir = dir.string();
-            core::SweepRunner runner(cfg);
-            std::shared_ptr<const TraceFile> file;
-            std::shared_ptr<const Trace> trace;
-            if (file_first) {
-                file = runner.captureFile(*kmeans, opt);
-                trace = runner.capture(*kmeans, opt);
-            } else {
-                trace = runner.capture(*kmeans, opt);
-                file = runner.captureFile(*kmeans, opt);
-            }
-            const core::SweepStats stats = runner.stats();
-            EXPECT_EQ(stats.machineRuns, 1u);
-            EXPECT_EQ(stats.memoryCacheHits, 1u);
-            EXPECT_EQ(stats.diskCacheHits, 0u);
-
-            Trace decoded;
-            ASSERT_EQ(file->readAll(&decoded), TraceStatus::Ok);
-            EXPECT_FALSE(trace->records.empty());
-            EXPECT_EQ(encode(decoded), encode(*trace));
-        }
-    }
-    fs::remove_all(dir);
-}
-
-TEST(SweepRunner, CorruptCachedRecordBlockMakesCaptureThrow)
+TEST(SweepRunner, CorruptCachedRecordBlockMakesReplayThrow)
 {
     // A cache file whose header, meta and index verify is a disk hit;
-    // a record block failing its checksum then surfaces from capture()
-    // as an exception naming the file.
+    // a record block failing its checksum then surfaces from the replay
+    // as an exception carrying the typed status.
     const fs::path dir =
         fs::temp_directory_path() / "laser_sweep_bad_block_test";
     fs::remove_all(dir);
@@ -765,11 +756,15 @@ TEST(SweepRunner, CorruptCachedRecordBlockMakesCaptureThrow)
     writeBytes(path, image);
 
     core::SweepRunner runner(cfg);
+    const auto file = runner.captureFile(*kmeans, opt);
+    ASSERT_NE(file, nullptr);
     try {
-        runner.capture(*kmeans, opt);
-        ADD_FAILURE() << "capture() served a corrupt record block";
+        (void)replayDetection(*file, 1);
+        ADD_FAILURE() << "replay digested a corrupt record block";
     } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find(
+                      traceStatusName(TraceStatus::Corrupt)),
+                  std::string::npos)
             << e.what();
     }
     EXPECT_EQ(runner.stats().diskCacheHits, 1u);
@@ -797,34 +792,26 @@ TEST(SweepRunner, CorruptCacheFileIsResimulatedAndRepaired)
 
     core::SweepRunner::Config cfg;
     cfg.cacheDir = dir.string();
-    const auto load = [&](core::SweepRunner &runner, bool as_file) {
-        if (as_file)
-            EXPECT_NE(runner.captureFile(*kmeans, opt), nullptr);
-        else
-            EXPECT_NE(runner.capture(*kmeans, opt), nullptr);
-    };
     for (const std::vector<std::uint8_t> &poison : poisons) {
-        for (const bool as_file : {false, true}) {
-            SCOPED_TRACE(std::string(poison == stale ? "stale version"
-                                                     : "junk") +
-                         (as_file ? " via captureFile()" : " via capture()"));
-            core::SweepRunner runner(cfg);
-            writeBytes(runner.cachePath(key), poison);
-            load(runner, as_file);
-            EXPECT_EQ(runner.stats().machineRuns, 1u);
-            EXPECT_EQ(runner.stats().diskCacheHits, 0u);
+        SCOPED_TRACE(poison == stale ? "stale version" : "junk");
+        core::SweepRunner runner(cfg);
+        writeBytes(runner.cachePath(key), poison);
+        EXPECT_NE(runner.captureFile(*kmeans, opt), nullptr);
+        EXPECT_EQ(runner.stats().machineRuns, 1u);
+        EXPECT_EQ(runner.stats().diskCacheHits, 0u);
 
-            // The poisoned file was overwritten with a current trace...
-            TraceReader reader;
-            EXPECT_EQ(reader.readFile(runner.cachePath(key)),
-                      TraceStatus::Ok)
-                << reader.error();
-            // ...which the next runner serves from disk.
-            core::SweepRunner next(cfg);
-            load(next, as_file);
-            EXPECT_EQ(next.stats().machineRuns, 0u);
-            EXPECT_EQ(next.stats().diskCacheHits, 1u);
-        }
+        // The poisoned file was overwritten with a current trace...
+        TraceFile file;
+        ASSERT_EQ(file.open(runner.cachePath(key)), TraceStatus::Ok)
+            << file.error();
+        EXPECT_TRUE(file.payloadChecksumOk());
+        Trace decoded;
+        EXPECT_EQ(file.readAll(&decoded), TraceStatus::Ok);
+        // ...which the next runner serves from disk.
+        core::SweepRunner next(cfg);
+        EXPECT_NE(next.captureFile(*kmeans, opt), nullptr);
+        EXPECT_EQ(next.stats().machineRuns, 0u);
+        EXPECT_EQ(next.stats().diskCacheHits, 1u);
     }
     fs::remove_all(dir);
 }

@@ -2,21 +2,23 @@
  * @file
  * Tests for the LSRT columnar layer: per-column codec round-trips and
  * strict rejection, block-index bomb bounds, seek-window decode
- * equivalence, streaming-replay memory bounds, and the gc-vs-disk-hit
- * race paths.
+ * equivalence, a seeded mutation sweep over TraceFile, and
+ * streaming-replay memory bounds.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
 
-#include "detect/types.h"
+#include "analysis/sink.h"
+#include "detect/pipeline.h"
 #include "trace/capture.h"
 #include "trace/columnar.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
-#include "trace/source.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
 
@@ -274,20 +276,17 @@ TEST(TraceFileSeek, WindowDecodeMatchesFullDecodeSlice)
     }
 }
 
-TEST(TraceFileSeek, ReadAllMatchesFullReader)
+TEST(TraceFileSeek, ReadAllMatchesCapturedRecords)
 {
     const std::vector<pebs::PebsRecord> recs = syntheticRecords(2000);
-    const std::vector<std::uint8_t> image = multiBlockImage(recs);
-
-    TraceReader reader;
-    ASSERT_EQ(reader.parse(image), TraceStatus::Ok) << reader.error();
-
     TraceFile file;
-    ASSERT_EQ(file.openBytes(image), TraceStatus::Ok) << file.error();
-    Trace via_seek;
-    ASSERT_EQ(file.readAll(&via_seek), TraceStatus::Ok);
-    EXPECT_TRUE(recordsEqual(via_seek.records, reader.trace().records));
-    EXPECT_EQ(via_seek.meta.workload, reader.trace().meta.workload);
+    ASSERT_EQ(file.openBytes(multiBlockImage(recs)), TraceStatus::Ok)
+        << file.error();
+    EXPECT_TRUE(file.payloadChecksumOk());
+    Trace decoded;
+    ASSERT_EQ(file.readAll(&decoded), TraceStatus::Ok);
+    EXPECT_TRUE(recordsEqual(decoded.records, recs));
+    EXPECT_EQ(decoded.meta.workload, syntheticMeta().workload);
 }
 
 TEST(TraceFileSeek, CorruptBlockIsLatchedAsTypedCursorError)
@@ -313,9 +312,11 @@ TEST(TraceFileSeek, CorruptBlockIsLatchedAsTypedCursorError)
     }
     EXPECT_EQ(cur->status(), TraceStatus::Corrupt);
 
-    // The full reader rejects the same image outright.
-    TraceReader reader;
-    EXPECT_EQ(reader.parse(image), TraceStatus::Corrupt);
+    // A whole-file decode meets the same block, and the whole-payload
+    // checksum rejects the image outright.
+    Trace decoded;
+    EXPECT_EQ(file.readAll(&decoded), TraceStatus::Corrupt);
+    EXPECT_FALSE(file.payloadChecksumOk());
 }
 
 TEST(TraceFileSeek, CorruptIndexAndTruncationAreTypedAtOpen)
@@ -350,6 +351,129 @@ TEST(TraceFileSeek, CorruptIndexAndTruncationAreTypedAtOpen)
                   TraceStatus::Truncated)
             << "prefix of " << cut << " bytes";
     }
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation sweep: TraceFile is the only reader of untrusted trace
+// bytes, so every damaged image must yield a typed status
+// ---------------------------------------------------------------------
+
+TEST(TraceFileMutation, SeededMutationsYieldTypedStatuses)
+{
+    const std::vector<pebs::PebsRecord> recs = syntheticRecords(1200);
+    const std::vector<std::uint8_t> pristine = multiBlockImage(recs, 128);
+    const std::size_t size = pristine.size();
+    // The trailing u64 index offset sits just before the 8-byte trailer;
+    // the block index runs from that offset up to it.
+    const std::size_t off_pos = size - kTraceTrailerSize - 8;
+    std::uint64_t index_offset = 0;
+    for (int i = 0; i < 8; ++i)
+        index_offset |= std::uint64_t(pristine[off_pos + i]) << (8 * i);
+    const std::size_t index_pos = kTraceHeaderSize + index_offset;
+    ASSERT_LT(index_pos, off_pos);
+    const std::uint64_t lo = recs.front().cycle;
+    const std::uint64_t span = recs.back().cycle + 1 - lo;
+
+    struct Collect : analysis::RecordSink
+    {
+        std::vector<pebs::PebsRecord> recs;
+        void onRecord(const pebs::PebsRecord &r) override
+        {
+            recs.push_back(r);
+        }
+    };
+    const auto typed = [](TraceStatus status) {
+        return static_cast<int>(status) <=
+               static_cast<int>(TraceStatus::NonMonotonic);
+    };
+
+    std::uint64_t rng = 0x5eed'0f'7ace'f11eull;
+    const auto below = [&](std::uint64_t n) { return nextRand(&rng) % n; };
+    constexpr int kImages = 2000;
+    int rejected_at_open = 0;
+    int rejected_later = 0;
+    int intact = 0;
+    for (int m = 0; m < kImages; ++m) {
+        std::vector<std::uint8_t> image = pristine;
+        std::string what;
+        switch (m % 4) {
+          case 0: // 1-4 byte overwrites anywhere
+            for (std::uint64_t k = 0, n = 1 + below(4); k < n; ++k)
+                image[below(size)] = static_cast<std::uint8_t>(below(256));
+            what = "overwrite";
+            break;
+          case 1: // truncation
+            image.resize(below(size));
+            what = "truncate to " + std::to_string(image.size());
+            break;
+          case 2: // overwrites inside the block index
+            for (std::uint64_t k = 0, n = 1 + below(4); k < n; ++k)
+                image[index_pos + below(off_pos - index_pos)] =
+                    static_cast<std::uint8_t>(below(256));
+            what = "index overwrite";
+            break;
+          default: // the index offset: a random byte, or a new target
+            if (m % 8 == 3) {
+                image[off_pos + below(8)] =
+                    static_cast<std::uint8_t>(below(256));
+            } else {
+                const std::uint64_t target = below(off_pos - kTraceHeaderSize);
+                for (int i = 0; i < 8; ++i)
+                    image[off_pos + i] =
+                        static_cast<std::uint8_t>(target >> (8 * i));
+            }
+            what = "index offset overwrite";
+            break;
+        }
+        SCOPED_TRACE("image " + std::to_string(m) + ": " + what);
+
+        TraceFile file;
+        TraceStatus opened = TraceStatus::Ok;
+        ASSERT_NO_THROW(opened = file.openBytes(image));
+        ASSERT_TRUE(typed(opened)) << int(opened);
+        if (opened != TraceStatus::Ok) {
+            ++rejected_at_open;
+            continue;
+        }
+        bool checksum_ok = false;
+        ASSERT_NO_THROW(checksum_ok = file.payloadChecksumOk());
+        Trace decoded;
+        TraceStatus all = TraceStatus::Ok;
+        ASSERT_NO_THROW(all = file.readAll(&decoded));
+        ASSERT_TRUE(typed(all)) << int(all);
+
+        const std::uint64_t begin = lo + below(span);
+        const std::uint64_t end = begin + 1 + below(span);
+        Collect window;
+        TraceStatus windowed = TraceStatus::Ok;
+        ASSERT_NO_THROW({
+            const std::unique_ptr<RecordCursor> cur =
+                file.cursorForCycles(begin, end);
+            cur->drain(window);
+            windowed = cur->status();
+        });
+        ASSERT_TRUE(typed(windowed)) << int(windowed);
+
+        if (!checksum_ok || all != TraceStatus::Ok ||
+                windowed != TraceStatus::Ok) {
+            ++rejected_later;
+            continue;
+        }
+        // Every check passed: the image must still hold the original
+        // stream, whole and windowed.
+        ++intact;
+        EXPECT_TRUE(recordsEqual(decoded.records, recs));
+        std::vector<pebs::PebsRecord> expected;
+        for (const pebs::PebsRecord &r : recs)
+            if (r.cycle >= begin && r.cycle < end)
+                expected.push_back(r);
+        EXPECT_TRUE(recordsEqual(window.recs, expected));
+    }
+    // The sweep reached every stage: opens that fail, opens whose
+    // later checks fail, and (same-value overwrites) intact images.
+    EXPECT_GT(rejected_at_open, 0);
+    EXPECT_GT(rejected_later, 0);
+    EXPECT_EQ(rejected_at_open + rejected_later + intact, kImages);
 }
 
 // ---------------------------------------------------------------------
@@ -407,12 +531,13 @@ TEST(StreamingReplay, PeakBufferedRecordsIsBlockBound)
         << big.records.size() << " records";
     EXPECT_LT(peak, big.records.size() / 10);
 
-    // The streamed digest still produces the serial in-memory report.
+    // The streamed digest still produces the report of the live
+    // pipeline over the record vector.
     detect::DetectorConfig cfg;
     cfg.sav = big.meta.pebs.sav;
-    TraceReplayer mem_env(big);
-    ASSERT_TRUE(mem_env.ok());
-    EXPECT_TRUE(detect::reportsIdentical(mem_env.replay(cfg),
+    detect::DetectorPipeline direct(env.context(), cfg);
+    analysis::drain(big.records, direct);
+    EXPECT_TRUE(detect::reportsIdentical(direct.finish(big.meta.runtimeCycles),
                                          parallel.replay(cfg)));
     std::remove(path.c_str());
 }

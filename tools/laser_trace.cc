@@ -60,6 +60,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -465,7 +466,7 @@ cmdInfo(int argc, char **argv)
 }
 
 int
-replayLaser(const trace::Trace &t, const trace::TraceReplayer &replayer,
+replayLaser(const trace::TraceReplayer &replayer,
             std::vector<double> thresholds, int shards)
 {
     if (thresholds.empty())
@@ -500,8 +501,9 @@ replayLaser(const trace::Trace &t, const trace::TraceReplayer &replayer,
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
         std::printf("replaying %s at %.0f HITMs/sec (sav %u, %zu "
                     "records)\n\n",
-                    t.meta.workload.c_str(), thresholds[i],
-                    t.meta.pebs.sav, t.records.size());
+                    replayer.meta().workload.c_str(), thresholds[i],
+                    replayer.meta().pebs.sav,
+                    static_cast<std::size_t>(replayer.recordCount()));
         printReport(serial[i]);
         if (i + 1 < thresholds.size())
             std::printf("\n");
@@ -510,21 +512,22 @@ replayLaser(const trace::Trace &t, const trace::TraceReplayer &replayer,
 }
 
 int
-replayVTuneTrace(const trace::Trace &t,
-                 const trace::TraceReplayer &replayer,
+replayVTuneTrace(const trace::TraceReplayer &replayer,
                  std::vector<double> thresholds)
 {
+    const trace::TraceMeta &meta = replayer.meta();
     // No explicit threshold replays at the capture-time configuration,
     // reproducing the live VTune report.
     if (thresholds.empty())
-        thresholds.push_back(t.meta.vtune.rateThreshold);
+        thresholds.push_back(meta.vtune.rateThreshold);
     for (double threshold : thresholds) {
-        baselines::VTuneConfig cfg = t.meta.vtune;
+        baselines::VTuneConfig cfg = meta.vtune;
         cfg.rateThreshold = threshold;
         const baselines::VTuneReport report = replayer.replayVTune(cfg);
         std::printf("replaying %s (vtune) at %.0f HITMs/sec (%zu "
                     "records, %llu events)\n",
-                    t.meta.workload.c_str(), threshold, t.records.size(),
+                    meta.workload.c_str(), threshold,
+                    static_cast<std::size_t>(replayer.recordCount()),
                     (unsigned long long)report.hitmEvents);
         TablePrinter table({"location", "records", "HITM/s"});
         for (const baselines::VTuneLine &line : report.lines)
@@ -539,13 +542,13 @@ replayVTuneTrace(const trace::Trace &t,
 }
 
 int
-replaySheriffTrace(const trace::Trace &t,
-                   const trace::TraceReplayer &replayer)
+replaySheriffTrace(const trace::TraceReplayer &replayer)
 {
     const trace::SheriffReplay replay = replayer.replaySheriff();
     std::printf("replaying %s (%s): %llu sync ops, %llu dirty pages "
                 "committed\n",
-                t.meta.workload.c_str(), t.meta.scheme.c_str(),
+                replayer.meta().workload.c_str(),
+                replayer.meta().scheme.c_str(),
                 (unsigned long long)replay.report.syncOps,
                 (unsigned long long)replay.report.dirtyPagesCommitted);
     std::printf("commit cost %llu cycles; modeled runtime %llu cycles "
@@ -562,11 +565,11 @@ replaySheriffTrace(const trace::Trace &t,
  * actually touched.
  */
 int
-replayLaserCycles(const trace::TraceFile &file,
-                  const trace::TraceReplayer &replayer,
+replayLaserCycles(const trace::TraceReplayer &replayer,
                   std::vector<double> thresholds, std::uint64_t begin,
                   std::uint64_t end)
 {
+    const trace::TraceFile &file = replayer.file();
     if (thresholds.empty())
         thresholds.push_back(1000.0); // the paper's default (Section 7.1)
     obs::Counter &bytes_read =
@@ -657,65 +660,63 @@ cmdReplay(int argc, char **argv)
                              "drop --shards\n");
         return 1;
     }
-    if (have_cycles) {
-        // The windowed path needs the block index; it never touches
-        // blocks outside the window.
-        trace::TraceFile file;
-        const trace::TraceStatus status = file.open(argv[2]);
-        if (status != trace::TraceStatus::Ok) {
-            std::fprintf(stderr, "laser_trace: %s: %s (%s)\n", argv[2],
-                         trace::traceStatusName(status),
-                         file.error().c_str());
-            return 2;
-        }
-        if (file.meta().scheme != "laser-detect") {
-            std::fprintf(stderr,
-                         "laser_trace: --cycles replays laser-detect "
-                         "traces (this is \"%s\")\n",
-                         file.meta().scheme.c_str());
-            return 1;
-        }
-        trace::TraceReplayer replayer(file.meta(), file);
-        if (!replayer.ok()) {
-            std::fprintf(stderr, "laser_trace: %s\n",
-                         replayer.error().c_str());
-            return 2;
-        }
-        return replayLaserCycles(file, replayer, thresholds, cycle_begin,
-                                 cycle_end);
-    }
-
-    trace::TraceReader reader;
-    const trace::TraceStatus status = reader.readFile(argv[2]);
+    // One open for every mode: the windowed path needs only the block
+    // index and never touches blocks outside the window.
+    trace::TraceFile file;
+    const trace::TraceStatus status = file.open(argv[2]);
     if (status != trace::TraceStatus::Ok) {
         std::fprintf(stderr, "laser_trace: %s: %s (%s)\n", argv[2],
-                     trace::traceStatusName(status),
-                     reader.error().c_str());
+                     trace::traceStatusName(status), file.error().c_str());
         return 2;
     }
-    const trace::Trace t = reader.takeTrace();
-    trace::TraceReplayer replayer(t);
+    const trace::TraceMeta &meta = file.meta();
+    if (have_cycles && meta.scheme != "laser-detect") {
+        std::fprintf(stderr,
+                     "laser_trace: --cycles replays laser-detect traces "
+                     "(this is \"%s\")\n",
+                     meta.scheme.c_str());
+        return 1;
+    }
+    // A full replay reads every byte, so verify them all up front.
+    if (!have_cycles && !file.payloadChecksumOk()) {
+        std::fprintf(stderr, "laser_trace: %s: %s (payload checksum "
+                             "mismatch)\n",
+                     argv[2],
+                     trace::traceStatusName(trace::TraceStatus::Corrupt));
+        return 2;
+    }
+    trace::TraceReplayer replayer(meta, file);
     if (!replayer.ok()) {
-        std::fprintf(stderr, "laser_trace: %s\n",
-                     replayer.error().c_str());
+        std::fprintf(stderr, "laser_trace: %s\n", replayer.error().c_str());
         return 2;
     }
+    if (have_cycles)
+        return replayLaserCycles(replayer, thresholds, cycle_begin,
+                                 cycle_end);
 
     int rc;
-    if (t.meta.scheme == "vtune") {
-        rc = replayVTuneTrace(t, replayer, thresholds);
-    } else if (t.meta.scheme == "sheriff-detect" ||
-               t.meta.scheme == "sheriff-protect") {
-        rc = replaySheriffTrace(t, replayer);
-    } else if (t.meta.scheme == "native") {
-        std::printf("%s is a native capture (no analysis stream); "
-                    "runtime %llu cycles (%.2f represented seconds)\n",
-                    t.meta.workload.c_str(),
-                    (unsigned long long)t.meta.runtimeCycles,
-                    sim::representedSeconds(t.meta.runtimeCycles));
-        rc = 0;
-    } else {
-        rc = replayLaser(t, replayer, thresholds, shards);
+    try {
+        if (meta.scheme == "vtune") {
+            rc = replayVTuneTrace(replayer, thresholds);
+        } else if (meta.scheme == "sheriff-detect" ||
+                   meta.scheme == "sheriff-protect") {
+            rc = replaySheriffTrace(replayer);
+        } else if (meta.scheme == "native") {
+            std::printf("%s is a native capture (no analysis stream); "
+                        "runtime %llu cycles (%.2f represented "
+                        "seconds)\n",
+                        meta.workload.c_str(),
+                        (unsigned long long)meta.runtimeCycles,
+                        sim::representedSeconds(meta.runtimeCycles));
+            rc = 0;
+        } else {
+            rc = replayLaser(replayer, thresholds, shards);
+        }
+    } catch (const std::runtime_error &e) {
+        // A record block that passes the payload checksum but does not
+        // decode (e.g. a stream whose cycles go backwards).
+        std::fprintf(stderr, "laser_trace: %s: %s\n", argv[2], e.what());
+        return 2;
     }
     // File replays capture nothing themselves; this reports hits only
     // when the process also ran captures (silent otherwise).
