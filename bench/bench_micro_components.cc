@@ -37,7 +37,8 @@ BM_SsbPut(benchmark::State &state)
     std::uint64_t addr = 0x1000;
     std::uint64_t seq = 0;
     for (auto _ : state) {
-        ssb.put(addr, 8, seq, ++seq);
+        ++seq;
+        ssb.put(addr, 8, seq, seq);
         addr = 0x1000 + (seq % 8) * 8; // stay within the flush cap
         if (ssb.entryCount() > 8)
             benchmark::DoNotOptimize(ssb.drain());

@@ -1,9 +1,8 @@
 /**
  * @file
- * Columnar trace codec bench: per-column encode/decode throughput for
- * every block codec, how many of the corpus's blocks each codec wins
- * per column, columnar-vs-row-wise compression on the full workload
- * corpus, and whole-trace vs windowed-seek replay latency.
+ * Columnar trace codec bench: encode/decode throughput of each column's
+ * codec, columnar-vs-row-wise compression on the full workload corpus,
+ * and whole-trace vs windowed-seek replay latency.
  *
  * Acceptance:
  *   - the columnar blob encodes the corpus's record streams >= 1.3x
@@ -45,7 +44,7 @@ cpuSeconds()
     return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
 }
 
-/** One codec's measured throughput over one column. */
+/** One column codec's measured throughput. */
 struct CodecResult
 {
     double encodeMBps = 0;
@@ -54,12 +53,12 @@ struct CodecResult
 };
 
 /**
- * Time @p codec over @p vals in block-sized strides (the unit the real
- * writer encodes), repeating until the loop runs long enough for
- * CLOCK_PROCESS_CPUTIME_ID's granularity not to matter.
+ * Time @p column's codec over @p vals in block-sized strides (the unit
+ * the real writer encodes), repeating until the loop runs long enough
+ * for CLOCK_PROCESS_CPUTIME_ID's granularity not to matter.
  */
 CodecResult
-timeCodec(col::ColumnCodec codec, const std::vector<std::uint64_t> &vals)
+timeCodec(std::size_t column, const std::vector<std::uint64_t> &vals)
 {
     CodecResult result;
     const double raw_mb = double(vals.size()) * 8.0 / 1e6;
@@ -75,7 +74,7 @@ timeCodec(col::ColumnCodec codec, const std::vector<std::uint64_t> &vals)
             const std::vector<std::uint64_t> block(
                 vals.begin() + i,
                 vals.begin() + std::min(i + stride, vals.size()));
-            col::encodeColumn(codec, block, &encoded);
+            col::encodeColumn(column, block, &encoded);
         }
         elapsed += cpuSeconds() - start;
         ++reps;
@@ -93,7 +92,7 @@ timeCodec(col::ColumnCodec codec, const std::vector<std::uint64_t> &vals)
                 vals.begin() + i,
                 vals.begin() + std::min(i + stride, vals.size()));
             probe.clear();
-            col::encodeColumn(codec, block, &probe);
+            col::encodeColumn(column, block, &probe);
             slices.emplace_back(off, probe.size());
             off += probe.size();
         }
@@ -108,10 +107,10 @@ timeCodec(col::ColumnCodec codec, const std::vector<std::uint64_t> &vals)
             const std::size_t count =
                 std::min(stride, vals.size() - i);
             decoded.clear();
-            if (!col::decodeColumn(codec, encoded.data() + off, size,
+            if (!col::decodeColumn(column, encoded.data() + off, size,
                                    count, &decoded)) {
-                std::fprintf(stderr, "codec %s failed to round-trip\n",
-                             col::codecName(codec));
+                std::fprintf(stderr, "%s codec failed to round-trip\n",
+                             col::columnName(column));
                 std::exit(1);
             }
             i += count;
@@ -146,33 +145,17 @@ rowWiseRecordBytes(const trace::Trace &t)
     return bytes.size() - 1;
 }
 
-/** Blocks won per column per codec: [column][codec]. */
-using WinCounts = std::uint64_t[col::kColumnCount][col::kCodecCount];
-
 /**
  * Columnar record-stream bytes of @p t: full image minus the image of
- * the same trace with no records. Also tallies which codec each of the
- * image's blocks chose per column into @p wins.
+ * the same trace with no records.
  */
 std::uint64_t
-columnarRecordBytes(const trace::Trace &t, WinCounts &wins)
+columnarRecordBytes(const trace::Trace &t)
 {
     trace::TraceWriter full(t.meta);
     full.appendAll(t.records);
     trace::TraceWriter none(t.meta);
-    std::vector<std::uint8_t> image = full.finalize();
-    const std::uint64_t bytes = image.size() - none.finalize().size();
-
-    trace::TraceFile file;
-    if (file.openBytes(std::move(image)) != trace::TraceStatus::Ok) {
-        std::fprintf(stderr, "%s: image does not open: %s\n",
-                     t.meta.workload.c_str(), file.error().c_str());
-        std::exit(1);
-    }
-    for (const col::BlockInfo &b : file.index().blocks)
-        for (std::size_t c = 0; c < col::kColumnCount; ++c)
-            ++wins[c][static_cast<std::uint8_t>(b.codec[c])];
-    return bytes;
+    return full.finalize().size() - none.finalize().size();
 }
 
 } // namespace
@@ -190,7 +173,6 @@ main()
     core::SweepRunner runner(bench::sweepConfig());
     std::optional<trace::Trace> biggest;
     std::uint64_t row_bytes = 0, columnar_bytes = 0;
-    WinCounts wins = {};
     std::size_t corpus = 0;
     for (const auto &w : workloads::allWorkloads()) {
         trace::Trace t;
@@ -205,7 +187,7 @@ main()
             continue;
         ++corpus;
         row_bytes += rowWiseRecordBytes(t);
-        columnar_bytes += columnarRecordBytes(t, wins);
+        columnar_bytes += columnarRecordBytes(t);
         if (!biggest || t.records.size() > biggest->records.size())
             biggest = std::move(t);
     }
@@ -218,7 +200,7 @@ main()
                 corpus, humanBytes(row_bytes).c_str(),
                 humanBytes(columnar_bytes).c_str(), fmtTimes(ratio).c_str());
 
-    // ---- Per-column, per-codec throughput ----
+    // ---- Per-column codec throughput ----
     // Tile the biggest capture so each column is a few hundred KB and
     // per-block fixed costs stop dominating.
     if (!biggest) {
@@ -247,37 +229,24 @@ main()
         cols[col::kColCycle].push_back(r.cycle);
     }
 
-    TablePrinter table({"column", "codec", "encode MB/s", "decode MB/s",
-                        "ratio", "corpus wins"});
+    TablePrinter table({"column", "encode MB/s", "decode MB/s", "ratio"});
     obs::Json codec_json = obs::Json::object();
     for (std::size_t c = 0; c < col::kColumnCount; ++c) {
-        obs::Json per_col = obs::Json::object();
-        for (std::uint8_t k = 0; k < col::kCodecCount; ++k) {
-            const auto codec = static_cast<col::ColumnCodec>(k);
-            const CodecResult r = timeCodec(codec, cols[c]);
-            const double cr =
-                r.encodedBytes > 0
-                    ? double(cols[c].size()) * 8.0 / double(r.encodedBytes)
-                    : 0.0;
-            table.addRow({col::columnName(c), col::codecName(codec),
-                          fmtDouble(r.encodeMBps, 1),
-                          fmtDouble(r.decodeMBps, 1), fmtTimes(cr),
-                          std::to_string(wins[c][k])});
-            per_col.set(col::codecName(codec),
-                        obs::Json::object()
-                            .set("encode_mbps", obs::Json(r.encodeMBps))
-                            .set("decode_mbps", obs::Json(r.decodeMBps))
-                            .set("encoded_bytes",
-                                 obs::Json(r.encodedBytes))
-                            .set("corpus_block_wins",
-                                 obs::Json(wins[c][k])));
-        }
-        table.addSeparator();
-        codec_json.set(col::columnName(c), std::move(per_col));
+        const CodecResult r = timeCodec(c, cols[c]);
+        const double cr =
+            r.encodedBytes > 0
+                ? double(cols[c].size()) * 8.0 / double(r.encodedBytes)
+                : 0.0;
+        table.addRow({col::columnName(c), fmtDouble(r.encodeMBps, 1),
+                      fmtDouble(r.decodeMBps, 1), fmtTimes(cr)});
+        codec_json.set(col::columnName(c),
+                       obs::Json::object()
+                           .set("encode_mbps", obs::Json(r.encodeMBps))
+                           .set("decode_mbps", obs::Json(r.decodeMBps))
+                           .set("encoded_bytes", obs::Json(r.encodedBytes)));
     }
     std::printf("%zu records/column (%s raw per column, block size "
-                "%zu); corpus wins = corpus blocks whose column chose the "
-                "codec\n",
+                "%zu)\n",
                 big.records.size(),
                 humanBytes(big.records.size() * 8).c_str(),
                 col::kDefaultBlockRecords);

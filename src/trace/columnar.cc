@@ -58,130 +58,76 @@ struct BitWriter
     }
 };
 
-/** Strict LSB-first unpacker over a fixed byte range. */
-struct BitReader
+/** Little-endian u64 from the 8 bytes at @p p (compiles to one load). */
+std::uint64_t
+loadLe64(const std::uint8_t *p)
 {
-    const std::uint8_t *p;
-    const std::uint8_t *end;
-    unsigned n = 0;
-    bool ok = true;
+    std::uint64_t v = 0;
+    for (unsigned k = 0; k < 8; ++k)
+        v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
+    return v;
+}
 
-    BitReader(const std::uint8_t *data, std::size_t size)
-        : p(data), end(data + size)
+/**
+ * LSB-first reader of fixed-width fields packed in exactly
+ * [data, data+size), the layout BitWriter produces. Random access: a
+ * field is one (or, past 56 bits, two) word loads and a shift, not a
+ * loop over its bytes. Word loads may read up to @p readable bytes
+ * (>= size, the end of the enclosing column); bits past the field are
+ * masked off.
+ */
+struct PackedFields
+{
+    const std::uint8_t *data;
+    std::size_t size;
+    std::size_t readable;
+    unsigned width;
+    std::uint64_t mask;
+
+    PackedFields(const std::uint8_t *d, std::size_t s, std::size_t rd,
+                 unsigned w)
+        : data(d), size(s), readable(rd), width(w),
+          mask(w >= 64 ? ~0ull : (1ull << w) - 1)
     {
     }
 
-    std::uint64_t
-    get(unsigned width)
-    {
-        std::uint64_t v = 0;
-        unsigned done = 0;
-        while (done < width) {
-            if (p >= end) {
-                ok = false;
-                return 0;
-            }
-            const unsigned take = std::min(width - done, 8u - n);
-            v |= static_cast<std::uint64_t>(
-                     (*p >> n) & ((1u << take) - 1))
-                 << done;
-            n += take;
-            done += take;
-            if (n == 8) {
-                ++p;
-                n = 0;
-            }
-        }
-        return v;
-    }
-
-    /** All bytes consumed, with zero padding bits in the last byte. */
+    /**
+     * Strict framing for @p count fields: exactly the bytes they need,
+     * with zero padding bits in the last byte. Must hold before get().
+     */
     bool
-    finished()
+    holds(std::size_t count) const
     {
-        if (!ok)
+        const std::uint64_t bits = std::uint64_t{count} * width;
+        if (size != (bits + 7) / 8)
             return false;
-        if (n > 0) {
-            if ((*p >> n) != 0)
-                return false;
-            ++p;
-            n = 0;
+        const unsigned used = static_cast<unsigned>(bits % 8);
+        return used == 0 || (data[size - 1] >> used) == 0;
+    }
+
+    /** Field @p i (requires holds(count) for some count > i). */
+    std::uint64_t
+    get(std::size_t i) const
+    {
+        const std::uint64_t bit = std::uint64_t{i} * width;
+        const std::size_t byte = static_cast<std::size_t>(bit / 8);
+        const unsigned shift = static_cast<unsigned>(bit % 8);
+        std::uint64_t word = 0;
+        if (byte + 8 <= readable) {
+            word = loadLe64(data + byte);
+        } else {
+            for (std::size_t k = byte; k < size; ++k)
+                word |= static_cast<std::uint64_t>(data[k])
+                        << (8 * (k - byte));
         }
-        return p == end;
+        std::uint64_t v = word >> shift;
+        // A field wider than 56 bits can spill into a ninth byte, which
+        // holds() guarantees is in range.
+        if (shift + width > 64)
+            v |= static_cast<std::uint64_t>(data[byte + 8]) << (64 - shift);
+        return v & mask;
     }
 };
-
-// -- DeltaVar ---------------------------------------------------------
-
-void
-encodeDeltaVar(const std::vector<std::uint64_t> &vals,
-               std::vector<std::uint8_t> *out)
-{
-    ByteWriter w(*out);
-    std::uint64_t prev = 0;
-    for (std::uint64_t v : vals) {
-        w.zig(static_cast<std::int64_t>(v - prev));
-        prev = v;
-    }
-}
-
-bool
-decodeDeltaVar(const std::uint8_t *data, std::size_t size,
-               std::size_t count, std::vector<std::uint64_t> *out)
-{
-    ByteReader r(data, size);
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        prev += static_cast<std::uint64_t>(r.zig());
-        if (!r.ok)
-            return false;
-        out->push_back(prev);
-    }
-    return r.remaining() == 0;
-}
-
-// -- ForPack ----------------------------------------------------------
-
-void
-encodeForPack(const std::vector<std::uint64_t> &vals,
-              std::vector<std::uint8_t> *out)
-{
-    ByteWriter w(*out);
-    if (vals.empty())
-        return;
-    const std::uint64_t base =
-        *std::min_element(vals.begin(), vals.end());
-    const std::uint64_t top =
-        *std::max_element(vals.begin(), vals.end());
-    const unsigned width = bitsFor(top - base);
-    w.var(base);
-    w.u8(static_cast<std::uint8_t>(width));
-    BitWriter bits(*out);
-    for (std::uint64_t v : vals)
-        bits.put(v - base, width);
-    bits.flush();
-}
-
-bool
-decodeForPack(const std::uint8_t *data, std::size_t size,
-              std::size_t count, std::vector<std::uint64_t> *out)
-{
-    if (count == 0)
-        return size == 0;
-    ByteReader r(data, size);
-    const std::uint64_t base = r.var();
-    const unsigned width = r.u8();
-    if (!r.ok || width > 64)
-        return false;
-    BitReader bits(r.p, r.remaining());
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t v = bits.get(width);
-        if (!bits.ok)
-            return false;
-        out->push_back(base + v);
-    }
-    return bits.finished();
-}
 
 // -- DictPack ---------------------------------------------------------
 
@@ -277,15 +223,17 @@ decodeDictPack(const std::uint8_t *data, std::size_t size,
     if (!r.ok)
         return false;
     if (sub == kDictSubPacked) {
-        const unsigned width = bitsFor(dict.size() - 1);
-        BitReader bits(r.p, r.remaining());
+        const PackedFields bits(r.p, r.remaining(), r.remaining(),
+                                bitsFor(dict.size() - 1));
+        if (!bits.holds(count))
+            return false;
         for (std::size_t i = 0; i < count; ++i) {
-            const std::uint64_t idx = bits.get(width);
-            if (!bits.ok || idx >= dict.size())
+            const std::uint64_t idx = bits.get(i);
+            if (idx >= dict.size())
                 return false;
             out->push_back(dict[static_cast<std::size_t>(idx)]);
         }
-        return bits.finished();
+        return true;
     }
     if (sub == kDictSubRle) {
         std::size_t total = 0;
@@ -373,17 +321,14 @@ decodeDeltaForPack(const std::uint8_t *data, std::size_t size,
         const std::size_t group_bytes = (n * width + 7) / 8;
         if (group_bytes > r.remaining())
             return false;
-        BitReader bits(r.p, group_bytes);
+        const PackedFields bits(r.p, group_bytes, r.remaining(), width);
+        if (!bits.holds(n)) // nonzero padding bits
+            return false;
         for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t packed = bits.get(width);
-            if (!bits.ok)
-                return false;
             prev += static_cast<std::uint64_t>(
-                wire::zigzagDecode(base + packed));
+                wire::zigzagDecode(base + bits.get(i)));
             out->push_back(prev);
         }
-        if (!bits.finished()) // nonzero padding bits
-            return false;
         r.skip(group_bytes);
         remaining -= n;
     }
@@ -391,18 +336,6 @@ decodeDeltaForPack(const std::uint8_t *data, std::size_t size,
 }
 
 } // namespace
-
-const char *
-codecName(ColumnCodec codec)
-{
-    switch (codec) {
-      case ColumnCodec::DeltaVar:     return "delta-var";
-      case ColumnCodec::ForPack:      return "for-pack";
-      case ColumnCodec::DictPack:     return "dict-pack";
-      case ColumnCodec::DeltaForPack: return "delta-for-pack";
-    }
-    return "???";
-}
 
 const char *
 columnName(std::size_t column)
@@ -417,66 +350,25 @@ columnName(std::size_t column)
 }
 
 void
-encodeColumn(ColumnCodec codec, const std::vector<std::uint64_t> &vals,
+encodeColumn(std::size_t column, const std::vector<std::uint64_t> &vals,
              std::vector<std::uint8_t> *out)
 {
-    switch (codec) {
-      case ColumnCodec::DeltaVar:     encodeDeltaVar(vals, out); return;
-      case ColumnCodec::ForPack:      encodeForPack(vals, out); return;
-      case ColumnCodec::DictPack:     encodeDictPack(vals, out); return;
-      case ColumnCodec::DeltaForPack: encodeDeltaForPack(vals, out); return;
-    }
+    if (column == kColCycle)
+        encodeDeltaForPack(vals, out);
+    else
+        encodeDictPack(vals, out);
 }
 
 bool
-decodeColumn(ColumnCodec codec, const std::uint8_t *data,
+decodeColumn(std::size_t column, const std::uint8_t *data,
              std::size_t size, std::size_t count,
              std::vector<std::uint64_t> *out)
 {
     out->clear();
     out->reserve(count);
-    switch (codec) {
-      case ColumnCodec::DeltaVar:
-        return decodeDeltaVar(data, size, count, out);
-      case ColumnCodec::ForPack:
-        return decodeForPack(data, size, count, out);
-      case ColumnCodec::DictPack:
-        return decodeDictPack(data, size, count, out);
-      case ColumnCodec::DeltaForPack:
-        return decodeDeltaForPack(data, size, count, out);
-    }
-    return false;
-}
-
-ColumnCodec
-chooseCodec(const std::vector<std::uint64_t> &vals,
-            std::vector<std::uint8_t> *out)
-{
-    ColumnCodec best = ColumnCodec::DeltaVar;
-    std::vector<std::uint8_t> best_bytes;
-    encodeColumn(best, vals, &best_bytes);
-
-    const auto consider = [&](ColumnCodec codec) {
-        std::vector<std::uint8_t> bytes;
-        encodeColumn(codec, vals, &bytes);
-        // Strictly smaller wins: ties keep the lowest codec id, so the
-        // choice is deterministic and the file image reproducible.
-        if (bytes.size() < best_bytes.size()) {
-            best = codec;
-            best_bytes = std::move(bytes);
-        }
-    };
-    consider(ColumnCodec::ForPack);
-    // DictPack is worth trying even at high cardinality: address
-    // columns cluster in a few tight regions, so the sorted dictionary
-    // deltas stay small while the record-order deltas jump across
-    // regions. The O(n log n) dictionary build is bounded by the block
-    // size.
-    consider(ColumnCodec::DictPack);
-    consider(ColumnCodec::DeltaForPack);
-
-    out->insert(out->end(), best_bytes.begin(), best_bytes.end());
-    return best;
+    return column == kColCycle
+               ? decodeDeltaForPack(data, size, count, out)
+               : decodeDictPack(data, size, count, out);
 }
 
 // ---------------------------------------------------------------------
@@ -510,10 +402,8 @@ BlockIndex::encode(std::vector<std::uint8_t> *out) const
         w.zig(static_cast<std::int64_t>(b.firstCycle - prev_first));
         w.zig(static_cast<std::int64_t>(b.lastCycle - b.firstCycle));
         prev_first = b.firstCycle;
-        for (std::size_t c = 0; c < kColumnCount; ++c) {
-            w.u8(static_cast<std::uint8_t>(b.codec[c]));
+        for (std::size_t c = 0; c < kColumnCount; ++c)
             w.var(b.columnBytes[c]);
-        }
         w.u64(b.checksum);
     }
     w.u64(wire::fnv1a(out->data() + start, out->size() - start));
@@ -540,9 +430,9 @@ BlockIndex::decode(const std::uint8_t *data, std::size_t size,
     blobOffset = r.var();
     metaChecksum = r.u64();
     const std::uint64_t block_count = r.var();
-    // A block entry occupies >= 16 bytes (3 varints, 4 codec/size
-    // pairs, a u64 checksum); bound the reserve against bomb counts.
-    if (!r.ok || block_count > r.remaining() / 16 + 1) {
+    // A block entry occupies >= 15 bytes (3 varints, 4 size varints,
+    // a u64 checksum); bound the reserve against bomb counts.
+    if (!r.ok || block_count > r.remaining() / 15 + 1) {
         *err = "block index ends mid-structure";
         return false;
     }
@@ -560,16 +450,8 @@ BlockIndex::decode(const std::uint8_t *data, std::size_t size,
         b.lastCycle =
             b.firstCycle + static_cast<std::uint64_t>(r.zig());
         prev_first = b.firstCycle;
-        for (std::size_t c = 0; c < kColumnCount; ++c) {
-            const std::uint8_t codec = r.u8();
-            if (r.ok && codec >= kCodecCount) {
-                *err = "block " + std::to_string(i) +
-                       " has unknown codec id " + std::to_string(codec);
-                return false;
-            }
-            b.codec[c] = static_cast<ColumnCodec>(codec);
+        for (std::size_t c = 0; c < kColumnCount; ++c)
             b.columnBytes[c] = r.var();
-        }
         b.checksum = r.u64();
         if (!r.ok) {
             *err = "block index ends mid-structure";

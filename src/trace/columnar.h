@@ -1,34 +1,33 @@
 /**
  * @file
- * Columnar record encoding for LSRT traces: per-column block codecs and the
- * seekable footer block index.
+ * Columnar record encoding for LSRT traces: the per-column block codecs
+ * and the seekable footer block index.
  *
  * A trace stores its record stream as fixed-size blocks (the last one
  * ragged). Within a block each record field is a column — pc, data
- * address, core, cycle — and each column is encoded independently with
- * whichever codec compresses it best *for that block*:
+ * address, core, cycle — and each column always uses the same codec:
  *
- *   DeltaVar      zigzag delta + LEB128 varint (the row-wise scheme, per field)
- *   ForPack       frame-of-reference: varint base (min) + fixed-width
- *                 bit-packed offsets — dense cycle/core columns
- *   DictPack      sorted dictionary (delta varints) + either bit-packed
- *                 dictionary indices or RLE runs, whichever is smaller —
- *                 low-cardinality pc/core columns, and address columns
- *                 whose values cluster in a few tight regions
- *   DeltaForPack  first value + zigzag deltas, frame-of-reference
- *                 bit-packed in mini-blocks of 128 (per-group base and
- *                 width, so an outlier delta widens only its group) —
- *                 monotone cycle columns and strided address streams
+ *   pc, data_addr, core  DictPack: sorted dictionary (delta varints) +
+ *                        either bit-packed dictionary indices or RLE
+ *                        runs, whichever is smaller — few distinct pcs
+ *                        and cores, and addresses that cluster in a few
+ *                        tight regions
+ *   cycle                DeltaForPack: first value + zigzag deltas,
+ *                        frame-of-reference bit-packed in mini-blocks of
+ *                        128 (per-group base and width, so an outlier
+ *                        delta widens only its group)
  *
- * Codec choice is deterministic (smallest encoding wins, ties break to
- * the lowest codec id), so encoding a decoded trace reproduces the
- * original bytes — the byte-exact round-trip guarantee of the format.
+ * Only columnar.cc knows this map: callers pass the column to
+ * encodeColumn/decodeColumn. Both codecs are deterministic (DictPack's
+ * packed-vs-RLE choice breaks ties to packed), so encoding a decoded
+ * trace reproduces the original bytes — the byte-exact round-trip
+ * guarantee of the format.
  *
  * The BlockIndex is the file's seek structure: per block it records the
- * record count, the cycle range, each column's codec and encoded size
- * (offsets are cumulative) and an FNV-1a checksum of the block's bytes.
- * A reader binary-searches the index for a cycle window and decodes only
- * the overlapping blocks — no prefix decode, no whole-file checksum pass.
+ * record count, the cycle range, each column's encoded size (offsets
+ * are cumulative) and an FNV-1a checksum of the block's bytes. A reader
+ * binary-searches the index for a cycle window and decodes only the
+ * overlapping blocks — no prefix decode, no whole-file checksum pass.
  * The index carries its own trailing checksum and a checksum of the
  * meta (config + results) section, so the seek path still verifies every
  * byte it actually reads.
@@ -42,19 +41,6 @@
 #include <vector>
 
 namespace laser::trace::columnar {
-
-/** Per-block, per-column codec identifier (stable wire values). */
-enum class ColumnCodec : std::uint8_t {
-    DeltaVar = 0,
-    ForPack = 1,
-    DictPack = 2,
-    DeltaForPack = 3,
-};
-
-constexpr std::uint8_t kCodecCount = 4;
-
-/** Printable codec name ("delta-var", "for-pack", ...). */
-const char *codecName(ColumnCodec codec);
 
 /** Column order within a block (stable wire order). */
 enum Column : std::size_t {
@@ -81,29 +67,20 @@ constexpr std::size_t kDefaultBlockRecords = 4096;
  */
 constexpr std::size_t kMaxBlockRecords = std::size_t{1} << 20;
 
-/** Append @p vals encoded with @p codec to @p out. */
-void encodeColumn(ColumnCodec codec,
+/** Append @p vals encoded with @p column's codec to @p out. */
+void encodeColumn(std::size_t column,
                   const std::vector<std::uint64_t> &vals,
                   std::vector<std::uint8_t> *out);
 
 /**
- * Strict decode of one column: exactly @p count values from exactly
+ * Strict decode of one @p column: exactly @p count values from exactly
  * [data, data+size). Any structural violation — short or trailing
  * bytes, non-canonical varints, out-of-range dictionary indices,
  * nonzero padding bits — returns false.
  */
-bool decodeColumn(ColumnCodec codec, const std::uint8_t *data,
+bool decodeColumn(std::size_t column, const std::uint8_t *data,
                   std::size_t size, std::size_t count,
                   std::vector<std::uint64_t> *out);
-
-/**
- * Encode @p vals with every applicable codec and keep the smallest
- * (ties break to the lowest codec id, so the choice — and therefore the
- * file image — is deterministic). The winning bytes are appended to
- * @p out; the winning codec is returned.
- */
-ColumnCodec chooseCodec(const std::vector<std::uint64_t> &vals,
-                        std::vector<std::uint8_t> *out);
 
 /** One block's index entry. */
 struct BlockInfo
@@ -117,7 +94,6 @@ struct BlockInfo
     /** Cycle of the block's first / last record. */
     std::uint64_t firstCycle = 0;
     std::uint64_t lastCycle = 0;
-    ColumnCodec codec[kColumnCount] = {};
     std::uint64_t columnBytes[kColumnCount] = {};
     /** FNV-1a over the block's encoded bytes (all columns). */
     std::uint64_t checksum = 0;

@@ -328,8 +328,8 @@ wrapPayload(const std::vector<std::uint8_t> &payload_bytes,
 }
 
 /**
- * Encode one block (the four column buffers) onto @p out, choosing each
- * column's codec, and return its filled index entry (firstRecord and
+ * Encode one block (the four column buffers, each with its column's
+ * codec) onto @p out and return its filled index entry (firstRecord and
  * blobOffset left for the caller).
  */
 columnar::BlockInfo
@@ -343,7 +343,7 @@ encodeBlock(const std::vector<std::uint64_t> cols[columnar::kColumnCount],
     const std::size_t start = out->size();
     for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
         const std::size_t col_start = out->size();
-        b.codec[c] = columnar::chooseCodec(cols[c], out);
+        columnar::encodeColumn(c, cols[c], out);
         b.columnBytes[c] = out->size() - col_start;
     }
     b.checksum = fnv1a(out->data() + start, out->size() - start);

@@ -24,16 +24,15 @@
  *   28      n     payload
  *   28+n    8     u64 FNV-1a checksum of the payload
  *
- * Format v5 payload (columnar; see trace/columnar.h for the codecs):
+ * Format v6 payload (columnar; see trace/columnar.h for the codecs):
  *
  *   config section     varint/zigzag-encoded capture configuration
  *   results section    machine stats, runtime, /proc maps text
  *   record blob        records in fixed-size blocks; within a block
  *                      each field (pc / data addr / core / cycle) is a
- *                      column encoded with the per-block codec that
- *                      compresses it best
+ *                      column encoded with that column's fixed codec
  *   block index        per block: record count, cycle range, per-column
- *                      codec + encoded size, FNV-1a block checksum;
+ *                      encoded size, FNV-1a block checksum;
  *                      carries a checksum of the config+results
  *                      sections and its own trailing self-checksum
  *   u64 index offset   absolute offset of the block index within the
@@ -61,7 +60,7 @@
  * Parsing is strict: wrong magic, foreign endianness, any other version,
  * short files, checksum/hash mismatches and non-monotonic record cycle
  * streams each yield a typed TraceStatus, never undefined behaviour. A
- * trace that parses Ok round-trips byte-exactly (codec choice is
+ * trace that parses Ok round-trips byte-exactly (every codec is
  * deterministic).
  */
 
@@ -82,7 +81,7 @@
 
 namespace laser::trace {
 
-constexpr std::uint32_t kTraceVersion = 5;
+constexpr std::uint32_t kTraceVersion = 6;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */
@@ -158,9 +157,8 @@ struct Trace
  * Streaming trace encoder (always writes kTraceVersion).
  *
  * Records are buffered per column; every @p block_records appends the
- * writer encodes one block (choosing each column's codec for those
- * records) into the growing record blob, so writer memory is O(block),
- * not O(trace).
+ * writer encodes one block (each column with its codec) into the
+ * growing record blob, so writer memory is O(block), not O(trace).
  *
  * Appended records must follow the canonical stream contract
  * (non-decreasing cycles; sort raw driver output with

@@ -182,7 +182,7 @@ RecordCursor::loadBlock()
     }
     for (std::size_t c = 0; c < columnar::kColumnCount; ++c) {
         if (!columnar::decodeColumn(
-                b.codec[c], bp + b.columnOffset(c),
+                c, bp + b.columnOffset(c),
                 static_cast<std::size_t>(b.columnBytes[c]),
                 static_cast<std::size_t>(b.records), &cols_[c])) {
             status_ = TraceStatus::Corrupt;

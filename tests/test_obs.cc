@@ -220,8 +220,9 @@ TEST_F(ObsTest, HistogramBucketBoundsAreMonotonic)
     for (double v : {1e-8, 0.37, 1.0, 6.5, 1234.5, 8.9e8}) {
         const int b = Histogram::bucketOf(v);
         EXPECT_LE(v, Histogram::bucketUpperBound(b));
-        if (b > 1)
+        if (b > 1) {
             EXPECT_GE(v, Histogram::bucketUpperBound(b - 1));
+        }
     }
 }
 

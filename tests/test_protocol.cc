@@ -381,10 +381,11 @@ TEST(ProtocolInvariants, HoldUnderRandomInterleavings)
                 const bool is_write = (rng() & 1) != 0;
                 const bool is_load_class = !is_write || (rng() & 1) != 0;
                 proto->access(core, addr, is_write, is_load_class);
-                if (i % 512 == 0)
+                if (i % 512 == 0) {
                     ASSERT_TRUE(proto->checkInvariants())
                         << protocolName(kind) << " seed " << seed
                         << " step " << i;
+                }
             }
             EXPECT_TRUE(proto->checkInvariants())
                 << protocolName(kind) << " seed " << seed;

@@ -129,8 +129,9 @@ TEST_P(CoherenceProperty, InvariantsUnderRandomTraffic)
         const bool is_write = rng.chance(0.4);
         const bool load_class = !is_write || rng.chance(0.5);
         dir.access(core, addr, is_write, load_class);
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_TRUE(dir.checkInvariants()) << "iteration " << i;
+        }
     }
     EXPECT_TRUE(dir.checkInvariants());
 }

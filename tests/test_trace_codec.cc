@@ -98,6 +98,10 @@ codecCorpus()
     for (int i = 0; i < 400; ++i)
         random.push_back(nextRand(&rng));
     corpus.push_back(random);
+    std::vector<std::uint64_t> wide;           // 57-63 bit packed fields
+    for (int i = 0; i < 400; ++i)
+        wide.push_back(nextRand(&rng) >> 4);
+    corpus.push_back(wide);
     std::vector<std::uint64_t> clustered;      // two tight clusters
     for (int i = 0; i < 300; ++i)
         clustered.push_back((i % 2 ? 0xffff'8000'0000'0000ull : 0x10000) +
@@ -106,64 +110,40 @@ codecCorpus()
     return corpus;
 }
 
-TEST(ColumnCodec, EveryCodecRoundTripsEveryShape)
+TEST(ColumnCoding, EveryColumnRoundTripsEveryShape)
 {
     for (const auto &vals : codecCorpus()) {
-        for (std::uint8_t k = 0; k < col::kCodecCount; ++k) {
-            const auto codec = static_cast<col::ColumnCodec>(k);
+        for (std::size_t c = 0; c < col::kColumnCount; ++c) {
             std::vector<std::uint8_t> bytes;
-            col::encodeColumn(codec, vals, &bytes);
+            col::encodeColumn(c, vals, &bytes);
             std::vector<std::uint64_t> decoded;
-            ASSERT_TRUE(col::decodeColumn(codec, bytes.data(),
-                                          bytes.size(), vals.size(),
-                                          &decoded))
-                << col::codecName(codec) << " over " << vals.size()
+            ASSERT_TRUE(col::decodeColumn(c, bytes.data(), bytes.size(),
+                                          vals.size(), &decoded))
+                << col::columnName(c) << " over " << vals.size()
                 << " values";
-            EXPECT_EQ(decoded, vals) << col::codecName(codec);
+            EXPECT_EQ(decoded, vals) << col::columnName(c);
         }
     }
 }
 
-TEST(ColumnCodec, RejectsTruncationAndTrailingBytes)
+TEST(ColumnCoding, RejectsTruncationAndTrailingBytes)
 {
     const auto corpus = codecCorpus();
     const std::vector<std::uint64_t> &vals = corpus.back();
-    for (std::uint8_t k = 0; k < col::kCodecCount; ++k) {
-        const auto codec = static_cast<col::ColumnCodec>(k);
+    for (std::size_t c = 0; c < col::kColumnCount; ++c) {
         std::vector<std::uint8_t> bytes;
-        col::encodeColumn(codec, vals, &bytes);
+        col::encodeColumn(c, vals, &bytes);
         std::vector<std::uint64_t> decoded;
         for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-            EXPECT_FALSE(col::decodeColumn(codec, bytes.data(), cut,
+            EXPECT_FALSE(col::decodeColumn(c, bytes.data(), cut,
                                            vals.size(), &decoded))
-                << col::codecName(codec) << " accepted a " << cut
+                << col::columnName(c) << " accepted a " << cut
                 << "-byte prefix";
         std::vector<std::uint8_t> padded = bytes;
         padded.push_back(0x00);
-        EXPECT_FALSE(col::decodeColumn(codec, padded.data(),
-                                       padded.size(), vals.size(),
-                                       &decoded))
-            << col::codecName(codec) << " accepted a trailing byte";
-    }
-}
-
-TEST(ColumnCodec, ChooserIsDeterministicAndMinimal)
-{
-    for (const auto &vals : codecCorpus()) {
-        std::vector<std::uint8_t> a, b;
-        const col::ColumnCodec ca = col::chooseCodec(vals, &a);
-        const col::ColumnCodec cb = col::chooseCodec(vals, &b);
-        EXPECT_EQ(ca, cb);
-        EXPECT_EQ(a, b);
-        for (std::uint8_t k = 0; k < col::kCodecCount; ++k) {
-            std::vector<std::uint8_t> other;
-            col::encodeColumn(static_cast<col::ColumnCodec>(k), vals,
-                              &other);
-            EXPECT_LE(a.size(), other.size())
-                << "chooser picked " << col::codecName(ca)
-                << " but " << col::codecName(col::ColumnCodec(k))
-                << " is smaller";
-        }
+        EXPECT_FALSE(col::decodeColumn(c, padded.data(), padded.size(),
+                                       vals.size(), &decoded))
+            << col::columnName(c) << " accepted a trailing byte";
     }
 }
 
@@ -186,6 +166,44 @@ TEST(BlockIndex, RejectsRecordCountBombs)
     std::string err;
     EXPECT_FALSE(decoded.decode(bytes.data(), bytes.size(), &err));
     EXPECT_NE(err.find("max"), std::string::npos) << err;
+}
+
+TEST(BlockIndex, MinimalEntriesPassTheBombGuard)
+{
+    // 64 one-record blocks whose every varint fits one byte: 15 bytes
+    // per entry, the smallest an entry can be, so the count bound must
+    // still admit them.
+    col::BlockIndex index;
+    index.blobOffset = 100;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        col::BlockInfo b;
+        b.firstRecord = i;
+        b.blobOffset = 4 * i;
+        b.records = 1;
+        b.firstCycle = i;
+        b.lastCycle = i;
+        for (std::uint64_t &bytes : b.columnBytes)
+            bytes = 1;
+        b.checksum = i;
+        index.blocks.push_back(b);
+    }
+    index.records = index.blocks.size();
+
+    std::vector<std::uint8_t> bytes;
+    index.encode(&bytes);
+    col::BlockIndex decoded;
+    std::string err;
+    ASSERT_TRUE(decoded.decode(bytes.data(), bytes.size(), &err)) << err;
+    ASSERT_EQ(decoded.blocks.size(), index.blocks.size());
+    for (std::size_t i = 0; i < index.blocks.size(); ++i) {
+        const col::BlockInfo &want = index.blocks[i];
+        const col::BlockInfo &got = decoded.blocks[i];
+        EXPECT_EQ(got.firstRecord, want.firstRecord);
+        EXPECT_EQ(got.blobOffset, want.blobOffset);
+        EXPECT_EQ(got.firstCycle, want.firstCycle);
+        EXPECT_EQ(got.lastCycle, want.lastCycle);
+        EXPECT_EQ(got.checksum, want.checksum);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -15,9 +15,9 @@
  *
  *   laser_trace info FILE
  *       Print a trace's header, configuration and stats plus the
- *       compression report: per-column compressed/uncompressed bytes,
- *       which codec each block chose per column, and block-index/seek
- *       statistics. Reads only the header, meta sections and index.
+ *       compression report: per-column compressed/uncompressed bytes
+ *       and block-index/seek statistics. Reads only the header, meta
+ *       sections and index.
  *
  *   laser_trace replay FILE [--threshold F | --thresholds t1,t2,...]
  *                      [--shards N] [--cycles BEGIN:END]
@@ -390,7 +390,7 @@ printMetaInfo(const char *path, const trace::TraceMeta &meta,
     std::printf("maps text:     %zu bytes\n", meta.mapsText.size());
 }
 
-/** The compression/seek report: per-column bytes + codec mix. */
+/** The compression/seek report: per-column bytes + block index. */
 void
 printColumnarInfo(const trace::TraceFile &file)
 {
@@ -416,30 +416,16 @@ printColumnarInfo(const trace::TraceFile &file)
                 humanBytes(file.recordBlobBytes()).c_str(),
                 humanBytes(records * 8 * col::kColumnCount).c_str());
 
-    TablePrinter table({"column", "compressed", "raw", "ratio", "codecs"});
+    TablePrinter table({"column", "compressed", "raw", "ratio"});
     for (std::size_t c = 0; c < col::kColumnCount; ++c) {
         std::uint64_t bytes = 0;
-        std::uint64_t codec_blocks[col::kCodecCount] = {};
-        for (const col::BlockInfo &b : index.blocks) {
+        for (const col::BlockInfo &b : index.blocks)
             bytes += b.columnBytes[c];
-            ++codec_blocks[static_cast<std::uint8_t>(b.codec[c])];
-        }
         const std::uint64_t raw = records * 8;
-        std::string codecs;
-        for (std::uint8_t k = 0; k < col::kCodecCount; ++k) {
-            if (codec_blocks[k] == 0)
-                continue;
-            if (!codecs.empty())
-                codecs += ", ";
-            codecs += std::string(col::codecName(
-                          static_cast<col::ColumnCodec>(k))) +
-                      " x" + std::to_string(codec_blocks[k]);
-        }
         table.addRow({col::columnName(c), humanBytes(bytes),
                       humanBytes(raw),
                       bytes > 0 ? fmtTimes(double(raw) / double(bytes))
-                                : "-",
-                      codecs.empty() ? "-" : codecs});
+                                : "-"});
     }
     std::fputs(table.render().c_str(), stdout);
 }
