@@ -76,6 +76,31 @@ BM_SsbFlushDrain(benchmark::State &state)
 }
 BENCHMARK(BM_SsbFlushDrain)->Arg(8)->Arg(64)->Arg(512);
 
+/**
+ * The instrumented re-run's load miss path: an unaligned 8-byte load
+ * spanning two chunks, only one of them partly buffered, goes through
+ * getFull, then containsAny, then merge. Seven other chunks fill the
+ * buffer to the default flush cap.
+ */
+static void
+BM_SsbSpanningMerge(benchmark::State &state)
+{
+    sim::SoftwareStoreBuffer ssb;
+    for (int i = 0; i < 7; ++i)
+        ssb.put(0x2000 + i * 16, 8, i, i + 1);
+    ssb.put(0x1008, 2, 0xbeef, 8);
+    std::uint64_t addr = 0x1004;
+    benchmark::DoNotOptimize(addr);
+    std::uint64_t v = 0;
+    for (auto _ : state) {
+        std::uint64_t out = 0x1111111111111111ULL;
+        if (!ssb.getFull(addr, 8, &v) && ssb.containsAny(addr, 8))
+            out = ssb.merge(addr, 8, out);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_SsbSpanningMerge);
+
 /** Figure 5's decision: one access's footprint against the previous. */
 static void
 BM_CacheLineModel(benchmark::State &state)

@@ -240,6 +240,21 @@ Machine::flushSsb(ThreadCtx &t)
 }
 
 std::uint64_t
+Machine::ssbStore(ThreadCtx &t, std::uint64_t addr, int size,
+                  std::uint64_t value)
+{
+    ++stats_.ssbStores;
+    t.ssb.put(addr, size, value, ++t.storeSeq);
+    const std::size_t entries = t.ssb.entryCount();
+    stats_.ssbMaxEntriesSeen = std::max<std::uint64_t>(
+        stats_.ssbMaxEntriesSeen, entries);
+    std::uint64_t cost = cfg_.timing.ssbStore;
+    if (entries > static_cast<std::size_t>(cfg_.ssbMaxEntries))
+        cost += flushSsb(t);
+    return cost;
+}
+
+std::uint64_t
 Machine::syncComplete(ThreadCtx &t, SyncKind kind)
 {
     ++stats_.syncOps;
@@ -408,16 +423,7 @@ Machine::execute(ThreadCtx &t)
         const std::uint64_t addr = regU(insn.src1) + insn.imm;
         const std::uint64_t value = regU(insn.src2);
         if (insn.useSsb) {
-            ++stats_.ssbStores;
-            cost += tm.ssbStore;
-            t.ssb.put(addr, insn.size, value, ++t.storeSeq);
-            stats_.ssbMaxEntriesSeen = std::max(
-                stats_.ssbMaxEntriesSeen,
-                static_cast<std::uint64_t>(t.ssb.entryCount()));
-            if (t.ssb.entryCount() >
-                    static_cast<std::size_t>(cfg_.ssbMaxEntries)) {
-                cost += flushSsb(t);
-            }
+            cost += ssbStore(t, addr, insn.size, value);
         } else {
             cost += memAccess(t, addr, insn.size, true, false, false);
             mem_.write(addr, insn.size, value);
@@ -440,16 +446,7 @@ Machine::execute(ThreadCtx &t)
                                     mem_.read(addr, insn.size));
             }
             value += regU(insn.src2);
-            ++stats_.ssbStores;
-            cost += tm.ssbStore;
-            t.ssb.put(addr, insn.size, value, ++t.storeSeq);
-            stats_.ssbMaxEntriesSeen = std::max(
-                stats_.ssbMaxEntriesSeen,
-                static_cast<std::uint64_t>(t.ssb.entryCount()));
-            if (t.ssb.entryCount() >
-                    static_cast<std::size_t>(cfg_.ssbMaxEntries)) {
-                cost += flushSsb(t);
-            }
+            cost += ssbStore(t, addr, insn.size, value);
         } else {
             // One coherence access with write intent; the load uop is
             // what a PEBS HITM record would attribute (Section 4.3: such

@@ -209,6 +209,10 @@ class Machine
                             bool is_write, bool is_load_class,
                             bool is_atomic);
     std::uint64_t flushSsb(ThreadCtx &t);
+    /** Buffer one SSB store (flushing past ssbMaxEntries); returns its
+     *  cycle cost. */
+    std::uint64_t ssbStore(ThreadCtx &t, std::uint64_t addr, int size,
+                           std::uint64_t value);
     std::uint64_t syncComplete(ThreadCtx &t, isa::SyncKind kind);
     void traceVisibility(ThreadCtx &t, std::uint64_t min_seq,
                          std::uint64_t max_seq, std::uint64_t count);

@@ -1,24 +1,68 @@
 #include "sim/ssb.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace laser::sim {
 
-void
-SoftwareStoreBuffer::putByte(std::uint64_t addr, std::uint8_t byte,
-                             std::uint64_t seq)
+// Byte i of a buffered value is the byte at addr + i, so values are
+// copied to and from chunk lanes as their in-memory bytes.
+static_assert(std::endian::native == std::endian::little,
+              "SSB lane copies assume a little-endian host");
+
+namespace {
+
+/** One chunk's share of an access: lanes [lane, lane + take). */
+struct Piece
 {
-    Slot &slot = slots_[addr >> 3];
-    const int lane = static_cast<int>(addr & 7);
-    if (slot.validMask == 0) {
-        slot.minSeq = seq;
-        slot.maxSeq = seq;
-    } else {
-        slot.minSeq = std::min(slot.minSeq, seq);
-        slot.maxSeq = std::max(slot.maxSeq, seq);
-    }
-    slot.validMask |= std::uint8_t(1u << lane);
-    slot.bytes[lane] = byte;
+    std::uint64_t chunk; ///< address >> 3
+    int lane;            ///< first lane within the chunk
+    int take;            ///< bytes of the access in this chunk
+    std::uint8_t mask;   ///< ((1 << take) - 1) << lane
+};
+
+/** The piece of the access [addr, addr+size) that starts at byte @p done. */
+Piece
+pieceAt(std::uint64_t addr, int size, int done)
+{
+    const std::uint64_t a = addr + done;
+    const int lane = static_cast<int>(a & 7);
+    const int take = std::min(size - done, 8 - lane);
+    return {a >> 3, lane, take,
+            static_cast<std::uint8_t>(((1u << take) - 1) << lane)};
+}
+
+/** Orders (chunk, slot) pairs against a chunk, for lower_bound. */
+constexpr auto chunkBefore = [](const auto &entry, std::uint64_t chunk) {
+    return entry.first < chunk;
+};
+
+/** The bytes of @p v, lowest first. */
+std::uint8_t *
+bytesOf(std::uint64_t &v)
+{
+    return reinterpret_cast<std::uint8_t *>(&v);
+}
+
+} // namespace
+
+const SoftwareStoreBuffer::Slot *
+SoftwareStoreBuffer::findSlot(std::uint64_t chunk) const
+{
+    auto it = std::lower_bound(slots_.begin(), slots_.end(), chunk,
+                               chunkBefore);
+    return it != slots_.end() && it->first == chunk ? &it->second : nullptr;
+}
+
+SoftwareStoreBuffer::Slot &
+SoftwareStoreBuffer::slotAt(std::uint64_t chunk)
+{
+    auto it = std::lower_bound(slots_.begin(), slots_.end(), chunk,
+                               chunkBefore);
+    if (it == slots_.end() || it->first != chunk)
+        it = slots_.insert(it, {chunk, Slot{}});
+    return it->second;
 }
 
 void
@@ -26,19 +70,24 @@ SoftwareStoreBuffer::put(std::uint64_t addr, int size, std::uint64_t value,
                          std::uint64_t seq)
 {
     ++totalPuts_;
-    for (int i = 0; i < size; ++i)
-        putByte(addr + i, std::uint8_t(value >> (8 * i)), seq);
+    for (int done = 0; done < size;) {
+        const Piece p = pieceAt(addr, size, done);
+        Slot &slot = slotAt(p.chunk);
+        if (slot.validMask == 0) {
+            slot.minSeq = seq;
+            slot.maxSeq = seq;
+        } else {
+            slot.minSeq = std::min(slot.minSeq, seq);
+            slot.maxSeq = std::max(slot.maxSeq, seq);
+        }
+        slot.validMask |= p.mask;
+        std::memcpy(slot.bytes + p.lane, bytesOf(value) + done, p.take);
+        done += p.take;
+    }
     if (mode_ == SsbMode::Fifo) {
         fifo_.push_back({addr, static_cast<std::uint8_t>(size), value,
                          seq});
     }
-}
-
-const SoftwareStoreBuffer::Slot *
-SoftwareStoreBuffer::slotFor(std::uint64_t chunk) const
-{
-    auto it = slots_.find(chunk);
-    return it == slots_.end() ? nullptr : &it->second;
 }
 
 bool
@@ -46,13 +95,13 @@ SoftwareStoreBuffer::getFull(std::uint64_t addr, int size,
                              std::uint64_t *value) const
 {
     std::uint64_t out = 0;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        const int lane = static_cast<int>(a & 7);
-        if (!slot || !(slot->validMask & (1u << lane)))
+    for (int done = 0; done < size;) {
+        const Piece p = pieceAt(addr, size, done);
+        const Slot *slot = findSlot(p.chunk);
+        if (!slot || (slot->validMask & p.mask) != p.mask)
             return false;
-        out |= std::uint64_t(slot->bytes[lane]) << (8 * i);
+        std::memcpy(bytesOf(out) + done, slot->bytes + p.lane, p.take);
+        done += p.take;
     }
     if (value)
         *value = out;
@@ -62,11 +111,12 @@ SoftwareStoreBuffer::getFull(std::uint64_t addr, int size,
 bool
 SoftwareStoreBuffer::containsAny(std::uint64_t addr, int size) const
 {
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        if (slot && (slot->validMask & (1u << (a & 7))))
+    for (int done = 0; done < size;) {
+        const Piece p = pieceAt(addr, size, done);
+        const Slot *slot = findSlot(p.chunk);
+        if (slot && (slot->validMask & p.mask))
             return true;
+        done += p.take;
     }
     return false;
 }
@@ -76,14 +126,15 @@ SoftwareStoreBuffer::merge(std::uint64_t addr, int size,
                            std::uint64_t mem_value) const
 {
     std::uint64_t out = mem_value;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t a = addr + i;
-        const Slot *slot = slotFor(a >> 3);
-        const int lane = static_cast<int>(a & 7);
-        if (slot && (slot->validMask & (1u << lane))) {
-            out &= ~(std::uint64_t(0xff) << (8 * i));
-            out |= std::uint64_t(slot->bytes[lane]) << (8 * i);
+    for (int done = 0; done < size;) {
+        const Piece p = pieceAt(addr, size, done);
+        const Slot *slot = findSlot(p.chunk);
+        const unsigned valid = slot ? slot->validMask & p.mask : 0;
+        for (int i = 0; i < p.take; ++i) {
+            if (valid & (1u << (p.lane + i)))
+                bytesOf(out)[done + i] = slot->bytes[p.lane + i];
         }
+        done += p.take;
     }
     return out;
 }
@@ -93,32 +144,19 @@ SoftwareStoreBuffer::drain()
 {
     std::vector<SsbDrainEntry> out;
     if (mode_ == SsbMode::Fifo) {
-        // One entry per buffered store, in program order.
+        // One entry per chunk piece of each buffered store, in program
+        // order, so the drain-entry format stays uniform.
         out.reserve(fifo_.size());
-        for (const FifoEntry &fe : fifo_) {
-            SsbDrainEntry e;
-            // Split the store into (at most two) chunk-aligned pieces so
-            // the drain-entry format stays uniform.
-            std::uint64_t a = fe.addr;
-            int remaining = fe.size;
-            std::uint64_t v = fe.value;
-            while (remaining > 0) {
-                const std::uint64_t chunk = a & ~7ULL;
-                const int lane = static_cast<int>(a & 7);
-                const int take = std::min(remaining, 8 - lane);
-                e = SsbDrainEntry{};
-                e.addr = chunk;
+        for (FifoEntry &fe : fifo_) {
+            for (int done = 0; done < fe.size;) {
+                const Piece p = pieceAt(fe.addr, fe.size, done);
+                SsbDrainEntry &e = out.emplace_back();
+                e.addr = p.chunk << 3;
+                e.validMask = p.mask;
+                std::memcpy(e.bytes + p.lane, bytesOf(fe.value) + done,
+                            p.take);
                 e.minSeq = e.maxSeq = fe.seq;
-                for (int i = 0; i < take; ++i) {
-                    e.validMask |= std::uint8_t(1u << (lane + i));
-                    e.bytes[lane + i] = std::uint8_t(v >> (8 * i));
-                }
-                out.push_back(e);
-                a += take;
-                // A whole 8-byte piece ends the store; shifting a 64-bit
-                // value by 64 would be undefined.
-                v = take < 8 ? v >> (8 * take) : 0;
-                remaining -= take;
+                done += p.take;
             }
         }
         fifo_.clear();
@@ -128,22 +166,15 @@ SoftwareStoreBuffer::drain()
 
     out.reserve(slots_.size());
     for (const auto &[chunk, slot] : slots_) {
-        SsbDrainEntry e;
+        SsbDrainEntry &e = out.emplace_back();
         e.addr = chunk << 3;
         e.validMask = slot.validMask;
         std::copy(std::begin(slot.bytes), std::end(slot.bytes), e.bytes);
         e.minSeq = slot.minSeq;
         e.maxSeq = slot.maxSeq;
-        out.push_back(e);
     }
     slots_.clear();
     return out;
-}
-
-std::size_t
-SoftwareStoreBuffer::entryCount() const
-{
-    return mode_ == SsbMode::Fifo ? fifo_.size() : slots_.size();
 }
 
 } // namespace laser::sim

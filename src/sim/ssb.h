@@ -14,17 +14,29 @@
  *  - Fifo (the ablation baseline): a queue with one entry per store.
  *    Trivially TSO-correct to drain in order, but impractically large
  *    between flushes; bench_ablation_ssb quantifies the difference.
+ *    Fifo mode keeps the coalescing slots as well, only so that loads
+ *    can snoop them; only the queue is drained, and the slots are
+ *    cleared on every drain.
  *
- * A per-byte bitmap records which bytes are valid within an entry so
- * unaligned and partial-overlap accesses are handled correctly
- * (Section 5.1).
+ * Every operation works a chunk at a time. An access of at most 8 bytes
+ * splits into at most two chunk pieces; a piece starting at byte a is
+ * (chunk a >> 3, first lane a & 7, take = min(bytes left, 8 - lane))
+ * with the lane mask ((1 << take) - 1) << lane. A store is one slot
+ * lookup per piece that ORs the mask into the slot's valid bitmap and
+ * copies the piece's bytes; a load tests the piece masks against the
+ * bitmaps. The bitmap is what makes unaligned and partial-overlap
+ * accesses correct (Section 5.1).
+ *
+ * The slots are a vector sorted by chunk (ssbMaxEntries keeps it at a
+ * handful of entries), so a coalescing drain comes out in ascending
+ * chunk order with no sort.
  */
 
 #ifndef LASER_SIM_SSB_H
 #define LASER_SIM_SSB_H
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 namespace laser::sim {
@@ -45,7 +57,10 @@ struct SsbDrainEntry
     std::uint64_t maxSeq = 0;  ///< highest store sequence merged in
 };
 
-/** Thread-private software store buffer. */
+/**
+ * Thread-private software store buffer. Every access is 1 to 8 bytes
+ * (an instruction's operand size), so it touches at most two chunks.
+ */
 class SoftwareStoreBuffer
 {
   public:
@@ -54,13 +69,18 @@ class SoftwareStoreBuffer
     {
     }
 
-    /** Buffer a store of @p size bytes of @p value at @p addr. */
+    /**
+     * Buffer a store of the low @p size bytes of @p value at @p addr:
+     * one slot lookup (or insert) per chunk piece. A slot's
+     * minSeq/maxSeq span the @p seq of every store merged into it.
+     */
     void put(std::uint64_t addr, int size, std::uint64_t value,
              std::uint64_t seq);
 
     /**
-     * True if every byte of [addr, addr+size) is buffered; if so, @p value
-     * receives the buffered data.
+     * True if every byte of [addr, addr+size) is buffered (each piece's
+     * lanes are all valid); if so, @p value receives the buffered data.
+     * @p value is left untouched otherwise.
      */
     bool getFull(std::uint64_t addr, int size, std::uint64_t *value) const;
 
@@ -68,20 +88,26 @@ class SoftwareStoreBuffer
     bool containsAny(std::uint64_t addr, int size) const;
 
     /**
-     * Overlay buffered bytes onto @p mem_value (the value read from
-     * memory), returning the TSO-correct merged load result.
+     * Overlay the valid buffered bytes of [addr, addr+size) onto
+     * @p mem_value (the value read from memory), returning the
+     * TSO-correct merged load result.
      */
     std::uint64_t merge(std::uint64_t addr, int size,
                         std::uint64_t mem_value) const;
 
     /**
-     * Remove and return all entries, ordered by chunk address
-     * (coalescing) or store order (fifo).
+     * Remove and return all entries: one per slot in ascending chunk
+     * order (coalescing), or one per chunk piece of each store in store
+     * order (fifo).
      */
     std::vector<SsbDrainEntry> drain();
 
-    /** Number of occupied slots (chunks or queued stores). */
-    std::size_t entryCount() const;
+    /** Number of occupied slots (coalescing) or queued stores (fifo). */
+    std::size_t
+    entryCount() const
+    {
+        return mode_ == SsbMode::Fifo ? fifo_.size() : slots_.size();
+    }
 
     bool empty() const { return entryCount() == 0; }
 
@@ -91,20 +117,23 @@ class SoftwareStoreBuffer
     std::uint64_t totalPuts() const { return totalPuts_; }
 
   private:
+    /** One 8-byte chunk's buffered bytes. */
     struct Slot
     {
-        std::uint8_t validMask = 0;
+        std::uint8_t validMask = 0; ///< bit i set => bytes[i] is buffered
         std::uint8_t bytes[8] = {};
         std::uint64_t minSeq = 0;
         std::uint64_t maxSeq = 0;
     };
 
-    void putByte(std::uint64_t addr, std::uint8_t byte, std::uint64_t seq);
-    const Slot *slotFor(std::uint64_t chunk) const;
+    /** The slot of @p chunk (addr >> 3), or null if none. */
+    const Slot *findSlot(std::uint64_t chunk) const;
+    /** The slot of @p chunk, inserted empty in chunk order if absent. */
+    Slot &slotAt(std::uint64_t chunk);
 
     SsbMode mode_;
-    // Keyed by addr >> 3; std::map keeps drain order deterministic.
-    std::map<std::uint64_t, Slot> slots_;
+    /** (chunk, slot) pairs sorted by chunk; in fifo mode, for snooping. */
+    std::vector<std::pair<std::uint64_t, Slot>> slots_;
 
     struct FifoEntry
     {

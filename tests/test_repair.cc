@@ -2,16 +2,22 @@
  * @file
  * Unit and integration tests for LASERREPAIR: CFG construction, loop
  * depths, post-dominators, region/flush analysis, the cost model, alias
- * speculation, instrumentation correctness and end-to-end HITM
- * reduction on a falsely-sharing two-thread program.
+ * speculation, instrumentation correctness, end-to-end HITM
+ * reduction on a falsely-sharing two-thread program, and golden digests
+ * of the buggy programs' repaired runs under each SSB design.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "core/experiment.h"
 #include "isa/assembler.h"
+#include "machine_digest.h"
 #include "repair/cfg.h"
 #include "repair/repairer.h"
 #include "sim/machine.h"
+#include "trace/capture.h"
 
 namespace laser::repair {
 namespace {
@@ -461,6 +467,111 @@ TEST(Instrument, AliasMisspeculationRecoversByFlush)
         EXPECT_GT(s.aliasMisspecs, 0u);
     }
     EXPECT_EQ(m.reg(0, R4), 77); // correctness regardless of speculation
+}
+
+// ---------------------------------------------------------------------
+// Repaired runs across SSB designs
+// ---------------------------------------------------------------------
+
+/** A store-buffer design bench_ablation_ssb compares. */
+struct SsbDesign
+{
+    sim::SsbMode mode;
+    int maxEntries;
+};
+
+constexpr SsbDesign kSsbDesigns[] = {
+    {sim::SsbMode::Coalescing, 2}, {sim::SsbMode::Coalescing, 8},
+    {sim::SsbMode::Coalescing, 32}, {sim::SsbMode::Fifo, 8},
+    {sim::SsbMode::Fifo, 1024},
+};
+
+/** The buggy programs whose LASER run applies repair. */
+constexpr const char *kRepairedWorkloads[] = {
+    "histogram'", "linear_regression", "streamcluster"};
+
+/**
+ * statsDigest() of one repaired run and the StreamHashSink hash of its
+ * PMU callbacks.
+ */
+struct RunGolden
+{
+    std::uint64_t stats;
+    std::uint64_t stream;
+};
+
+// Indexed [workload][design]. Captured with the byte-wise store buffer
+// (one std::map slot lookup per byte) that preceded the chunk-wise one,
+// so they pin that the rewrite changed no simulated outcome in any
+// design.
+constexpr RunGolden kRepairedRunGoldens[][std::size(kSsbDesigns)] = {
+    {
+        // histogram': coalescing 2, 8, 32; FIFO 8, 1024
+        {0x49c28d0ba309549aULL, 0xf39c94516c4344b4ULL},
+        {0xf52872b2d85f4ac1ULL, 0x27a81359c05ae9bfULL},
+        {0xc6fc43af396921f3ULL, 0x374f7608cf16ac13ULL},
+        {0x5a928b03eff7e6beULL, 0x74619945c0504ab7ULL},
+        {0xbe40218aed2acf9dULL, 0xd2a607f2e6cc8819ULL},
+    },
+    {
+        // linear_regression: coalescing 2, 8, 32; FIFO 8, 1024
+        {0x5fe602bd092f9b36ULL, 0x3dff4d5fb91d3f07ULL},
+        {0x5e2af0112b75cb58ULL, 0x36d930752e014c5fULL},
+        {0x5e2af0112b75cb58ULL, 0x36d930752e014c5fULL},
+        {0xc74f2beaab0f796dULL, 0x3cfea0f9ed633b3dULL},
+        {0x81ac31194aea3449ULL, 0x4d59a3757a74042fULL},
+    },
+    {
+        // streamcluster: coalescing 2, 8, 32; FIFO 8, 1024
+        {0x1467a615caca739cULL, 0x16207f50893390abULL},
+        {0x1467a615caca739cULL, 0x16207f50893390abULL},
+        {0x1467a615caca739cULL, 0x16207f50893390abULL},
+        {0xd1b19ee438e2a5d2ULL, 0x30549e09f35efdeULL},
+        {0x5c208a13146ddf6fULL, 0xbde6e4dcac039832ULL},
+    },
+};
+
+static_assert(std::size(kRepairedRunGoldens) ==
+              std::size(kRepairedWorkloads));
+
+TEST(Instrument, RepairedRunsMatchGoldensAcrossSsbDesigns)
+{
+    core::ExperimentRunner runner;
+    for (std::size_t wi = 0; wi < std::size(kRepairedWorkloads); ++wi) {
+        const workloads::WorkloadDef *w =
+            workloads::findWorkload(kRepairedWorkloads[wi]);
+        ASSERT_NE(w, nullptr);
+        // The plan the LASER run applies, instrumented into the same
+        // build, run as that run's re-execution is configured.
+        const core::RunResult laser = runner.run(*w, core::Scheme::Laser);
+        ASSERT_TRUE(laser.repairApplied) << w->info.name;
+        const trace::TraceMeta meta = trace::makeCaptureMeta(
+            *w, trace::CaptureOptions::forScheme("laser-detect"));
+        const workloads::WorkloadBuild build = w->build(meta.build);
+        Repairer repairer(build.program, runner.config().repair);
+        const RepairPlan plan = repairer.analyze(laser.detection.repairPcs);
+        ASSERT_TRUE(plan.applied) << w->info.name;
+        const isa::Program instrumented = repairer.instrument(plan);
+        for (std::size_t di = 0; di < std::size(kSsbDesigns); ++di) {
+            MachineConfig mc = meta.machine;
+            mc.timing.base += runner.config().timing.pinBaseOverhead;
+            mc.ssbMode = kSsbDesigns[di].mode;
+            mc.ssbMaxEntries = kSsbDesigns[di].maxEntries;
+            Machine m(instrumented, mc);
+            build.applyTo(m);
+            sim::StreamHashSink sink;
+            m.setPmuSink(&sink);
+            const MachineStats s = m.run();
+            const RunGolden &golden = kRepairedRunGoldens[wi][di];
+            EXPECT_GT(s.ssbStores, 0u);
+            EXPECT_EQ(sim::statsDigest(s), golden.stats)
+                << w->info.name << " design " << di << std::hex << " 0x"
+                << sim::statsDigest(s);
+            EXPECT_EQ(sink.h.hash, golden.stream)
+                << w->info.name << " design " << di << std::hex << " 0x"
+                << sink.h.hash;
+        }
+    }
 }
 
 } // namespace

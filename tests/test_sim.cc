@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string_view>
 
@@ -226,6 +229,201 @@ TEST(Ssb, DrainAppliesLatestBytes)
         v |= std::uint64_t(drained[0].bytes[i]) << (8 * i);
     EXPECT_EQ(v, 0x2222222211111111ULL);
     EXPECT_EQ(drained[0].validMask, 0xff);
+}
+
+/**
+ * Byte-wise reference store buffer: one map entry per buffered byte,
+ * holding its latest value and the lowest and highest sequence number
+ * stored to it since the last drain. A coalescing drain entry is the
+ * union of its chunk's bytes; a FIFO drain replays the store log one
+ * chunk piece at a time.
+ */
+class ByteReferenceSsb
+{
+  public:
+    explicit ByteReferenceSsb(SsbMode mode) : mode_(mode) {}
+
+    void
+    put(std::uint64_t addr, int size, std::uint64_t value,
+        std::uint64_t seq)
+    {
+        for (int i = 0; i < size; ++i) {
+            auto [it, fresh] = bytes_.try_emplace(addr + i);
+            RefByte &b = it->second;
+            b.value = std::uint8_t(value >> (8 * i));
+            b.minSeq = fresh ? seq : std::min(b.minSeq, seq);
+            b.maxSeq = fresh ? seq : std::max(b.maxSeq, seq);
+        }
+        if (mode_ == SsbMode::Fifo)
+            log_.push_back({addr, size, value, seq});
+    }
+
+    bool
+    getFull(std::uint64_t addr, int size, std::uint64_t *value) const
+    {
+        std::uint64_t out = 0;
+        for (int i = 0; i < size; ++i) {
+            auto it = bytes_.find(addr + i);
+            if (it == bytes_.end())
+                return false;
+            out |= std::uint64_t(it->second.value) << (8 * i);
+        }
+        *value = out;
+        return true;
+    }
+
+    bool
+    containsAny(std::uint64_t addr, int size) const
+    {
+        for (int i = 0; i < size; ++i) {
+            if (bytes_.count(addr + i))
+                return true;
+        }
+        return false;
+    }
+
+    std::uint64_t
+    merge(std::uint64_t addr, int size, std::uint64_t mem_value) const
+    {
+        for (int i = 0; i < size; ++i) {
+            auto it = bytes_.find(addr + i);
+            if (it == bytes_.end())
+                continue;
+            mem_value &= ~(std::uint64_t(0xff) << (8 * i));
+            mem_value |= std::uint64_t(it->second.value) << (8 * i);
+        }
+        return mem_value;
+    }
+
+    std::size_t
+    entryCount() const
+    {
+        if (mode_ == SsbMode::Fifo)
+            return log_.size();
+        std::set<std::uint64_t> chunks;
+        for (const auto &[a, b] : bytes_)
+            chunks.insert(a >> 3);
+        return chunks.size();
+    }
+
+    std::vector<SsbDrainEntry>
+    drain()
+    {
+        std::vector<SsbDrainEntry> out;
+        if (mode_ == SsbMode::Fifo) {
+            for (const Store &s : log_) {
+                for (int i = 0; i < s.size; ++i) {
+                    const std::uint64_t a = s.addr + i;
+                    if (out.empty() || i == 0 || (a & 7) == 0) {
+                        out.emplace_back();
+                        out.back().addr = a & ~7ULL;
+                        out.back().minSeq = out.back().maxSeq = s.seq;
+                    }
+                    out.back().validMask |= std::uint8_t(1u << (a & 7));
+                    out.back().bytes[a & 7] =
+                        std::uint8_t(s.value >> (8 * i));
+                }
+            }
+        } else {
+            for (const auto &[a, b] : bytes_) {
+                if (out.empty() || out.back().addr != (a & ~7ULL)) {
+                    out.emplace_back();
+                    out.back().addr = a & ~7ULL;
+                    out.back().minSeq = b.minSeq;
+                    out.back().maxSeq = b.maxSeq;
+                }
+                SsbDrainEntry &e = out.back();
+                e.validMask |= std::uint8_t(1u << (a & 7));
+                e.bytes[a & 7] = b.value;
+                e.minSeq = std::min(e.minSeq, b.minSeq);
+                e.maxSeq = std::max(e.maxSeq, b.maxSeq);
+            }
+        }
+        bytes_.clear();
+        log_.clear();
+        return out;
+    }
+
+  private:
+    struct RefByte
+    {
+        std::uint8_t value = 0;
+        std::uint64_t minSeq = 0;
+        std::uint64_t maxSeq = 0;
+    };
+    struct Store
+    {
+        std::uint64_t addr;
+        int size;
+        std::uint64_t value;
+        std::uint64_t seq;
+    };
+
+    SsbMode mode_;
+    std::map<std::uint64_t, RefByte> bytes_;
+    std::vector<Store> log_;
+};
+
+TEST(Ssb, WordWiseMatchesByteReference)
+{
+    // Seeded random operations at every alignment of a 64-byte window,
+    // so many accesses span two chunks; random (not increasing) store
+    // sequence numbers exercise the per-slot min/max.
+    constexpr int kSizes[] = {1, 2, 4, 8};
+    constexpr std::uint64_t kBase = 0x7ff8;
+    for (SsbMode mode : {SsbMode::Coalescing, SsbMode::Fifo}) {
+        SCOPED_TRACE(mode == SsbMode::Fifo ? "fifo" : "coalescing");
+        laser::Rng rng(0x55b);
+        SoftwareStoreBuffer ssb(mode);
+        ByteReferenceSsb ref(mode);
+        int drains = 0;
+        for (int op = 0; op < 20000; ++op) {
+            const int size = kSizes[rng.below(4)];
+            const std::uint64_t addr = kBase + rng.below(64 - size + 1);
+            const std::uint64_t r = rng.below(100);
+            if (r < 40) {
+                const std::uint64_t value = rng();
+                const std::uint64_t seq = 1 + rng.below(1000);
+                ssb.put(addr, size, value, seq);
+                ref.put(addr, size, value, seq);
+            } else if (r < 60) {
+                std::uint64_t got = 0xabababababababab;
+                std::uint64_t want = 0xabababababababab;
+                ASSERT_EQ(ssb.getFull(addr, size, &got),
+                          ref.getFull(addr, size, &want))
+                    << "op " << op;
+                ASSERT_EQ(got, want) << "op " << op;
+            } else if (r < 75) {
+                ASSERT_EQ(ssb.containsAny(addr, size),
+                          ref.containsAny(addr, size))
+                    << "op " << op;
+            } else if (r < 98) {
+                const std::uint64_t mem = rng();
+                ASSERT_EQ(ssb.merge(addr, size, mem),
+                          ref.merge(addr, size, mem))
+                    << "op " << op;
+            } else {
+                ++drains;
+                const std::vector<SsbDrainEntry> got = ssb.drain();
+                const std::vector<SsbDrainEntry> want = ref.drain();
+                ASSERT_EQ(got.size(), want.size()) << "op " << op;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    ASSERT_EQ(got[i].addr, want[i].addr) << "op " << op;
+                    ASSERT_EQ(got[i].validMask, want[i].validMask)
+                        << "op " << op;
+                    ASSERT_TRUE(std::equal(std::begin(got[i].bytes),
+                                           std::end(got[i].bytes),
+                                           std::begin(want[i].bytes)))
+                        << "op " << op;
+                    ASSERT_EQ(got[i].minSeq, want[i].minSeq) << "op " << op;
+                    ASSERT_EQ(got[i].maxSeq, want[i].maxSeq) << "op " << op;
+                }
+            }
+            ASSERT_EQ(ssb.entryCount(), ref.entryCount()) << "op " << op;
+            ASSERT_EQ(ssb.empty(), ref.entryCount() == 0) << "op " << op;
+        }
+        EXPECT_GT(drains, 100);
+    }
 }
 
 // ---------------------------------------------------------------------
