@@ -6,8 +6,8 @@
  *
  * Capture-once/replay-many: every column's run — native, manual fix,
  * the LASER monitored phase, and both Sheriff schemes — is captured
- * through the sweep runner's trace cache; Sheriff runtimes come from
- * the captured sync-commit streams, and only LASER runs whose offline
+ * through the sweep runner's trace cache; Sheriff runtimes are the
+ * captures' simulated runtimes, and only LASER runs whose offline
  * replay requests repair re-simulate. With LASER_TRACE_CACHE set, a
  * repeat invocation performs zero simulations.
  *
@@ -24,7 +24,6 @@
 #include "bench_common.h"
 #include "core/sweep_runner.h"
 #include "trace/parallel_replay.h"
-#include "trace/replay.h"
 
 using namespace laser;
 
@@ -113,14 +112,8 @@ main()
             trace::CaptureOptions so =
                 trace::CaptureOptions::forScheme(scheme);
             so.scale = scale;
-            const auto file = sweep.captureFile(w, so);
-            // The captured sync stream replays the cost model offline;
-            // at the capture config the estimate equals the simulated
-            // runtime exactly.
             const std::uint64_t cycles =
-                trace::TraceReplayer(file->meta(), *file)
-                    .replaySheriff()
-                    .estimatedRuntimeCycles;
+                sweep.captureFile(w, so)->meta().runtimeCycles;
             (std::string(scheme) == "sheriff-detect"
                  ? row.sheriffDetectCycles
                  : row.sheriffProtectCycles) = cycles;

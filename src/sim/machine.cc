@@ -39,7 +39,6 @@ Machine::Machine(isa::Program prog, MachineConfig cfg)
       cfg_(cfg),
       space_(prog_, cfg.numCores),
       heap_(mem::Layout::kHeapBase, mem::Layout::kHeapSize),
-      globals_(mem::Layout::kGlobalsBase, mem::Layout::kGlobalsSize),
       proto_(makeProtocol(cfg.protocol, cfg.numCores, cfg.geometry))
 {
     if (!cfg.geometry.valid())
@@ -96,9 +95,7 @@ Machine::memAccess(ThreadCtx &t, std::uint64_t addr, int size,
                    bool is_write, bool is_load_class, bool is_atomic)
 {
     const TimingModel &tm = cfg_.timing;
-    std::uint64_t cost = 0;
-    if (cfg_.latencyJitter)
-        cost += t.rng() & 1;
+    std::uint64_t cost = t.rng() & 1;
 
     if (is_load_class)
         ++stats_.loads;
@@ -403,13 +400,10 @@ Machine::execute(ThreadCtx &t)
             if (t.ssb.getFull(addr, insn.size, &value)) {
                 ++stats_.ssbLoadHits;
                 cost += tm.ssbLoadHit;
-            } else if (t.ssb.containsAny(addr, insn.size)) {
+            } else {
                 cost += memAccess(t, addr, insn.size, false, true, false);
                 value = t.ssb.merge(addr, insn.size,
                                     mem_.read(addr, insn.size));
-            } else {
-                cost += memAccess(t, addr, insn.size, false, true, false);
-                value = mem_.read(addr, insn.size);
             }
         } else {
             cost += memAccess(t, addr, insn.size, false, true, false);

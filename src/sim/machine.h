@@ -77,15 +77,14 @@ struct MachineConfig
     /** Simulated cache geometry (line size). */
     CacheGeometry geometry{};
     /**
-     * Seed for the per-thread timing jitter. Real machines perturb
-     * per-access latency (prefetchers, DRAM refresh, TLB walks); without
-     * a little jitter the deterministic lockstep scheduler can resonate
-     * with the PEBS sample-after value and bias sampling to one core.
+     * Seed for the per-thread +-1 cycle memory-latency jitter (always
+     * on). Real machines perturb per-access latency (prefetchers, DRAM
+     * refresh, TLB walks); without a little jitter the deterministic
+     * lockstep scheduler can resonate with the PEBS sample-after value
+     * and bias sampling to one core.
      * Runs remain bit-reproducible for a fixed seed.
      */
     std::uint64_t seed = 0x1a5e2;
-    /** Enable the +-1 cycle memory-latency jitter. */
-    bool latencyJitter = true;
     /** Runaway-program guard. */
     std::uint64_t maxInstructions = 400'000'000;
     /**
@@ -167,7 +166,6 @@ class Machine
     mem::Memory &memory() { return mem_; }
     const mem::Memory &memory() const { return mem_; }
     mem::BumpAllocator &heap() { return heap_; }
-    mem::BumpAllocator &globalsAllocator() { return globals_; }
     const mem::AddressSpace &addressSpace() const { return space_; }
     const isa::Program &program() const { return prog_; }
     const MachineConfig &config() const { return cfg_; }
@@ -244,7 +242,6 @@ class Machine
     mem::Memory mem_;
     mem::AddressSpace space_;
     mem::BumpAllocator heap_;
-    mem::BumpAllocator globals_;
     std::unique_ptr<CoherenceProtocol> proto_;
     std::vector<ThreadCtx> threads_;
     /** Per instruction index, plus a zero-length sentinel at the end. */

@@ -130,7 +130,9 @@ SoftwareStoreBuffer::merge(std::uint64_t addr, int size,
         const Piece p = pieceAt(addr, size, done);
         const Slot *slot = findSlot(p.chunk);
         const unsigned valid = slot ? slot->validMask & p.mask : 0;
-        for (int i = 0; i < p.take; ++i) {
+        // A piece with no buffered lane keeps the memory bytes; a pure
+        // miss then costs only the slot lookups.
+        for (int i = 0; valid != 0 && i < p.take; ++i) {
             if (valid & (1u << (p.lane + i)))
                 bytesOf(out)[done + i] = slot->bytes[p.lane + i];
         }

@@ -90,7 +90,8 @@ class SoftwareStoreBuffer
     /**
      * Overlay the valid buffered bytes of [addr, addr+size) onto
      * @p mem_value (the value read from memory), returning the
-     * TSO-correct merged load result.
+     * TSO-correct merged load result (@p mem_value itself when no byte
+     * is buffered).
      */
     std::uint64_t merge(std::uint64_t addr, int size,
                         std::uint64_t mem_value) const;

@@ -141,9 +141,6 @@ buildDict(const std::vector<std::uint64_t> &vals)
     return dict;
 }
 
-constexpr std::uint8_t kDictSubPacked = 0;
-constexpr std::uint8_t kDictSubRle = 1;
-
 void
 encodeDictPack(const std::vector<std::uint64_t> &vals,
                std::vector<std::uint8_t> *out)
@@ -156,42 +153,14 @@ encodeDictPack(const std::vector<std::uint64_t> &vals,
     for (std::size_t i = 0; i < dict.size(); ++i)
         w.var(i == 0 ? dict[0] : dict[i] - dict[i - 1]);
 
-    std::vector<std::uint64_t> indices;
-    indices.reserve(vals.size());
+    const unsigned width = bitsFor(dict.size() - 1);
+    BitWriter bits(*out);
     for (std::uint64_t v : vals)
-        indices.push_back(static_cast<std::uint64_t>(
-            std::lower_bound(dict.begin(), dict.end(), v) -
-            dict.begin()));
-
-    // Sub-encoding: bit-packed indices vs RLE runs, whichever is
-    // smaller (deterministic: packed wins ties).
-    std::vector<std::uint8_t> packed;
-    {
-        const unsigned width = bitsFor(dict.size() - 1);
-        BitWriter bits(packed);
-        for (std::uint64_t idx : indices)
-            bits.put(idx, width);
-        bits.flush();
-    }
-    std::vector<std::uint8_t> rle;
-    {
-        ByteWriter rw(rle);
-        for (std::size_t i = 0; i < indices.size();) {
-            std::size_t j = i;
-            while (j < indices.size() && indices[j] == indices[i])
-                ++j;
-            rw.var(indices[i]);
-            rw.var(j - i);
-            i = j;
-        }
-    }
-    if (packed.size() <= rle.size()) {
-        w.u8(kDictSubPacked);
-        out->insert(out->end(), packed.begin(), packed.end());
-    } else {
-        w.u8(kDictSubRle);
-        out->insert(out->end(), rle.begin(), rle.end());
-    }
+        bits.put(static_cast<std::uint64_t>(
+                     std::lower_bound(dict.begin(), dict.end(), v) -
+                     dict.begin()),
+                 width);
+    bits.flush();
 }
 
 bool
@@ -203,7 +172,7 @@ decodeDictPack(const std::uint8_t *data, std::size_t size,
     ByteReader r(data, size);
     const std::uint64_t dict_size = r.var();
     // Each dictionary entry takes >= 1 byte; bound the reserve.
-    if (!r.ok || dict_size == 0 || dict_size > r.remaining() + 1)
+    if (!r.ok || dict_size == 0 || dict_size > r.remaining())
         return false;
     std::vector<std::uint64_t> dict;
     dict.reserve(static_cast<std::size_t>(dict_size));
@@ -219,42 +188,17 @@ decodeDictPack(const std::uint8_t *data, std::size_t size,
         prev = i == 0 ? d : prev + d;
         dict.push_back(prev);
     }
-    const std::uint8_t sub = r.u8();
-    if (!r.ok)
+    const PackedFields bits(r.p, r.remaining(), r.remaining(),
+                            bitsFor(dict.size() - 1));
+    if (!bits.holds(count))
         return false;
-    if (sub == kDictSubPacked) {
-        const PackedFields bits(r.p, r.remaining(), r.remaining(),
-                                bitsFor(dict.size() - 1));
-        if (!bits.holds(count))
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t idx = bits.get(i);
+        if (idx >= dict.size())
             return false;
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint64_t idx = bits.get(i);
-            if (idx >= dict.size())
-                return false;
-            out->push_back(dict[static_cast<std::size_t>(idx)]);
-        }
-        return true;
+        out->push_back(dict[static_cast<std::size_t>(idx)]);
     }
-    if (sub == kDictSubRle) {
-        std::size_t total = 0;
-        std::uint64_t prev_idx = dict.size(); // sentinel: no previous
-        while (total < count) {
-            const std::uint64_t idx = r.var();
-            const std::uint64_t run = r.var();
-            if (!r.ok || idx >= dict.size() || run == 0 ||
-                    run > count - total)
-                return false;
-            // Adjacent runs of the same index are non-canonical.
-            if (idx == prev_idx)
-                return false;
-            prev_idx = idx;
-            out->insert(out->end(), static_cast<std::size_t>(run),
-                        dict[static_cast<std::size_t>(idx)]);
-            total += static_cast<std::size_t>(run);
-        }
-        return r.remaining() == 0;
-    }
-    return false;
+    return true;
 }
 
 // -- DeltaForPack -----------------------------------------------------

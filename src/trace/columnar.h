@@ -8,8 +8,7 @@
  * address, core, cycle — and each column always uses the same codec:
  *
  *   pc, data_addr, core  DictPack: sorted dictionary (delta varints) +
- *                        either bit-packed dictionary indices or RLE
- *                        runs, whichever is smaller — few distinct pcs
+ *                        bit-packed dictionary indices — few distinct pcs
  *                        and cores, and addresses that cluster in a few
  *                        tight regions
  *   cycle                DeltaForPack: first value + zigzag deltas,
@@ -18,10 +17,9 @@
  *                        delta widens only its group)
  *
  * Only columnar.cc knows this map: callers pass the column to
- * encodeColumn/decodeColumn. Both codecs are deterministic (DictPack's
- * packed-vs-RLE choice breaks ties to packed), so encoding a decoded
- * trace reproduces the original bytes — the byte-exact round-trip
- * guarantee of the format.
+ * encodeColumn/decodeColumn. Both codecs are deterministic, so encoding
+ * a decoded trace reproduces the original bytes — the byte-exact
+ * round-trip guarantee of the format.
  *
  * The BlockIndex is the file's seek structure: per block it records the
  * record count, the cycle range, each column's encoded size (offsets

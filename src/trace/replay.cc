@@ -1,9 +1,22 @@
 #include "trace/replay.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace laser::trace {
+
+namespace {
+
+/** Throw std::runtime_error unless a record stream ended Ok. */
+void
+checkStream(TraceStatus status)
+{
+    if (status != TraceStatus::Ok)
+        throw std::runtime_error(
+            std::string("trace replay: record stream failed: ") +
+            traceStatusName(status));
+}
+
+} // namespace
 
 TraceReplayer::TraceReplayer(const TraceMeta &meta, const TraceFile &file)
     : meta_(&meta), file_(&file)
@@ -28,26 +41,7 @@ TraceReplayer::drive(analysis::RecordSink &sink) const
 {
     const std::unique_ptr<RecordCursor> cur = file_->cursor();
     cur->drain(sink);
-    if (cur->status() != TraceStatus::Ok)
-        throw std::runtime_error(
-            std::string("trace replay: record stream failed: ") +
-            traceStatusName(cur->status()));
-}
-
-std::vector<pebs::PebsRecord>
-TraceReplayer::materializeRecords() const
-{
-    std::vector<pebs::PebsRecord> records;
-    records.reserve(static_cast<std::size_t>(file_->recordCount()));
-    const std::unique_ptr<RecordCursor> cur = file_->cursor();
-    pebs::PebsRecord rec;
-    while (cur->next(&rec))
-        records.push_back(rec);
-    if (cur->status() != TraceStatus::Ok)
-        throw std::runtime_error(
-            std::string("trace replay: record stream failed: ") +
-            traceStatusName(cur->status()));
-    return records;
+    checkStream(cur->status());
 }
 
 detect::DetectionReport
@@ -74,10 +68,11 @@ TraceReplayer::replayVTune(const baselines::VTuneConfig &cfg) const
     // stream length is the event count. The baseline aggregators take a
     // vector, so the stream materializes here (these streams are a
     // small fraction of a detection stream's length).
-    const std::vector<pebs::PebsRecord> records = materializeRecords();
-    return baselines::aggregateVTune(program_, *space_, records,
-                                     records.size(), meta_->runtimeCycles,
-                                     cfg);
+    Trace trace;
+    checkStream(file_->readAll(&trace));
+    return baselines::aggregateVTune(program_, *space_, trace.records,
+                                     trace.records.size(),
+                                     meta_->runtimeCycles, cfg);
 }
 
 baselines::VTuneReport
@@ -86,39 +81,12 @@ TraceReplayer::replayVTune() const
     return replayVTune(meta_->vtune);
 }
 
-SheriffReplay
-TraceReplayer::replaySheriff(const baselines::SheriffConfig &cfg) const
-{
-    const std::vector<pebs::PebsRecord> records = materializeRecords();
-    SheriffReplay out;
-    out.report = baselines::replaySheriffStream(records, cfg);
-    const baselines::SheriffConfig &cap = meta_->sheriff;
-    const bool same_costs = cfg.syncBaseCost == cap.syncBaseCost &&
-                            cfg.perDirtyPageCost == cap.perDirtyPageCost &&
-                            cfg.detectExtraCost == cap.detectExtraCost &&
-                            cfg.detectMode == cap.detectMode;
-    out.capturedChargedCycles =
-        same_costs
-            ? out.report.chargedCycles
-            : baselines::replaySheriffStream(records, cap).chargedCycles;
-    // Commit costs are charged per core but the captured runtime is
-    // wall-clock; assume the charge spreads evenly across cores, so the
-    // wall-clock contribution is chargedCycles / numCores. Exact when
-    // the replayed config equals the capture's (the deltas cancel).
-    const int cores = std::max(1, meta_->machine.numCores);
-    const std::uint64_t captured_wall = out.capturedChargedCycles / cores;
-    const std::uint64_t replayed_wall = out.report.chargedCycles / cores;
-    const std::uint64_t base = meta_->runtimeCycles > captured_wall
-                                   ? meta_->runtimeCycles - captured_wall
-                                   : 0;
-    out.estimatedRuntimeCycles = base + replayed_wall;
-    return out;
-}
-
-SheriffReplay
+baselines::SheriffReport
 TraceReplayer::replaySheriff() const
 {
-    return replaySheriff(meta_->sheriff);
+    Trace trace;
+    checkStream(file_->readAll(&trace));
+    return baselines::replaySheriffStream(trace.records, meta_->sheriff);
 }
 
 } // namespace laser::trace

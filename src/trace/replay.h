@@ -17,7 +17,7 @@
  * trace::TraceFile, whose cursors decode one columnar block at a time,
  * so detection replay never holds more than one decoded block. Only
  * the VTune/Sheriff baseline replays (different, much shorter stream
- * schemes) materialize the stream, through the same cursor.
+ * schemes) materialize the stream, through TraceFile::readAll.
  */
 
 #ifndef LASER_TRACE_REPLAY_H
@@ -36,22 +36,6 @@
 #include "trace/trace_file.h"
 
 namespace laser::trace {
-
-/** Offline Sheriff re-analysis of a captured sync stream. */
-struct SheriffReplay
-{
-    baselines::SheriffReport report;
-    /** Commit cycles the capture run charged (its own config). */
-    std::uint64_t capturedChargedCycles = 0;
-    /**
-     * Modeled wall-clock runtime under the replayed config: the
-     * captured runtime with capture-time commit costs (spread evenly
-     * over the cores) swapped for replayed ones. An additive estimate —
-     * cost charging perturbs interleaving in a full simulation — exact
-     * when the replayed config equals the capture's.
-     */
-    std::uint64_t estimatedRuntimeCycles = 0;
-};
 
 /**
  * Rebuilt replay environment for one trace. The backing file must
@@ -93,10 +77,12 @@ class TraceReplayer
     /** ...at the capture-time VTune configuration. */
     baselines::VTuneReport replayVTune() const;
 
-    /** Offline Sheriff re-analysis of a captured sheriff stream. */
-    SheriffReplay replaySheriff(const baselines::SheriffConfig &cfg) const;
-    /** ...at the capture-time Sheriff configuration. */
-    SheriffReplay replaySheriff() const;
+    /**
+     * Offline Sheriff re-analysis of a captured sheriff stream at the
+     * capture-time Sheriff configuration (the modeled runtime is the
+     * capture's meta().runtimeCycles).
+     */
+    baselines::SheriffReport replaySheriff() const;
 
     /** Capture metadata. */
     const TraceMeta &meta() const { return *meta_; }
@@ -110,9 +96,6 @@ class TraceReplayer
     const detect::DetectorContext &context() const { return *ctx_; }
 
   private:
-    /** The stream decoded into a vector (the baseline analyzers). */
-    std::vector<pebs::PebsRecord> materializeRecords() const;
-
     const TraceMeta *meta_ = nullptr;
     const TraceFile *file_ = nullptr;
     isa::Program program_;

@@ -88,7 +88,6 @@ putConfig(ByteWriter &w, const TraceMeta &m)
     w.zig(mc.numCores);
     putTiming(w, mc.timing);
     w.var(mc.seed);
-    w.boolean(mc.latencyJitter);
     w.var(mc.maxInstructions);
     w.var(mc.heapPerturbation);
     w.boolean(mc.threadsAsProcesses);
@@ -155,7 +154,6 @@ getConfig(ByteReader &r, TraceMeta *m, std::string *err)
     mc.numCores = static_cast<int>(r.zig());
     getTiming(r, &mc.timing);
     mc.seed = r.var();
-    mc.latencyJitter = r.boolean();
     mc.maxInstructions = r.var();
     mc.heapPerturbation = r.var();
     mc.threadsAsProcesses = r.boolean();

@@ -24,13 +24,16 @@
  *   28      n     payload
  *   28+n    8     u64 FNV-1a checksum of the payload
  *
- * Format v6 payload (columnar; see trace/columnar.h for the codecs):
+ * Format v7 payload (columnar; see trace/columnar.h for the codecs):
  *
  *   config section     varint/zigzag-encoded capture configuration
  *   results section    machine stats, runtime, /proc maps text
  *   record blob        records in fixed-size blocks; within a block
  *                      each field (pc / data addr / core / cycle) is a
- *                      column encoded with that column's fixed codec
+ *                      column encoded with that column's fixed codec:
+ *                      sorted dictionary + bit-packed indices for pc,
+ *                      data addr and core, delta frame-of-reference
+ *                      packing for cycle
  *   block index        per block: record count, cycle range, per-column
  *                      encoded size, FNV-1a block checksum;
  *                      carries a checksum of the config+results
@@ -81,7 +84,7 @@
 
 namespace laser::trace {
 
-constexpr std::uint32_t kTraceVersion = 6;
+constexpr std::uint32_t kTraceVersion = 7;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */

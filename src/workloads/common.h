@@ -57,13 +57,6 @@ class Ctx
         inits.push_back({addr, 8, value});
     }
 
-    /** Record an initial 32-bit memory value. */
-    void
-    init32(std::uint64_t addr, std::uint32_t value)
-    {
-        inits.push_back({addr, 4, value});
-    }
-
     /** Record an initial byte. */
     void
     init8(std::uint64_t addr, std::uint8_t value)

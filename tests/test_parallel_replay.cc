@@ -772,7 +772,7 @@ TEST(SchemeCapture, VTuneReplayMatchesLiveModel)
     EXPECT_GE(env.replayVTune(loose).lines.size(), replayed.lines.size());
 }
 
-TEST(SchemeCapture, SheriffReplayMatchesLiveModel)
+TEST(SchemeCapture, SheriffOfflineMatchesLiveModel)
 {
     // The paper's sync-heavy Sheriff example (Figure 14): tens of
     // thousands of sync commits give the cost model real work.
@@ -792,25 +792,12 @@ TEST(SchemeCapture, SheriffReplayMatchesLiveModel)
     const auto file = openTrace(captured);
     TraceReplayer env(file->meta(), *file);
     ASSERT_TRUE(env.ok()) << env.error();
-    const SheriffReplay replay = env.replaySheriff();
-    EXPECT_GT(replay.report.syncOps, 0u);
-    EXPECT_EQ(replay.report.syncOps, live.sheriff.syncOps);
-    EXPECT_EQ(replay.report.dirtyPagesCommitted,
-              live.sheriff.dirtyPagesCommitted);
-    EXPECT_EQ(replay.report.chargedCycles, live.sheriff.chargedCycles);
-    // At the capture config, the runtime estimate is exact.
-    EXPECT_EQ(replay.estimatedRuntimeCycles, captured.meta.runtimeCycles);
-
-    // Re-tuning commit costs offline moves the estimate additively
-    // (commit cycles spread evenly over the cores).
-    baselines::SheriffConfig pricier = captured.meta.sheriff;
-    pricier.perDirtyPageCost *= 2;
-    const SheriffReplay re = env.replaySheriff(pricier);
-    EXPECT_GT(re.report.chargedCycles, replay.report.chargedCycles);
-    const std::uint64_t cores = captured.meta.machine.numCores;
-    EXPECT_EQ(re.estimatedRuntimeCycles - replay.estimatedRuntimeCycles,
-              re.report.chargedCycles / cores -
-                  replay.report.chargedCycles / cores);
+    const baselines::SheriffReport replay = env.replaySheriff();
+    EXPECT_GT(replay.syncOps, 0u);
+    EXPECT_EQ(replay.syncOps, live.sheriff.syncOps);
+    EXPECT_EQ(replay.dirtyPagesCommitted, live.sheriff.dirtyPagesCommitted);
+    EXPECT_EQ(replay.chargedCycles, live.sheriff.chargedCycles);
+    EXPECT_EQ(file->meta().runtimeCycles, live.runtimeCycles);
 }
 
 TEST(SchemeCapture, RoundTripsThroughFileFormat)

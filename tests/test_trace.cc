@@ -463,17 +463,17 @@ TEST(TraceReplay, MatchesInProcessPipeline)
                 const auto loaded = roundTrip(captureTrace(w, opt));
                 TraceReplayer replayer(loaded->meta(), *loaded);
                 ASSERT_TRUE(replayer.ok()) << replayer.error();
-                const SheriffReplay replayed = replayer.replaySheriff();
-                EXPECT_EQ(replayed.report.syncOps, live.sheriff.syncOps)
+                const baselines::SheriffReport replayed =
+                    replayer.replaySheriff();
+                EXPECT_EQ(replayed.syncOps, live.sheriff.syncOps)
                     << name << " " << core::schemeName(scheme);
-                EXPECT_EQ(replayed.report.dirtyPagesCommitted,
+                EXPECT_EQ(replayed.dirtyPagesCommitted,
                           live.sheriff.dirtyPagesCommitted)
                     << name << " " << core::schemeName(scheme);
-                EXPECT_EQ(replayed.report.chargedCycles,
+                EXPECT_EQ(replayed.chargedCycles,
                           live.sheriff.chargedCycles)
                     << name << " " << core::schemeName(scheme);
-                EXPECT_EQ(replayed.estimatedRuntimeCycles,
-                          live.runtimeCycles)
+                EXPECT_EQ(replayer.meta().runtimeCycles, live.runtimeCycles)
                     << name << " " << core::schemeName(scheme);
             }
         }

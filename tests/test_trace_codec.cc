@@ -126,6 +126,48 @@ TEST(ColumnCoding, EveryColumnRoundTripsEveryShape)
     }
 }
 
+TEST(ColumnCoding, DictPackIsDictionaryThenPackedIndices)
+{
+    // 4,096 values in runs of 512 over three distinct values: the
+    // layout is the sorted dictionary (count, then delta varints)
+    // followed by 2-bit indices, LSB first — whatever the run structure.
+    const std::uint64_t dict[] = {3, 130, 20000};
+    const unsigned run_index[] = {1, 0, 2, 1, 0, 2, 0, 1};
+    std::vector<std::uint64_t> vals;
+    for (const unsigned idx : run_index)
+        vals.insert(vals.end(), 512, dict[idx]);
+    ASSERT_EQ(vals.size(), 4096u);
+
+    // 3 entries; deltas 3, 127, 19870 (LEB128 0x9e 0x9b 0x01).
+    std::vector<std::uint8_t> want = {0x03, 0x03, 0x7f, 0x9e, 0x9b, 0x01};
+    const std::size_t dict_bytes = want.size();
+    for (const unsigned idx : run_index)
+        want.insert(want.end(), 512 * 2 / 8,
+                    static_cast<std::uint8_t>(idx * 0x55));
+    ASSERT_EQ(want.size(), dict_bytes + (4096 * 2 + 7) / 8);
+
+    for (const std::size_t c : {col::kColPc, col::kColAddr, col::kColCore}) {
+        std::vector<std::uint8_t> bytes;
+        col::encodeColumn(c, vals, &bytes);
+        EXPECT_EQ(bytes, want) << col::columnName(c);
+        std::vector<std::uint64_t> decoded;
+        ASSERT_TRUE(col::decodeColumn(c, bytes.data(), bytes.size(),
+                                      vals.size(), &decoded))
+            << col::columnName(c);
+        EXPECT_EQ(decoded, vals) << col::columnName(c);
+    }
+
+    std::vector<std::uint64_t> decoded;
+    std::vector<std::uint8_t> bad = want;
+    bad[dict_bytes] = 0xff; // index 3, past the 3-entry dictionary
+    EXPECT_FALSE(col::decodeColumn(col::kColPc, bad.data(), bad.size(),
+                                   vals.size(), &decoded));
+    bad = want;
+    bad[2] = 0x00; // a repeated dictionary entry (delta 0)
+    EXPECT_FALSE(col::decodeColumn(col::kColPc, bad.data(), bad.size(),
+                                   vals.size(), &decoded));
+}
+
 TEST(ColumnCoding, RejectsTruncationAndTrailingBytes)
 {
     const auto corpus = codecCorpus();

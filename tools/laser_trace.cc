@@ -530,18 +530,19 @@ replayVTuneTrace(const trace::TraceReplayer &replayer,
 int
 replaySheriffTrace(const trace::TraceReplayer &replayer)
 {
-    const trace::SheriffReplay replay = replayer.replaySheriff();
+    const baselines::SheriffReport report = replayer.replaySheriff();
+    const std::uint64_t runtime = replayer.meta().runtimeCycles;
     std::printf("replaying %s (%s): %llu sync ops, %llu dirty pages "
                 "committed\n",
                 replayer.meta().workload.c_str(),
                 replayer.meta().scheme.c_str(),
-                (unsigned long long)replay.report.syncOps,
-                (unsigned long long)replay.report.dirtyPagesCommitted);
+                (unsigned long long)report.syncOps,
+                (unsigned long long)report.dirtyPagesCommitted);
     std::printf("commit cost %llu cycles; modeled runtime %llu cycles "
                 "(%.2f represented seconds)\n",
-                (unsigned long long)replay.report.chargedCycles,
-                (unsigned long long)replay.estimatedRuntimeCycles,
-                sim::representedSeconds(replay.estimatedRuntimeCycles));
+                (unsigned long long)report.chargedCycles,
+                (unsigned long long)runtime,
+                sim::representedSeconds(runtime));
     return 0;
 }
 
