@@ -57,7 +57,7 @@ sweepConfig()
 
 /**
  * Write a bench's telemetry artifacts (BENCH_<name>.json plus the
- * registry snapshot/span trace) when LASER_METRICS_OUT is set, folding
+ * span trace) when LASER_METRICS_OUT is set, folding
  * in the sweep runner's cache counters, and tell the user where they
  * went.
  * Benches without a sweep runner pass nullptr.
@@ -69,7 +69,7 @@ writeTelemetry(obs::BenchReport &report, const core::SweepStats *stats)
         report.setSweep(stats->machineRuns, stats->memoryCacheHits,
                         stats->diskCacheHits);
     if (report.write())
-        std::printf("\ntelemetry: wrote %s (+ METRICS/TRACE artifacts)\n",
+        std::printf("\ntelemetry: wrote %s (+ TRACE artifact)\n",
                     report.path().c_str());
 }
 

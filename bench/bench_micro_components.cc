@@ -335,8 +335,7 @@ class TelemetryReporter final : public benchmark::ConsoleReporter
 } // namespace
 
 // Expanded BENCHMARK_MAIN so the run also emits BENCH_micro_components
-// telemetry (per-benchmark wall times land in the registry snapshot via
-// span histograms recorded by the instrumented components themselves).
+// telemetry (each benchmark's ns per item, from TelemetryReporter).
 int
 main(int argc, char **argv)
 {

@@ -9,26 +9,30 @@
  *     smaller than the row-wise baseline (interleaved zigzag deltas,
  *     the layout LSRT v2 stored);
  *   - replaying a 10% cycle window through the block index reads < 25%
- *     of the payload bytes (measured via the trace.file.bytes_read
- *     counter, so it reflects what the seek path actually touched).
+ *     of the payload bytes (measured by the window cursor's
+ *     bytesRead(), so it reflects what the seek path actually touched).
+ *
+ * Each column's encode/decode MB/s is the median of kCodecRuns timed
+ * runs: on a shared host a single run's figure moves by up to 1.5x.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "detect/pipeline.h"
-#include "obs/metrics.h"
 #include "trace/columnar.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
 #include "trace/wire.h"
+#include "util/stats.h"
 
 using namespace laser;
 namespace col = trace::columnar;
@@ -44,6 +48,9 @@ cpuSeconds()
     return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
 }
 
+/** Timed runs per column codec direction; the table prints the median. */
+constexpr int kCodecRuns = 5;
+
 /** One column codec's measured throughput. */
 struct CodecResult
 {
@@ -53,9 +60,33 @@ struct CodecResult
 };
 
 /**
+ * Median over kCodecRuns runs of @p body's throughput in MB/s, where
+ * @p body processes @p raw_mb of raw column data. Each run repeats the
+ * body until it is long enough for CLOCK_PROCESS_CPUTIME_ID's
+ * granularity not to matter.
+ */
+template <typename Body>
+double
+medianMBps(double raw_mb, const Body &body)
+{
+    std::vector<double> runs;
+    for (int run = 0; run < kCodecRuns; ++run) {
+        int reps = 0;
+        double elapsed = 0;
+        while (elapsed < 0.05 || reps < 3) {
+            const double start = cpuSeconds();
+            body();
+            elapsed += cpuSeconds() - start;
+            ++reps;
+        }
+        runs.push_back(raw_mb * reps / elapsed);
+    }
+    return median(std::move(runs));
+}
+
+/**
  * Time @p column's codec over @p vals in block-sized strides (the unit
- * the real writer encodes), repeating until the loop runs long enough
- * for CLOCK_PROCESS_CPUTIME_ID's granularity not to matter.
+ * the real writer encodes).
  */
 CodecResult
 timeCodec(std::size_t column, const std::vector<std::uint64_t> &vals)
@@ -65,22 +96,16 @@ timeCodec(std::size_t column, const std::vector<std::uint64_t> &vals)
     const std::size_t stride = col::kDefaultBlockRecords;
 
     std::vector<std::uint8_t> encoded;
-    int reps = 0;
-    double elapsed = 0;
-    while (elapsed < 0.05 || reps < 3) {
+    result.encodeMBps = medianMBps(raw_mb, [&] {
         encoded.clear();
-        const double start = cpuSeconds();
         for (std::size_t i = 0; i < vals.size(); i += stride) {
             const std::vector<std::uint64_t> block(
                 vals.begin() + i,
                 vals.begin() + std::min(i + stride, vals.size()));
             col::encodeColumn(column, block, &encoded);
         }
-        elapsed += cpuSeconds() - start;
-        ++reps;
-    }
+    });
     result.encodedBytes = encoded.size();
-    result.encodeMBps = raw_mb * reps / elapsed;
 
     // Decode from the per-block slices the encode produced.
     std::vector<std::pair<std::size_t, std::size_t>> slices;
@@ -98,10 +123,7 @@ timeCodec(std::size_t column, const std::vector<std::uint64_t> &vals)
         }
     }
     std::vector<std::uint64_t> decoded;
-    reps = 0;
-    elapsed = 0;
-    while (elapsed < 0.05 || reps < 3) {
-        const double start = cpuSeconds();
+    result.decodeMBps = medianMBps(raw_mb, [&] {
         std::size_t i = 0;
         for (const auto &[off, size] : slices) {
             const std::size_t count =
@@ -115,10 +137,7 @@ timeCodec(std::size_t column, const std::vector<std::uint64_t> &vals)
             }
             i += count;
         }
-        elapsed += cpuSeconds() - start;
-        ++reps;
-    }
-    result.decodeMBps = raw_mb * reps / elapsed;
+    });
     return result;
 }
 
@@ -246,10 +265,10 @@ main()
                            .set("encoded_bytes", obs::Json(r.encodedBytes)));
     }
     std::printf("%zu records/column (%s raw per column, block size "
-                "%zu)\n",
+                "%zu; median MB/s of %d runs)\n",
                 big.records.size(),
                 humanBytes(big.records.size() * 8).c_str(),
-                col::kDefaultBlockRecords);
+                col::kDefaultBlockRecords, kCodecRuns);
     std::fputs(table.render().c_str(), stdout);
 
     // ---- Whole-trace vs windowed-seek replay ----
@@ -273,20 +292,18 @@ main()
                      env.error().c_str());
         return 1;
     }
-    obs::Counter &bytes_read =
-        obs::Registry::global().counter("trace.file.bytes_read");
-
     auto replay_window = [&](std::uint64_t begin, std::uint64_t end,
                              std::uint64_t *bytes) {
         detect::DetectorConfig cfg;
         cfg.sav = file.meta().pebs.sav;
         detect::DetectorPipeline pipeline(env.context(), cfg);
-        const std::uint64_t before = bytes_read.value();
         const double start = cpuSeconds();
-        file.cursorForCycles(begin, end)->drain(pipeline);
+        const std::unique_ptr<trace::RecordCursor> cur =
+            file.cursorForCycles(begin, end);
+        cur->drain(pipeline);
         pipeline.finish(file.meta().runtimeCycles);
         const double elapsed = cpuSeconds() - start;
-        *bytes = bytes_read.value() - before;
+        *bytes = cur->bytesRead();
         return elapsed;
     };
 

@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "core/accuracy.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
@@ -35,39 +34,6 @@ hexKey(std::uint64_t key)
     return buf;
 }
 
-/** Registry handles for the sweep counters (resolved once). */
-struct SweepMetrics
-{
-    obs::Counter &machineRuns;
-    obs::Counter &memoryHits;
-    obs::Counter &diskHits;
-    obs::Counter &inflightDedup;
-    obs::Counter &bytesWritten;
-    obs::Histogram &captureSeconds;
-
-    static SweepMetrics &
-    get()
-    {
-        static SweepMetrics m{
-            obs::Registry::global().counter("sweep.machine_runs"),
-            obs::Registry::global().counter("sweep.cache_hits.memory"),
-            obs::Registry::global().counter("sweep.cache_hits.disk"),
-            obs::Registry::global().counter("sweep.inflight_dedup"),
-            obs::Registry::global().counter("trace.cache.bytes_written"),
-            obs::Registry::global().histogram("sweep.capture_seconds"),
-        };
-        return m;
-    }
-};
-
-std::uint64_t
-fileBytes(const std::string &path)
-{
-    std::error_code ec;
-    const std::uintmax_t n = std::filesystem::file_size(path, ec);
-    return ec ? 0 : static_cast<std::uint64_t>(n);
-}
-
 } // namespace
 
 /**
@@ -78,8 +44,6 @@ fileBytes(const std::string &path)
 struct SweepRunner::Entry
 {
     std::once_flag once;
-    /** Set after the once-callable finished (dedup accounting only). */
-    std::atomic<bool> ready{false};
     std::shared_ptr<const trace::TraceFile> file;
 };
 
@@ -108,7 +72,6 @@ SweepRunner::loadOrRun(std::uint64_t key,
                        const workloads::WorkloadDef &workload,
                        const trace::CaptureOptions &opt)
 {
-    SweepMetrics &metrics = SweepMetrics::get();
     const std::string path = cachePath(key);
     if (!path.empty()) {
         LASER_SPAN("sweep.disk_open");
@@ -119,7 +82,6 @@ SweepRunner::loadOrRun(std::uint64_t key,
         // open() verifies it against the config section).
         if (file->open(path) == trace::TraceStatus::Ok &&
                 file->storedConfigHash() == key) {
-            metrics.diskHits.inc();
             util::MutexLock lock(&mu_);
             ++stats_.diskCacheHits;
             return file;
@@ -129,13 +91,10 @@ SweepRunner::loadOrRun(std::uint64_t key,
     }
 
     trace::Trace captured;
-    const auto start = std::chrono::steady_clock::now();
     {
         LASER_SPAN("sweep.simulate");
         captured = trace::captureTrace(workload, opt);
     }
-    metrics.machineRuns.inc();
-    metrics.captureSeconds.record(secondsSince(start));
     {
         util::MutexLock lock(&mu_);
         ++stats_.machineRuns;
@@ -144,7 +103,6 @@ SweepRunner::loadOrRun(std::uint64_t key,
     if (!path.empty()) {
         if (trace::writeTraceFile(captured, path) ==
                 trace::TraceStatus::Ok) {
-            metrics.bytesWritten.inc(fileBytes(path));
             if (file->open(path) == trace::TraceStatus::Ok)
                 return file;
             // The file vanished or was clobbered between write and
@@ -154,12 +112,10 @@ SweepRunner::loadOrRun(std::uint64_t key,
             // Deliberate discard-with-accounting: cache population is
             // best-effort (a failed write just means a re-simulation
             // next sweep), but the failure must not be silent — it
-            // lands in the trace.cache.write_failures counter every
-            // exporter surfaces.
-            static obs::Counter &write_failures =
-                obs::Registry::global().counter(
-                    "trace.cache.write_failures");
-            write_failures.inc();
+            // lands in SweepStats::cacheWriteFailures, which
+            // laser_trace warns about.
+            util::MutexLock lock(&mu_);
+            ++stats_.cacheWriteFailures;
         }
     }
     trace::TraceWriter writer(captured.meta);
@@ -190,20 +146,12 @@ SweepRunner::captureFile(const workloads::WorkloadDef &workload,
         entry = slot;
     }
     if (!created) {
-        SweepMetrics &metrics = SweepMetrics::get();
-        metrics.memoryHits.inc();
-        // A hit on an entry whose capture is still running means this
-        // request was coalesced with an in-flight identical one.
-        if (!entry->ready.load(std::memory_order_acquire))
-            metrics.inflightDedup.inc();
         util::MutexLock lock(&mu_);
         ++stats_.memoryCacheHits;
     }
 
-    std::call_once(entry->once, [&] {
-        entry->file = loadOrRun(key, workload, opt);
-        entry->ready.store(true, std::memory_order_release);
-    });
+    std::call_once(entry->once,
+                   [&] { entry->file = loadOrRun(key, workload, opt); });
     return entry->file;
 }
 

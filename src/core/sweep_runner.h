@@ -42,18 +42,18 @@
 namespace laser::core {
 
 /**
- * Cache / execution counters (cumulative over the runner's lifetime).
- * Every increment is mirrored into the global obs registry
- * (sweep.machine_runs, sweep.cache_hits.memory, sweep.cache_hits.disk,
- * sweep.inflight_dedup, trace.cache.bytes_written), which is what
- * tools and benches export; the struct remains the per-runner view so
- * concurrent runners in one process stay separable.
+ * Cache / execution counters, cumulative over the runner's lifetime.
+ * They are per runner, so concurrent runners in one process stay
+ * separable; tools and benches read them through SweepRunner::stats().
  */
 struct SweepStats
 {
     std::uint64_t machineRuns = 0;     ///< actual simulations executed
     std::uint64_t memoryCacheHits = 0; ///< served from the in-memory cache
     std::uint64_t diskCacheHits = 0;   ///< loaded from the cache directory
+    /** Captures the cache directory could not store (re-simulated on
+     *  the next sweep). */
+    std::uint64_t cacheWriteFailures = 0;
 
     std::uint64_t
     captures() const

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "sim/timing.h"
 
 namespace laser::detect {
@@ -89,11 +88,6 @@ closeWindow(std::uint64_t span, std::uint64_t records, std::uint64_t ts,
             ts <= std::max<std::uint64_t>(8, 4 * fs);
         trigger = classified_fs || unclassified_storm;
     }
-    // One epoch (rate-check window) closed; its span in cycles is the
-    // detection latency granularity the online repair trigger works at.
-    static obs::Histogram &epoch_cycles =
-        obs::Registry::global().histogram("detect.epoch_cycles");
-    epoch_cycles.record(double(span));
     return trigger;
 }
 

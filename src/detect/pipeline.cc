@@ -4,36 +4,7 @@
 #include <bit>
 #include <map>
 
-#include "obs/metrics.h"
-
 namespace laser::detect {
-
-namespace {
-
-/**
- * Pipeline counters. Handles resolve once; the hot path never touches
- * them — onRecord bumps plain DetectorState fields and publishMetrics
- * flushes the deltas in bulk (bench_obs_overhead measures the margin).
- */
-struct PipelineMetrics
-{
-    obs::Counter &records;
-    obs::Counter &ts;
-    obs::Counter &fs;
-
-    static PipelineMetrics &
-    get()
-    {
-        static PipelineMetrics m{
-            obs::Registry::global().counter("detect.records_ingested"),
-            obs::Registry::global().counter("detect.hitm_classified.ts"),
-            obs::Registry::global().counter("detect.hitm_classified.fs"),
-        };
-        return m;
-    }
-};
-
-} // namespace
 
 const char *
 contentionTypeName(ContentionType type)
@@ -113,23 +84,6 @@ DetectorPipeline::DetectorPipeline(const DetectorContext &ctx,
     : ctx_(ctx), cfg_(cfg), mode_(mode)
 {
     state_.pcStats.resize(ctx.pcInfo.size());
-}
-
-DetectorPipeline::~DetectorPipeline() { publishMetrics(); }
-
-void
-DetectorPipeline::publishMetrics() const
-{
-    PipelineMetrics &m = PipelineMetrics::get();
-    if (state_.totalRecords > pubRecords_)
-        m.records.inc(state_.totalRecords - pubRecords_);
-    if (state_.tsEvents > pubTs_)
-        m.ts.inc(state_.tsEvents - pubTs_);
-    if (state_.fsEvents > pubFs_)
-        m.fs.inc(state_.fsEvents - pubFs_);
-    pubRecords_ = state_.totalRecords;
-    pubTs_ = state_.tsEvents;
-    pubFs_ = state_.fsEvents;
 }
 
 inline void
@@ -232,7 +186,6 @@ DetectorPipeline::onColumns(const analysis::RecordColumns &cols)
 DetectionReport
 DetectorPipeline::finish(std::uint64_t total_cycles) const
 {
-    publishMetrics();
     return buildReport(ctx_, cfg_, state_, scan_, total_cycles);
 }
 

@@ -114,7 +114,6 @@ class DetectorPipeline final : public analysis::RecordSink
     explicit DetectorPipeline(const DetectorContext &ctx,
                               DetectorConfig cfg = {},
                               Mode mode = Mode::Streaming);
-    ~DetectorPipeline() override;
 
     /** Push one record through stages 1-5 (and 6 when streaming). */
     void onRecord(const pebs::PebsRecord &rec) override;
@@ -127,12 +126,7 @@ class DetectorPipeline final : public analysis::RecordSink
 
     const DetectorState &state() const { return state_; }
 
-    DetectorState
-    takeState()
-    {
-        publishMetrics();
-        return std::move(state_);
-    }
+    DetectorState takeState() { return std::move(state_); }
 
     /** Streaming-mode finalize: build the report from the inline scan. */
     DetectionReport finish(std::uint64_t total_cycles) const;
@@ -145,24 +139,11 @@ class DetectorPipeline final : public analysis::RecordSink
     void step(std::uint64_t pc, std::uint64_t data_addr,
               std::uint64_t cycle);
 
-    /**
-     * Publish the delta since the last publish into the process
-     * registry (detect.records_ingested and friends). The hot path
-     * only bumps plain state_ fields; atomics are touched here, at
-     * takeState()/finish()/destruction, so instrumentation cost on the
-     * digest path is amortized to O(1) per pipeline instead of O(1)
-     * per record.
-     */
-    void publishMetrics() const;
-
     const DetectorContext &ctx_;
     DetectorConfig cfg_;
     Mode mode_;
     DetectorState state_;
     RateScanState scan_;
-    mutable std::uint64_t pubRecords_ = 0;
-    mutable std::uint64_t pubTs_ = 0;
-    mutable std::uint64_t pubFs_ = 0;
 };
 
 /**

@@ -142,23 +142,6 @@ processCpuSeconds()
     return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
-bool
-exportProcessMetrics(const std::string &name, const Registry &reg)
-{
-    const std::string dir = preparedMetricsDir();
-    if (dir.empty())
-        return false;
-
-    const Snapshot snap = reg.snapshot();
-    bool ok = writeFileAtomicEnough(dir + "/METRICS_" + name + ".json",
-                                    snap.toJson().dump(2) + "\n");
-
-    const SpanCollector &spans = SpanCollector::global();
-    if (spans.eventCount() > 0)
-        ok &= spans.writeFile(traceEventPath(dir, name));
-    return ok;
-}
-
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now())
 {
@@ -173,7 +156,6 @@ BenchReport::setSweep(std::uint64_t machine_runs,
                       std::uint64_t memory_cache_hits,
                       std::uint64_t disk_cache_hits)
 {
-    haveSweep_ = true;
     machineRuns_ = machine_runs;
     memoryCacheHits_ = memory_cache_hits;
     diskCacheHits_ = disk_cache_hits;
@@ -189,7 +171,7 @@ BenchReport::path() const
 }
 
 bool
-BenchReport::write(const Registry &reg)
+BenchReport::write()
 {
     const std::string dir = preparedMetricsDir();
     if (dir.empty())
@@ -218,16 +200,15 @@ BenchReport::write(const Registry &reg)
     root.set("results", results_);
     Json artifacts = Json::object();
     artifacts.set("bench_json", Json(path()));
-    artifacts.set("metrics_json",
-                  Json(dir + "/METRICS_" + name_ + ".json"));
-    if (SpanCollector::global().eventCount() > 0)
+    const SpanCollector &spans = SpanCollector::global();
+    const bool traced = spans.eventCount() > 0;
+    if (traced)
         artifacts.set("trace_json", Json(traceEventPath(dir, name_)));
     root.set("artifacts", std::move(artifacts));
-    root.set("metrics", reg.snapshot().toJson());
 
-    const bool ok =
-        writeFileAtomicEnough(path(), root.dump(2) + "\n");
-    exportProcessMetrics(name_, reg);
+    bool ok = writeFileAtomicEnough(path(), root.dump(2) + "\n");
+    if (traced)
+        ok &= spans.writeFile(traceEventPath(dir, name_));
     return ok;
 }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Telemetry export: registry snapshots, span traces and per-bench
- * machine-readable reports, all keyed off one environment switch.
+ * Telemetry export: span traces and per-bench machine-readable
+ * reports, both keyed off one environment switch.
  *
  * LASER_METRICS_OUT=<dir> makes every tool and bench drop artifacts
  * into <dir> (created on demand):
  *
- *   METRICS_<name>.json  registry snapshot (counters/gauges/histograms)
  *   TRACE_<name>.json    Chrome trace-event spans (when any were
  *                        collected; LASER_TRACE_EVENTS=<file> overrides
  *                        the path)
@@ -16,7 +15,7 @@
  * in EXPERIMENTS.md):
  *
  *   {
- *     "schema_version": 2,
+ *     "schema_version": 3,
  *     "bench": "<name>",
  *     "wall_seconds": <number >= 0>,
  *     "run": {"git_sha": "...", "config_hash": "...",    // v2: run
@@ -25,9 +24,9 @@
  *     "sweep": {"machine_runs": N, "memory_cache_hits": N,
  *               "disk_cache_hits": N},          // all integers >= 0
  *     "results": { ... bench-specific scalars/arrays ... },
- *     "artifacts": { ... resolved artifact paths ... },
- *     "metrics": { registry snapshot }
+ *     "artifacts": { ... resolved artifact paths ... }
  *   }
+ *
  *
  * Without LASER_METRICS_OUT in the environment the whole layer is
  * inert: write() returns false and touches no files.
@@ -41,12 +40,11 @@
 #include <string>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace laser::obs {
 
 /** Current BENCH_*.json schema version. */
-inline constexpr int kBenchSchemaVersion = 2;
+inline constexpr int kBenchSchemaVersion = 3;
 
 /** $LASER_METRICS_OUT, or "" when telemetry is off. */
 std::string metricsDir();
@@ -65,14 +63,6 @@ RunContext currentRunContext();
 
 /** Cumulative process CPU seconds, user + system (getrusage). */
 double processCpuSeconds();
-
-/**
- * Write METRICS_<name>.json (and the span trace, if any events
- * were collected) for @p reg into the metrics dir. No-op returning
- * false when LASER_METRICS_OUT is unset; best-effort on I/O errors.
- */
-bool exportProcessMetrics(const std::string &name,
-                          const Registry &reg = Registry::global());
 
 /**
  * Machine-readable record of one bench invocation. Construct at the
@@ -101,11 +91,11 @@ class BenchReport
                   std::uint64_t disk_cache_hits);
 
     /**
-     * Write BENCH_<name>.json plus the METRICS_/TRACE_ artifacts.
-     * Returns true when the bench file was written (false when
-     * LASER_METRICS_OUT is unset or on I/O error).
+     * Write BENCH_<name>.json plus the TRACE_ artifact (when any spans
+     * were collected). Returns true when every file was written (false
+     * when LASER_METRICS_OUT is unset or on I/O error).
      */
-    bool write(const Registry &reg = Registry::global());
+    bool write();
 
     /** Path write() targets ("" when telemetry is disabled). */
     std::string path() const;
@@ -114,7 +104,6 @@ class BenchReport
     std::string name_;
     std::chrono::steady_clock::time_point start_;
     Json results_ = Json::object();
-    bool haveSweep_ = false;
     std::uint64_t machineRuns_ = 0;
     std::uint64_t memoryCacheHits_ = 0;
     std::uint64_t diskCacheHits_ = 0;

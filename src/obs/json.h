@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal JSON document tree shared by the observability layer: the
- * metrics/telemetry exporters build documents with it, the bench-schema
+ * telemetry exporter builds documents with it, the bench-schema
  * validator and the obs tests parse exported artifacts back through it.
  *
  * Deliberately small: objects keep insertion order (deterministic

@@ -1,12 +1,25 @@
 #include "obs/span.h"
 
+#include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/metrics.h"
-
 namespace laser::obs {
+
+namespace {
+
+/** Small dense index of the calling thread, assigned on first use. */
+std::uint32_t
+threadIndex()
+{
+    static std::atomic<std::uint32_t> next{0};
+    thread_local const std::uint32_t index =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return index;
+}
+
+} // namespace
 
 SpanCollector::SpanCollector()
     : origin_(std::chrono::steady_clock::now())
@@ -119,10 +132,8 @@ SpanCollector::writeFile(const std::string &path) const
 Span::Span(const char *name) : name_(name)
 {
     // Snapshot the enabled state once: a toggle mid-span should not
-    // produce a half-recorded event. The process kill switch
-    // (obs::setEnabled(false) / LASER_OBS=0) is the master: it beats
-    // collector enablement, so an obs-disabled run records nothing.
-    armed_ = enabled();
+    // produce a half-recorded event.
+    armed_ = SpanCollector::global().enabled();
     if (armed_)
         start_ = std::chrono::steady_clock::now();
 }
@@ -132,25 +143,14 @@ Span::~Span()
     if (!armed_)
         return;
     const auto end = std::chrono::steady_clock::now();
-    const double seconds =
-        std::chrono::duration<double>(end - start_).count();
-
-    // The trace event goes first: its timestamp is derived from "now",
-    // and the histogram lookup below may allocate a new histogram,
-    // which would push the event's start past the span's real start.
     SpanCollector &collector = SpanCollector::global();
-    if (collector.enabled()) {
-        TraceEvent event;
-        event.name = name_;
-        event.tid = threadIndex();
-        event.durUs = seconds * 1e6;
-        event.tsUs = collector.nowUs() - event.durUs;
-        collector.append(std::move(event));
-    }
-
-    Registry::global()
-        .histogram(std::string("span.") + name_)
-        .record(seconds);
+    TraceEvent event;
+    event.name = name_;
+    event.tid = threadIndex();
+    event.durUs =
+        std::chrono::duration<double, std::micro>(end - start_).count();
+    event.tsUs = collector.nowUs() - event.durUs;
+    collector.append(std::move(event));
 }
 
 } // namespace laser::obs

@@ -8,17 +8,14 @@
  *         ...
  *     }
  *
- * Every span feeds a "span.<name>" log-scale histogram in the global
- * metrics registry (duration in seconds), so phase timings show up in
- * plain snapshots; the process kill switch (obs::setEnabled(false) /
- * LASER_OBS=0) disarms spans entirely. When event *collection* is
- * additionally enabled — via
+ * A span records only while event collection is enabled — via
  * SpanCollector::global().enable() or automatically when the
- * LASER_TRACE_EVENTS or LASER_METRICS_OUT environment variable is set —
- * each span additionally appends a complete ("ph":"X") trace event;
- * writeFile() emits the buffer as one JSON array with one event per
- * line (line-oriented yet valid JSON), loadable directly in
- * chrome://tracing or Perfetto for flame-graph inspection of a sweep.
+ * LASER_TRACE_EVENTS or LASER_METRICS_OUT environment variable is set;
+ * it then appends a complete ("ph":"X") trace event. Disabled, a span
+ * costs one relaxed atomic load. writeFile() emits the buffer as one
+ * JSON array with one event per line (line-oriented yet valid JSON),
+ * loadable directly in chrome://tracing or Perfetto for flame-graph
+ * inspection of a sweep.
  *
  * Span begin/end pairs on one thread are strictly nested (they are
  * scopes), which is exactly the invariant the trace viewers assume.
@@ -89,8 +86,8 @@ class SpanCollector
 
 /**
  * RAII span. @p name must outlive the span (string literals only);
- * construction/destruction cost is two clock reads plus one histogram
- * record, and additionally one buffer append when collection is on.
+ * while collection is on it costs two clock reads and one buffer
+ * append.
  */
 class Span
 {

@@ -1,7 +1,5 @@
 #include "pebs/monitor.h"
 
-#include "obs/metrics.h"
-
 namespace laser::pebs {
 
 PebsMonitor::PebsMonitor(const mem::AddressSpace &space,
@@ -142,24 +140,6 @@ PebsMonitor::finish()
 {
     for (int core = 0; core < space_.numThreads(); ++core)
         drainCore(core, false);
-
-    // Fold this run's stats into the process registry in bulk — the
-    // per-HITM path stays untouched (onHitm fires for every coherence
-    // intervention the simulator models, far hotter than the record
-    // stream).
-    static obs::Counter &hitm_events =
-        obs::Registry::global().counter("pebs.hitm_events");
-    static obs::Counter &samples =
-        obs::Registry::global().counter("pebs.records_sampled");
-    static obs::Counter &interrupts =
-        obs::Registry::global().counter("pebs.interrupts");
-    static obs::Counter &driver_cycles =
-        obs::Registry::global().counter("pebs.driver_cycles");
-    hitm_events.inc(stats_.hitmEvents - exported_.hitmEvents);
-    samples.inc(stats_.samples - exported_.samples);
-    interrupts.inc(stats_.interrupts - exported_.interrupts);
-    driver_cycles.inc(stats_.driverCycles - exported_.driverCycles);
-    exported_ = stats_;
 }
 
 } // namespace laser::pebs

@@ -78,11 +78,7 @@ class PebsMonitor : public sim::PmuSink
 
     std::uint64_t onHitm(const sim::HitmEvent &event) override;
 
-    /**
-     * Drain residual per-core buffers (call after Machine::run) and
-     * fold the run's stats into the global obs registry (pebs.*
-     * counters; idempotent — repeat calls export only the delta).
-     */
+    /** Drain residual per-core buffers (call after Machine::run). */
     void finish();
 
     /** Records in driver-delivery order. */
@@ -112,8 +108,6 @@ class PebsMonitor : public sim::PmuSink
     std::vector<PebsRecord> records_;
     std::vector<RecordTruth> truths_;
     PebsStats stats_;
-    /** Portion of stats_ already folded into the obs registry. */
-    PebsStats exported_;
 };
 
 } // namespace laser::pebs

@@ -6,38 +6,7 @@
 #include <thread>
 
 #include "analysis/sink.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
-
-namespace {
-
-/** Registry handles for the replay metrics (resolved once). */
-struct ReplayMetrics
-{
-    laser::obs::Counter &digests;
-    laser::obs::Counter &recordsDigested;
-    laser::obs::Counter &reports;
-    laser::obs::Histogram &shardSeconds;
-    laser::obs::Histogram &mergeSeconds;
-    laser::obs::Histogram &shardSkewSeconds;
-
-    static ReplayMetrics &
-    get()
-    {
-        using laser::obs::Registry;
-        static ReplayMetrics m{
-            Registry::global().counter("replay.digests"),
-            Registry::global().counter("replay.records_digested"),
-            Registry::global().counter("replay.reports"),
-            Registry::global().histogram("replay.shard_seconds"),
-            Registry::global().histogram("replay.merge_seconds"),
-            Registry::global().histogram("replay.shard_skew_seconds"),
-        };
-        return m;
-    }
-};
-
-} // namespace
 
 namespace laser::trace {
 
@@ -60,23 +29,18 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
     // rather than the materialized trace. Shard pipelines share the
     // replayer's immutable context; each owns only its state.
     //
-    // Deliberately lock-free: shard s writes only states[s],
-    // shard_seconds[s] and shard_status[s] — disjoint elements of
+    // Deliberately lock-free: shard s writes only states[s] and
+    // shard_status[s] — disjoint elements of
     // vectors sized before the fan-out — and the merge below reads them
     // only after parallelFor returns, whose batch-completion handshake
     // (util/thread_pool.h) is the synchronization point. There is no
     // shared mutable state to GUARDED_BY here; adding any requires a
     // util::Mutex and an annotation (see CONTRIBUTING.md).
-    ReplayMetrics &metrics = ReplayMetrics::get();
-    metrics.digests.inc();
     std::vector<detect::DetectorState> states(shards_);
-    std::vector<double> shard_seconds(
-        static_cast<std::size_t>(shards_), 0.0);
     std::vector<TraceStatus> shard_status(
         static_cast<std::size_t>(shards_), TraceStatus::Ok);
     const auto digest_shard = [&](std::size_t s) {
         LASER_SPAN("replay.shard");
-        const auto start = std::chrono::steady_clock::now();
         // Index-based split: the same records land in the same shards
         // as a materialized split would, preserving bit-identity.
         const std::uint64_t begin = n * s / shards_;
@@ -85,16 +49,9 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
             env.context(), {}, detect::DetectorPipeline::Mode::Shard);
         const std::unique_ptr<RecordCursor> cur =
             env.file().cursorForRecords(begin, end);
-        const std::uint64_t digested = cur->drain(pipeline);
+        cur->drain(pipeline);
         shard_status[s] = cur->status();
         states[s] = pipeline.takeState();
-        metrics.recordsDigested.inc(digested);
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        shard_seconds[s] = seconds;
-        metrics.shardSeconds.record(seconds);
     };
     if (shards_ == 1) {
         // Inline: a one-job batch on a shared pool would wait at the
@@ -120,27 +77,14 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
                 std::to_string(s) + " record stream failed: " +
                 traceStatusName(
                     shard_status[static_cast<std::size_t>(s)]));
-    // Shard skew — slowest minus fastest window — is the load-balance
-    // signal for choosing shard counts (a time-skewed trace digests no
-    // faster than its hottest window).
-    if (shards_ > 1) {
-        const auto [min_it, max_it] = std::minmax_element(
-            shard_seconds.begin(), shard_seconds.end());
-        metrics.shardSkewSeconds.record(*max_it - *min_it);
-    }
 
     // Window-order merge: concatenating the shards' event streams in
     // this order reproduces the serial processing order exactly.
     {
         LASER_SPAN("replay.merge");
-        const auto merge_start = std::chrono::steady_clock::now();
         merged_ = std::move(states[0]);
         for (int s = 1; s < shards_; ++s)
             merged_.mergeFrom(std::move(states[s]));
-        metrics.mergeSeconds.record(
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - merge_start)
-                .count());
     }
 
     // The threshold-free halves of every replay(cfg): built once here,
@@ -154,7 +98,6 @@ detect::DetectionReport
 ParallelReplayer::replay(const detect::DetectorConfig &cfg) const
 {
     LASER_SPAN("replay.report");
-    ReplayMetrics::get().reports.inc();
     const detect::RateScanState scan =
         cfg.rateCheckInterval == windows_.interval
             ? detect::scanRateWindows(windows_, cfg)

@@ -8,30 +8,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "obs/metrics.h"
 #include "trace/wire.h"
 
 namespace laser::trace {
 
 namespace {
-
-struct FileMetrics
-{
-    obs::Counter &bytesRead;
-    obs::Counter &blocksDecoded;
-    obs::Counter &opens;
-
-    static FileMetrics &
-    get()
-    {
-        static FileMetrics m{
-            obs::Registry::global().counter("trace.file.bytes_read"),
-            obs::Registry::global().counter("trace.file.blocks_decoded"),
-            obs::Registry::global().counter("trace.file.opens"),
-        };
-        return m;
-    }
-};
 
 std::atomic<std::size_t> g_bufferedLive{0};
 std::atomic<std::size_t> g_bufferedPeak{0};
@@ -202,8 +183,7 @@ RecordCursor::loadBlock()
         status_ = TraceStatus::NonMonotonic;
         return false;
     }
-    FileMetrics::get().bytesRead.inc(bytes);
-    FileMetrics::get().blocksDecoded.inc();
+    bytesRead_ += bytes;
     addBufferedRecords(static_cast<std::size_t>(b.records));
     loaded_ = true;
     pos_ = 0;
@@ -377,11 +357,6 @@ TraceFile::validate()
                     "block cycle ranges are not ordered: a block's cycle "
                     "precedes an earlier one");
 
-    // Everything read so far: header, meta sections, index, trailing
-    // index offset. Record blocks are charged as cursors decode them.
-    FileMetrics::get().bytesRead.inc(kTraceHeaderSize + metaSize_ +
-                                     (payload_size - index_offset));
-    FileMetrics::get().opens.inc();
     open_ = true;
     return TraceStatus::Ok;
 }

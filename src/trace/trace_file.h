@@ -28,10 +28,9 @@
  * whole-payload check for callers that want every byte verified before
  * a full replay (laser_trace replay does).
  *
- * Read volume is observable via the obs counters trace.file.bytes_read
- * (header + meta + index on open, plus each decoded block's encoded
- * bytes) and trace.file.blocks_decoded — the windowed-replay acceptance
- * checks are written against them.
+ * Read volume is observable per cursor: RecordCursor::bytesRead() sums
+ * the encoded bytes of the blocks that cursor decoded — the
+ * windowed-replay acceptance checks are written against it.
  *
  * Only kTraceVersion files open; any other version is BadVersion.
  */
@@ -100,6 +99,9 @@ class RecordCursor
     /** Ok after a clean end; a typed error if decoding failed. */
     TraceStatus status() const { return status_; }
 
+    /** Encoded bytes of the record blocks this cursor has decoded. */
+    std::uint64_t bytesRead() const { return bytesRead_; }
+
   private:
     bool loadBlock();
     void unloadBlock();
@@ -117,6 +119,7 @@ class RecordCursor
     std::size_t pos_ = 0;
     bool loaded_ = false;
     TraceStatus status_ = TraceStatus::Ok;
+    std::uint64_t bytesRead_ = 0;
 };
 
 class TraceFile

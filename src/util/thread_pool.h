@@ -11,26 +11,11 @@
  * counters) is GUARDED_BY its mutex and locked through util::MutexLock,
  * so Clang's -Wthread-safety analysis proves the locking discipline at
  * compile time (see util/annotations.h).
- *
- * Observability (global obs registry):
- *   pool.tasks_completed        counter, one per executed task
- *   pool.exceptions_suppressed  counter, batch exceptions beyond the
- *                               first (the rethrown one)
- *   pool.queue_depth            gauge, tasks currently queued
- *   pool.queue_wait_seconds     histogram, enqueue -> dequeue latency
- *   pool.task_seconds           histogram, task run time
- *   pool.worker_idle_seconds    histogram, per idle episode (a worker
- *                               waking from an empty queue)
- * Metric recording happens outside the pool lock: the striped
- * counters/histograms are lock-free, but keeping them out of the
- * critical section keeps the lock hold times bounded by queue work
- * alone.
  */
 
 #ifndef LASER_UTIL_THREAD_POOL_H
 #define LASER_UTIL_THREAD_POOL_H
 
-#include <chrono>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -40,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/mutex.h"
 
 namespace laser::util {
@@ -81,9 +65,8 @@ class ThreadPool
      * Run fn(0) .. fn(n-1) across the pool; blocks until every call has
      * completed. The first exception thrown by any call is rethrown here
      * (after the whole batch has drained); further exceptions from the
-     * same batch are counted in pool.exceptions_suppressed and noted in
-     * the rethrown message when the first one derives from
-     * std::exception.
+     * same batch are counted in the rethrown message when the first one
+     * derives from std::exception.
      */
     void
     parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
@@ -107,36 +90,31 @@ class ThreadPool
             for (std::size_t i = 0; i < n; ++i) {
                 // fn is captured by reference: parallelFor does not
                 // return until every task has finished running it.
-                queue_.push_back({[batch, &fn, i] {
-                                      try {
-                                          fn(i);
-                                      } catch (...) {
-                                          MutexLock lk(&batch->mu);
-                                          if (!batch->error)
-                                              batch->error =
-                                                  std::current_exception();
-                                          else
-                                              ++batch->suppressed;
-                                      }
-                                      bool last = false;
-                                      {
-                                          MutexLock lk(&batch->mu);
-                                          last = --batch->remaining == 0;
-                                      }
-                                      if (last)
-                                          batch->done.notifyAll();
-                                  },
-                                  clock::now()});
+                queue_.emplace_back([batch, &fn, i] {
+                    try {
+                        fn(i);
+                    } catch (...) {
+                        MutexLock lk(&batch->mu);
+                        if (!batch->error)
+                            batch->error = std::current_exception();
+                        else
+                            ++batch->suppressed;
+                    }
+                    bool last = false;
+                    {
+                        MutexLock lk(&batch->mu);
+                        last = --batch->remaining == 0;
+                    }
+                    if (last)
+                        batch->done.notifyAll();
+                });
             }
         }
-        // Advisory gauge; updated just after the enqueue critical
-        // section rather than inside it.
-        queueDepthGauge().add(double(n));
         cv_.notifyAll();
 
         // Help drain until nothing is queued, then wait for stragglers.
         for (;;) {
-            Task task;
+            std::function<void()> task;
             {
                 MutexLock lock(&mu_);
                 if (!queue_.empty()) {
@@ -144,11 +122,9 @@ class ThreadPool
                     queue_.pop_front();
                 }
             }
-            if (task.fn) {
-                runTask(task);
-                continue;
-            }
-            break;
+            if (!task)
+                break;
+            task();
         }
         std::size_t suppressed = 0;
         std::exception_ptr error;
@@ -162,10 +138,6 @@ class ThreadPool
         if (!error)
             return;
         if (suppressed > 0) {
-            static obs::Counter &suppressed_counter =
-                obs::Registry::global().counter(
-                    "pool.exceptions_suppressed");
-            suppressed_counter.inc(suppressed);
             // Append a note for std::exceptions (the common case); a
             // foreign exception type is rethrown untouched below.
             try {
@@ -183,81 +155,27 @@ class ThreadPool
     }
 
   private:
-    using clock = std::chrono::steady_clock;
-
-    struct Task
-    {
-        std::function<void()> fn;
-        clock::time_point enqueued{};
-    };
-
-    // Handle accessors: resolved once, then each call is one relaxed
-    // atomic on a thread-striped slot.
-    static obs::Gauge &
-    queueDepthGauge()
-    {
-        static obs::Gauge &g =
-            obs::Registry::global().gauge("pool.queue_depth");
-        return g;
-    }
-
-    void
-    runTask(Task &task)
-    {
-        static obs::Counter &completed =
-            obs::Registry::global().counter("pool.tasks_completed");
-        static obs::Histogram &queue_wait =
-            obs::Registry::global().histogram("pool.queue_wait_seconds");
-        static obs::Histogram &task_seconds =
-            obs::Registry::global().histogram("pool.task_seconds");
-
-        const auto start = clock::now();
-        queueDepthGauge().add(-1.0);
-        queue_wait.record(
-            std::chrono::duration<double>(start - task.enqueued).count());
-        task.fn();
-        completed.inc();
-        task_seconds.record(
-            std::chrono::duration<double>(clock::now() - start).count());
-    }
-
     void
     workerLoop()
     {
-        static obs::Histogram &idle_seconds =
-            obs::Registry::global().histogram("pool.worker_idle_seconds");
         for (;;) {
-            Task task;
-            bool stopping = false;
-            double idle = 0.0;
+            std::function<void()> task;
             {
                 MutexLock lock(&mu_);
-                const auto idle_start = clock::now();
                 while (!stop_ && queue_.empty())
                     cv_.wait(mu_);
-                idle = std::chrono::duration<double>(clock::now() -
-                                                     idle_start)
-                           .count();
-                if (stop_ && queue_.empty()) {
-                    stopping = true;
-                } else {
-                    task = std::move(queue_.front());
-                    queue_.pop_front();
-                }
+                if (stop_ && queue_.empty())
+                    return;
+                task = std::move(queue_.front());
+                queue_.pop_front();
             }
-            // Sub-microsecond "waits" are just the predicate check on a
-            // busy queue, not idleness. Recorded outside the pool lock.
-            if (idle >= 1e-6)
-                idle_seconds.record(idle);
-            if (stopping)
-                return;
-            runTask(task);
+            task();
         }
     }
 
     Mutex mu_;
     CondVar cv_;
-    std::deque<Task> queue_ GUARDED_BY(mu_);
+    std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
     bool stop_ GUARDED_BY(mu_) = false;
     /** Written only by the constructor; joined by the destructor. */
     std::vector<std::thread> threads_;

@@ -23,7 +23,6 @@
 #include "detect/detector_state.h"
 #include "detect/pipeline.h"
 #include "isa/assembler.h"
-#include "obs/metrics.h"
 #include "trace/capture.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
@@ -619,27 +618,6 @@ scanDiff(const detect::RateScanState &want,
     return {};
 }
 
-/** detect.epoch_cycles (count, sum) — the scan's per-window samples. */
-using EpochSamples = std::pair<std::uint64_t, double>;
-
-EpochSamples
-epochSamples()
-{
-    const obs::Histogram::Data d =
-        obs::Registry::global().histogram("detect.epoch_cycles").data();
-    return {d.count, d.sum};
-}
-
-/**
- * Samples recorded between two snapshots. Epoch spans are whole cycle
- * counts, so the double sums stay exact.
- */
-EpochSamples
-samplesBetween(const EpochSamples &before, const EpochSamples &after)
-{
-    return {after.first - before.first, after.second - before.second};
-}
-
 TEST(RateScan, WindowScanMatchesStepLoop)
 {
     core::SweepRunner runner;
@@ -665,7 +643,6 @@ TEST(RateScan, WindowScanMatchesStepLoop)
         digests[i] = std::make_unique<ParallelReplayer>(*envs[i], popt);
     });
 
-    // Serial from here: the epoch histogram is process-global.
     std::uint64_t cases = 0;
     std::uint64_t triggered = 0;
     std::uint64_t mismatches = 0;
@@ -685,16 +662,12 @@ TEST(RateScan, WindowScanMatchesStepLoop)
                         cfg.sav = sav;
                         ++cases;
 
-                        const auto e0 = epochSamples();
                         const detect::RateScanState want =
                             stepLoop(events, cfg);
-                        const auto e1 = epochSamples();
                         const detect::RateScanState got =
                             detect::scanRateEvents(events, cfg);
-                        const auto e2 = epochSamples();
                         const detect::DetectionReport report =
                             digests[i]->replay(cfg);
-                        const auto e3 = epochSamples();
                         triggered += want.repairRequested;
 
                         detect::RateScanState replayed = want;
@@ -704,12 +677,6 @@ TEST(RateScan, WindowScanMatchesStepLoop)
                         std::string diff = scanDiff(want, got);
                         if (diff.empty())
                             diff = scanDiff(want, replayed);
-                        if (diff.empty() &&
-                                (samplesBetween(e1, e2) !=
-                                     samplesBetween(e0, e1) ||
-                                 samplesBetween(e2, e3) !=
-                                     samplesBetween(e0, e1)))
-                            diff = "detect.epoch_cycles samples differ";
                         if (diff.empty())
                             continue;
                         ++mismatches;

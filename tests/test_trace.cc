@@ -20,7 +20,6 @@
 #include "core/accuracy.h"
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
-#include "obs/metrics.h"
 #include "trace/capture.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
@@ -690,17 +689,12 @@ TEST(SweepRunner, UnwritableCacheDirSurfacesWriteFailures)
     // A cacheDir whose parent is a regular file can never be created —
     // the reliable way to force write failures when tests run as root
     // (chmod 000 is a no-op for root). The capture itself must still
-    // succeed; the failure lands in trace.cache.write_failures, the
-    // counter laser_trace's cache-hit summary surfaces with a warning.
-    obs::setEnabled(true);
+    // succeed; the failure lands in SweepStats::cacheWriteFailures, the
+    // count laser_trace's cache-hit summary surfaces with a warning.
     const fs::path file =
         fs::temp_directory_path() / "laser_cache_notdir";
     fs::remove_all(file);
     std::ofstream(file) << "regular file, not a directory\n";
-
-    obs::Counter &failures = obs::Registry::global().counter(
-        "trace.cache.write_failures");
-    const std::uint64_t before = failures.value();
 
     core::SweepRunner::Config cfg;
     cfg.cacheDir = (file / "sub").string();
@@ -710,14 +704,14 @@ TEST(SweepRunner, UnwritableCacheDirSurfacesWriteFailures)
     ASSERT_NE(trace, nullptr);
     EXPECT_GT(trace->recordCount(), 0u);
     EXPECT_EQ(runner.stats().machineRuns, 1u);
-    EXPECT_EQ(failures.value(), before + 1);
+    EXPECT_EQ(runner.stats().cacheWriteFailures, 1u);
 
     // A repeated request is served by the same slot (the freshly
     // encoded in-memory image): no second simulation, no second write.
     EXPECT_EQ(runner.captureFile(*kmeans, CaptureOptions{}).get(),
               trace.get());
     EXPECT_EQ(runner.stats().machineRuns, 1u);
-    EXPECT_EQ(failures.value(), before + 1);
+    EXPECT_EQ(runner.stats().cacheWriteFailures, 1u);
     fs::remove_all(file);
 }
 

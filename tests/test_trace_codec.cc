@@ -349,6 +349,50 @@ TEST(TraceFileSeek, ReadAllMatchesCapturedRecords)
     EXPECT_EQ(decoded.meta.workload, syntheticMeta().workload);
 }
 
+TEST(TraceFileSeek, CursorBytesReadSumsTheBlocksItDecoded)
+{
+    struct Discard : analysis::RecordSink
+    {
+        void onRecord(const pebs::PebsRecord &) override {}
+    } sink;
+    const std::vector<pebs::PebsRecord> recs = syntheticRecords(5000);
+    TraceFile file;
+    ASSERT_EQ(file.openBytes(multiBlockImage(recs)), TraceStatus::Ok)
+        << file.error();
+    ASSERT_GT(file.index().blocks.size(), 10u);
+
+    // A window cursor loads exactly the blocks whose cycle range meets
+    // the window, and charges each one's encoded size.
+    const std::uint64_t lo = recs.front().cycle;
+    const std::uint64_t span = recs.back().cycle + 1 - lo;
+    for (const auto &[begin, end] :
+         std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+             {lo + span * 45 / 100, lo + span * 55 / 100},
+             {lo + span / 4, lo + span / 2},
+             {lo, lo + 1},
+         }) {
+        std::uint64_t expected = 0;
+        for (const col::BlockInfo &b : file.index().blocks)
+            if (b.firstCycle < end && b.lastCycle >= begin)
+                expected += b.blobBytes();
+        const std::unique_ptr<RecordCursor> cur =
+            file.cursorForCycles(begin, end);
+        EXPECT_EQ(cur->bytesRead(), 0u); // nothing decoded yet
+        cur->drain(sink);
+        ASSERT_EQ(cur->status(), TraceStatus::Ok);
+        EXPECT_GT(expected, 0u);
+        EXPECT_LT(expected, file.recordBlobBytes());
+        EXPECT_EQ(cur->bytesRead(), expected)
+            << "window [" << begin << ", " << end << ")";
+    }
+
+    // A full cursor decodes the whole record blob, once.
+    const std::unique_ptr<RecordCursor> full = file.cursor();
+    full->drain(sink);
+    ASSERT_EQ(full->status(), TraceStatus::Ok);
+    EXPECT_EQ(full->bytesRead(), file.recordBlobBytes());
+}
+
 TEST(TraceFileSeek, CorruptBlockIsLatchedAsTypedCursorError)
 {
     const std::vector<pebs::PebsRecord> recs = syntheticRecords(3000);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Validator for the BENCH_<name>.json telemetry artifacts (schema v2,
- * documented in EXPERIMENTS.md and obs/export.h; v2 adds the "run"
- * context object and the "artifacts" path map). CI runs it over every
+ * Validator for the BENCH_<name>.json telemetry artifacts (schema v3,
+ * documented in EXPERIMENTS.md and obs/export.h; v2 added the "run"
+ * context object and the "artifacts" path map, v3 dropped the
+ * "metrics" registry snapshot). CI runs it over every
  * file the bench-smoke step produces, so a bench that drifts from the
  * schema fails the build rather than silently shipping malformed
  * telemetry.
@@ -157,22 +158,6 @@ validate(const std::string &path)
         const Json *results = ck.requireMember(doc, "results");
         if (results && !results->isObject())
             ck.flag("\"results\" must be an object");
-
-        const Json *metrics = ck.requireMember(doc, "metrics");
-        if (metrics) {
-            if (!metrics->isObject()) {
-                ck.flag("\"metrics\" must be an object");
-            } else {
-                for (const char *key :
-                     {"counters", "gauges", "histograms"}) {
-                    const Json *section =
-                        ck.requireMember(*metrics, key);
-                    if (section && !section->isObject())
-                        ck.flag(std::string("\"metrics.") + key +
-                                "\" must be an object");
-                }
-            }
-        }
     }
 
     for (const std::string &p : ck.problems)

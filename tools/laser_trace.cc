@@ -48,7 +48,7 @@
  *
  * Every command honors LASER_METRICS_OUT=<dir>: on exit the invocation
  * is recorded there as BENCH_laser_trace_<command>.json plus the
- * METRICS_/TRACE_ artifacts (paths printed after sweep/replay).
+ * TRACE_ artifact (paths printed after sweep/replay).
  */
 
 #include <algorithm>
@@ -69,7 +69,6 @@
 #include "core/sweep_runner.h"
 #include "obs/export.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/protocol.h"
 #include "trace/capture.h"
@@ -216,18 +215,14 @@ splitCommas(const std::string &s)
 }
 
 /**
- * One-line cache summary from a runner's stats (sweep) or the global
- * registry (replay); silent when the command performed no captures.
+ * One-line cache summary from a runner's stats; silent when the runner
+ * performed no captures.
  */
 void
 printCacheHitRate(const core::SweepStats &stats)
 {
     if (stats.captures() == 0)
         return;
-    const std::uint64_t writeFailures =
-        obs::Registry::global()
-            .counter("trace.cache.write_failures")
-            .value();
     std::printf("trace cache hit rate: %.1f%% (%llu captures: %llu "
                 "simulated, %llu memory hits, %llu disk hits, %llu "
                 "write failures)\n",
@@ -236,27 +231,14 @@ printCacheHitRate(const core::SweepStats &stats)
                 (unsigned long long)stats.machineRuns,
                 (unsigned long long)stats.memoryCacheHits,
                 (unsigned long long)stats.diskCacheHits,
-                (unsigned long long)writeFailures);
-    if (writeFailures > 0)
+                (unsigned long long)stats.cacheWriteFailures);
+    if (stats.cacheWriteFailures > 0)
         std::fprintf(stderr,
                      "laser_trace: warning: %llu trace-cache write "
                      "failure(s) — the cache dir is unwritable or full, "
                      "so repeat runs will re-simulate instead of "
                      "hitting disk\n",
-                     (unsigned long long)writeFailures);
-}
-
-/** The sweep.* counters mirrored in the global registry, as a struct. */
-core::SweepStats
-registrySweepStats()
-{
-    core::SweepStats stats;
-    obs::Registry &reg = obs::Registry::global();
-    stats.machineRuns = reg.counter("sweep.machine_runs").value();
-    stats.memoryCacheHits =
-        reg.counter("sweep.cache_hits.memory").value();
-    stats.diskCacheHits = reg.counter("sweep.cache_hits.disk").value();
-    return stats;
+                     (unsigned long long)stats.cacheWriteFailures);
 }
 
 void
@@ -559,15 +541,12 @@ replayLaserCycles(const trace::TraceReplayer &replayer,
     const trace::TraceFile &file = replayer.file();
     if (thresholds.empty())
         thresholds.push_back(1000.0); // the paper's default (Section 7.1)
-    obs::Counter &bytes_read =
-        obs::Registry::global().counter("trace.file.bytes_read");
 
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
         detect::DetectorConfig cfg;
         cfg.rateThreshold = thresholds[i];
         cfg.sav = file.meta().pebs.sav;
         detect::DetectorPipeline pipeline(replayer.context(), cfg);
-        const std::uint64_t before = bytes_read.value();
         const std::unique_ptr<trace::RecordCursor> cur =
             file.cursorForCycles(begin, end);
         const std::uint64_t windowed = cur->drain(pipeline);
@@ -588,10 +567,10 @@ replayLaserCycles(const trace::TraceReplayer &replayer,
                     (unsigned long long)file.recordCount());
         std::printf("seek decoded %s of %s record-blob bytes (%.1f%% of "
                     "the payload)\n\n",
-                    humanBytes(bytes_read.value() - before).c_str(),
+                    humanBytes(cur->bytesRead()).c_str(),
                     humanBytes(file.recordBlobBytes()).c_str(),
                     file.payloadBytes() > 0
-                        ? 1e2 * double(bytes_read.value() - before) /
+                        ? 1e2 * double(cur->bytesRead()) /
                               double(file.payloadBytes())
                         : 0.0);
         printReport(report);
@@ -705,14 +684,11 @@ cmdReplay(int argc, char **argv)
         std::fprintf(stderr, "laser_trace: %s: %s\n", argv[2], e.what());
         return 2;
     }
-    // File replays capture nothing themselves; this reports hits only
-    // when the process also ran captures (silent otherwise).
-    printCacheHitRate(registrySweepStats());
     return rc;
 }
 
 int
-cmdSweep(int argc, char **argv)
+cmdSweep(int argc, char **argv, obs::BenchReport *invocation)
 {
     std::vector<std::string> names;
     std::vector<double> thresholds = {32,   64,   128,  256,   512,  1000,
@@ -795,6 +771,8 @@ cmdSweep(int argc, char **argv)
                     sweep.captureSeconds, sweep.digestSeconds,
                     sweep.replaySeconds);
     printCacheHitRate(stats);
+    invocation->setSweep(stats.machineRuns, stats.memoryCacheHits,
+                         stats.diskCacheHits);
     return 0;
 }
 
@@ -811,8 +789,7 @@ main(int argc, char **argv)
         return usage();
 
     // Every invocation is one telemetry record: BENCH_laser_trace_<cmd>
-    // under LASER_METRICS_OUT (which also exports the METRICS_/TRACE_
-    // artifacts).
+    // under LASER_METRICS_OUT (which also exports the TRACE_ artifact).
     obs::BenchReport invocation("laser_trace_" + cmd);
 
     int rc = -1;
@@ -823,15 +800,10 @@ main(int argc, char **argv)
     else if (cmd == "replay")
         rc = cmdReplay(argc, argv);
     else if (cmd == "sweep")
-        rc = cmdSweep(argc, argv);
+        rc = cmdSweep(argc, argv, &invocation);
 
     invocation.results().set("command", obs::Json(cmd));
     invocation.results().set("exit_status", obs::Json(rc));
-    if (cmd == "sweep" || cmd == "replay") {
-        const core::SweepStats stats = registrySweepStats();
-        invocation.setSweep(stats.machineRuns, stats.memoryCacheHits,
-                            stats.diskCacheHits);
-    }
     const bool wrote = invocation.write();
 
     // Tell the user where the artifacts went after the heavyweight
@@ -840,10 +812,8 @@ main(int argc, char **argv)
         const std::string dir = obs::metricsDir();
         const std::string name = "laser_trace_" + cmd;
         std::printf("telemetry artifacts (LASER_METRICS_OUT=%s):\n"
-                    "  %s/BENCH_%s.json\n"
-                    "  %s/METRICS_%s.json\n",
-                    dir.c_str(), dir.c_str(), name.c_str(), dir.c_str(),
-                    name.c_str());
+                    "  %s/BENCH_%s.json\n",
+                    dir.c_str(), dir.c_str(), name.c_str());
         if (obs::SpanCollector::global().eventCount() > 0) {
             const char *traceOverride =
                 std::getenv("LASER_TRACE_EVENTS");
