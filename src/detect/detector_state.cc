@@ -14,17 +14,18 @@ DetectorState::mergeFrom(DetectorState &&next)
     // Boundary reconciliation: the serial pass would have classified the
     // first access to each line in `next` against this state's last
     // access to that line. Patch `next`'s own counters and events first
-    // so the wholesale fold below stays simple.
-    for (auto &[lineAddr, ls] : next.lines) {
-        auto it = lines.find(lineAddr);
-        if (it == lines.end()) {
-            ls.firstEvent += offset;
-            lines.emplace(lineAddr, ls);
-            continue;
+    // so the wholesale fold below stays simple. The lines are visited in
+    // table slot order, which no output can see: each fix-up touches
+    // only its own line's entry and rate event plus commutative counts.
+    next.lines.forEach([&](std::uint64_t lineAddr, LineState &ls) {
+        auto [acc, inserted] = lines.tryEmplace(lineAddr);
+        if (inserted) {
+            *acc = ls;
+            acc->firstEvent += offset;
+            return;
         }
-        LineState &acc = it->second;
         const SharingOutcome outcome = CacheLineModel::classify(
-            acc.lastMask, acc.lastWrite, ls.firstMask, ls.firstWrite);
+            acc->lastMask, acc->lastWrite, ls.firstMask, ls.firstWrite);
         if (outcome != SharingOutcome::None) {
             next.rateEvents[ls.firstEvent].outcome = outcome;
             PcStats &ps = next.pcStats[ls.firstPc];
@@ -36,9 +37,9 @@ DetectorState::mergeFrom(DetectorState &&next)
                 ++next.fsEvents;
             }
         }
-        acc.lastMask = ls.lastMask;
-        acc.lastWrite = ls.lastWrite;
-    }
+        acc->lastMask = ls.lastMask;
+        acc->lastWrite = ls.lastWrite;
+    });
 
     if (pcStats.size() < next.pcStats.size())
         pcStats.resize(next.pcStats.size());

@@ -32,17 +32,23 @@
  *     the thresholds — so one summary serves every configuration with
  *     that interval, and each extra configuration costs O(windows), not
  *     a scan over every event.
+ *
+ * The per-line table is a util/flat_table.h FlatTable, keyed by line
+ * number (data address >> lineShift). One entry is touched per memory
+ * record, and one sweep holds tens of thousands of lines across its
+ * digests, so a flat slot array beats a node per line both per access
+ * and when the digests are freed.
  */
 
 #ifndef LASER_DETECT_DETECTOR_STATE_H
 #define LASER_DETECT_DETECTOR_STATE_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "detect/cacheline_model.h"
 #include "detect/types.h"
+#include "util/flat_table.h"
 
 namespace laser::detect {
 
@@ -71,13 +77,13 @@ struct DetectorState
     struct LineState
     {
         std::uint64_t lastMask = 0;
-        bool lastWrite = false;
         /** First access to this line within this state's stream span. */
         std::uint64_t firstMask = 0;
-        bool firstWrite = false;
-        std::uint32_t firstPc = 0;
         /** Index of that access's RateEvent (valid when collected). */
         std::uint64_t firstEvent = 0;
+        std::uint32_t firstPc = 0;
+        bool firstWrite = false;
+        bool lastWrite = false;
     };
 
     /**
@@ -85,7 +91,12 @@ struct DetectorState
      * with records == 0 is a PC this span never touched.
      */
     std::vector<PcStats> pcStats;
-    std::unordered_map<std::uint64_t, LineState> lines;
+    /**
+     * Keyed by line number. No key can be FlatTable's kEmptyKey (all
+     * ones): the line size is at least 8 bytes, so lineShift >= 3 and
+     * every line number is below 2^61.
+     */
+    FlatTable<LineState> lines;
     std::uint64_t totalRecords = 0;
     std::uint64_t droppedPc = 0;
     std::uint64_t droppedStack = 0;

@@ -136,8 +136,8 @@ DetectorPipeline::step(std::uint64_t pc, std::uint64_t data_addr,
         const std::uint64_t mask =
             CacheLineModel::byteMask(data_addr, mi.size, ctx_.lineBytes);
 
-        auto [it, inserted] = state_.lines.try_emplace(line);
-        DetectorState::LineState &ls = it->second;
+        auto [entry, inserted] = state_.lines.tryEmplace(line);
+        DetectorState::LineState &ls = *entry;
         if (inserted) {
             // First touch of this line in this span: unclassifiable here;
             // remembered so a window-order merge can reclassify it

@@ -1,5 +1,6 @@
 #include "mem/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace laser::mem {
@@ -65,6 +66,21 @@ void
 Memory::writeByte(std::uint64_t addr, std::uint8_t value)
 {
     (*pageFor(addr))[addr % kPageBytes] = value;
+}
+
+void
+Memory::writeBytes(std::uint64_t addr, const std::uint8_t *data,
+                   std::size_t size)
+{
+    while (size > 0) {
+        const std::uint64_t off = addr % kPageBytes;
+        const std::size_t n =
+            std::min<std::size_t>(size, kPageBytes - off);
+        std::memcpy(pageFor(addr)->data() + off, data, n);
+        addr += n;
+        data += n;
+        size -= n;
+    }
 }
 
 } // namespace laser::mem

@@ -11,6 +11,7 @@
 #define LASER_MEM_MEMORY_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -35,6 +36,26 @@ class Memory
 
     /** Write a single byte. */
     void writeByte(std::uint64_t addr, std::uint8_t value);
+
+    /** Write the @p size bytes at @p data to @p addr onwards. */
+    void writeBytes(std::uint64_t addr, const std::uint8_t *data,
+                    std::size_t size);
+
+    /**
+     * Call @p fn(base, bytes) for every touched page: its first address
+     * and its kPageBytes bytes. Pages come in table order, not address
+     * order.
+     */
+    template <class Fn>
+    void
+    forEachPage(Fn &&fn) const
+    {
+        pages_.forEach(
+            [&](std::uint64_t page, const std::unique_ptr<Page> &bytes) {
+                fn(page * kPageBytes,
+                   static_cast<const std::uint8_t *>(bytes->data()));
+            });
+    }
 
     /** Number of distinct pages touched so far. */
     std::size_t pagesTouched() const { return pages_.size(); }

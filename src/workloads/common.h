@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.h"
 #include "mem/address_space.h"
@@ -54,14 +55,14 @@ class Ctx
     void
     init64(std::uint64_t addr, std::uint64_t value)
     {
-        inits.push_back({addr, 8, value});
+        initBytes(addr, value, 8);
     }
 
     /** Record an initial byte. */
     void
     init8(std::uint64_t addr, std::uint8_t value)
     {
-        inits.push_back({addr, 1, value});
+        initBytes(addr, value, 1);
     }
 
     /**
@@ -82,16 +83,35 @@ class Ctx
     {
         WorkloadBuild out;
         out.program = a.finalize();
-        out.inits = std::move(inits);
+        out.bytes = std::move(bytes_);
+        out.runs = std::move(runs_);
         return out;
     }
 
     isa::Asm a;
     mem::BumpAllocator heap;
     mem::BumpAllocator globals;
-    std::vector<WorkloadBuild::MemInit> inits;
     laser::Rng rng;
     BuildOptions opt;
+
+  private:
+    /**
+     * Append the low @p size bytes of @p value, little-endian, at
+     * @p addr: extends the last run when @p addr directly follows it.
+     */
+    void
+    initBytes(std::uint64_t addr, std::uint64_t value, int size)
+    {
+        if (runs_.empty() ||
+                runs_.back().addr + runs_.back().size != addr)
+            runs_.push_back({addr, bytes_.size(), 0});
+        for (int i = 0; i < size; ++i)
+            bytes_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+        runs_.back().size += static_cast<std::uint64_t>(size);
+    }
+
+    std::vector<std::uint8_t> bytes_;
+    std::vector<WorkloadBuild::Run> runs_;
 };
 
 // -----------------------------------------------------------------------

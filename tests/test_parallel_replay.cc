@@ -419,17 +419,23 @@ stateDiff(const DetectorState &want, const DetectorState &got)
         if (a.records != b.records || a.ts != b.ts || a.fs != b.fs)
             return "pcStats[" + std::to_string(i) + "]";
     }
-    for (const auto &[line, a] : want.lines) {
-        const auto it = got.lines.find(line);
-        if (it == got.lines.end())
-            return "line " + std::to_string(line) + " missing";
-        const DetectorState::LineState &b = it->second;
-        if (a.lastMask != b.lastMask || a.lastWrite != b.lastWrite ||
-                a.firstMask != b.firstMask ||
-                a.firstWrite != b.firstWrite || a.firstPc != b.firstPc ||
-                a.firstEvent != b.firstEvent)
-            return "line " + std::to_string(line);
-    }
+    std::string line_diff;
+    want.lines.forEach([&](std::uint64_t line,
+                           const DetectorState::LineState &a) {
+        if (!line_diff.empty())
+            return;
+        const DetectorState::LineState *b = got.lines.find(line);
+        if (b == nullptr)
+            line_diff = "line " + std::to_string(line) + " missing";
+        else if (a.lastMask != b->lastMask ||
+                 a.lastWrite != b->lastWrite ||
+                 a.firstMask != b->firstMask ||
+                 a.firstWrite != b->firstWrite ||
+                 a.firstPc != b->firstPc || a.firstEvent != b->firstEvent)
+            line_diff = "line " + std::to_string(line);
+    });
+    if (!line_diff.empty())
+        return line_diff;
     for (std::size_t i = 0; i < want.rateEvents.size(); ++i) {
         if (want.rateEvents[i].cycle != got.rateEvents[i].cycle ||
                 want.rateEvents[i].outcome != got.rateEvents[i].outcome)
@@ -447,6 +453,49 @@ digestRecords(const detect::DetectorContext &ctx,
     for (const pebs::PebsRecord &rec : records)
         pipeline.onRecord(rec);
     return pipeline.takeState();
+}
+
+TEST(DetectorStateMerge, GrowingReceiverMatchesSerialDigest)
+{
+    // Shard A touches lines 0..2999 in ascending order, shard B lines
+    // 1500..4499 in descending order: half of B's lines are A's, and the
+    // 1500 new ones push A's table past half full while mergeFrom walks
+    // B's table, so the receiver rehashes mid-merge.
+    PipelineFixture f;
+    constexpr std::uint64_t kLines = 3000;
+    constexpr std::uint64_t kBase = 0x1000000;
+    std::vector<pebs::PebsRecord> recs;
+    std::uint64_t cycle = 100;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t l = 0; l < kLines; ++l)
+            recs.push_back(f.record(static_cast<std::uint32_t>(
+                                        (l + pass) % 2),
+                                    kBase + 64 * l + 8 * ((l + pass) % 8),
+                                    cycle += 7));
+    }
+    const std::size_t cut = recs.size();
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t l = kLines + kLines / 2; l-- > kLines / 2;)
+            recs.push_back(f.record(static_cast<std::uint32_t>(
+                                        (l / 3 + pass) % 2),
+                                    kBase + 64 * l + 8 * ((l + 3) % 8),
+                                    cycle += 5));
+    }
+
+    const DetectorState serial = digestRecords(f.ctx, recs);
+    DetectorState merged = digestRecords(
+        f.ctx, std::vector<pebs::PebsRecord>(recs.begin(),
+                                              recs.begin() + cut));
+    merged.mergeFrom(digestRecords(
+        f.ctx,
+        std::vector<pebs::PebsRecord>(recs.begin() + cut, recs.end())));
+
+    EXPECT_EQ(stateDiff(serial, merged), "");
+    EXPECT_EQ(merged.lines.size(), kLines + kLines / 2);
+    EXPECT_EQ(merged.droppedStack, 0u);
+    // Both outcomes occur, at the boundary and inside each shard.
+    EXPECT_GT(merged.tsEvents, 0u);
+    EXPECT_GT(merged.fsEvents, 0u);
 }
 
 /** Small blocks, so record and cycle windows end inside blocks. */

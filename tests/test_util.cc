@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/flat_table.h"
@@ -225,6 +228,77 @@ TEST(FlatTable, MovesOwningValuesOnGrowth)
         ASSERT_NE(p->get(), nullptr);
         EXPECT_EQ(**p, i);
     }
+}
+
+TEST(FlatTable, TryEmplaceInsertsOnceAndValueInitializes)
+{
+    FlatTable<std::uint64_t> t;
+    auto [v, inserted] = t.tryEmplace(9);
+    ASSERT_NE(v, nullptr);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(*v, 0u);
+    *v = 90;
+    auto [again, inserted_again] = t.tryEmplace(9);
+    EXPECT_FALSE(inserted_again);
+    EXPECT_EQ(again, v); // no new key since, so the pointer still holds
+    EXPECT_EQ(*again, 90u);
+    EXPECT_EQ(t.size(), 1u);
+    // Across rehashes: each key reports inserted exactly once.
+    for (std::uint64_t k = 0; k < 1000; ++k) {
+        auto [p, fresh] = t.tryEmplace(k * 64);
+        EXPECT_TRUE(fresh) << k;
+        EXPECT_EQ(*p, 0u) << k;
+        ++*p;
+    }
+    for (std::uint64_t k = 0; k < 1000; ++k)
+        EXPECT_FALSE(t.tryEmplace(k * 64).second) << k;
+    EXPECT_EQ(t.size(), 1001u);
+    EXPECT_EQ(*t.find(64), 1u);
+    EXPECT_EQ(*t.find(9), 90u);
+}
+
+TEST(FlatTable, MutableFindWritesThrough)
+{
+    FlatTable<int> t;
+    EXPECT_EQ(t.find(5), nullptr); // empty table, mutable overload
+    t[5] = 1;
+    int *p = t.find(5);
+    ASSERT_NE(p, nullptr);
+    *p = 55;
+    EXPECT_EQ(*t.find(5), 55);
+    const FlatTable<int> &ct = t;
+    EXPECT_EQ(*ct.find(5), 55);
+    EXPECT_EQ(t.find(6), nullptr);
+}
+
+TEST(FlatTable, ForEachVisitsEveryKeyOnceAfterRehashes)
+{
+    // 3000 keys: the 16-slot table doubles nine times.
+    FlatTable<std::uint64_t> t;
+    std::set<std::uint64_t> inserted;
+    for (std::uint64_t i = 0; i < 1500; ++i) {
+        for (std::uint64_t k : {i * 8, (i + 1) << 44}) {
+            t[k] = k + 1;
+            inserted.insert(k);
+        }
+    }
+    ASSERT_EQ(t.size(), inserted.size());
+    std::multiset<std::uint64_t> visited;
+    t.forEach([&](std::uint64_t key, std::uint64_t &value) {
+        EXPECT_EQ(value, key + 1);
+        value = 0; // writes through
+        visited.insert(key);
+    });
+    EXPECT_EQ(visited.size(), inserted.size());
+    EXPECT_TRUE(std::equal(visited.begin(), visited.end(),
+                           inserted.begin(), inserted.end()));
+    EXPECT_TRUE(t.allOf([](std::uint64_t v) { return v == 0; }));
+    std::size_t const_visits = 0;
+    std::as_const(t).forEach(
+        [&](std::uint64_t, const std::uint64_t &) { ++const_visits; });
+    EXPECT_EQ(const_visits, inserted.size());
+    FlatTable<int> empty;
+    empty.forEach([](std::uint64_t, int &) { ADD_FAILURE(); });
 }
 
 TEST(ThreadPool, ParallelForRunsEveryIndex)

@@ -8,7 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "machine_digest.h"
+#include "mem/address_space.h"
 #include "sim/machine.h"
+#include "workloads/common.h"
 #include "workloads/workload.h"
 
 namespace laser::workloads {
@@ -122,6 +130,177 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+// ---------------------------------------------------------------------
+// Initial memory images
+// ---------------------------------------------------------------------
+
+/**
+ * Fnv64 over the non-zero (address, byte) pairs a fresh machine holds
+ * after applyTo, in address order, led by their count. Independent of
+ * how a WorkloadBuild stores its image.
+ */
+std::uint64_t
+imageDigest(WorkloadBuild build)
+{
+    sim::Machine machine(std::move(build.program), {});
+    build.applyTo(machine);
+    std::vector<std::pair<std::uint64_t, std::uint8_t>> bytes;
+    machine.memory().forEachPage(
+        [&](std::uint64_t base, const std::uint8_t *page) {
+            for (std::uint64_t i = 0; i < mem::Memory::kPageBytes; ++i) {
+                if (page[i] != 0)
+                    bytes.emplace_back(base + i, page[i]);
+            }
+        });
+    std::sort(bytes.begin(), bytes.end());
+    sim::Fnv64 h;
+    h.mix(bytes.size());
+    for (const auto &[addr, byte] : bytes) {
+        h.mix(addr);
+        h.mix(byte);
+    }
+    return h.hash;
+}
+
+struct ImageGolden
+{
+    const char *workload;
+    /** BuildOptions::scale 1 and 4. */
+    std::uint64_t native1;
+    std::uint64_t native4;
+    /** The manualFix build at scale 1 and 4; 0 without hasManualFix. */
+    std::uint64_t fixed1;
+    std::uint64_t fixed4;
+};
+
+/**
+ * Image digests captured when each WorkloadBuild still held one
+ * {addr, size, value} entry per init8/init64 call; any change to how
+ * images are stored or applied must leave them unchanged.
+ */
+constexpr ImageGolden kGoldenImages[] = {
+    {"barnes", 0xd361ec2c148b0336ULL, 0xd361ec2c148b0336ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"blackscholes", 0x74c75f848c2e9356ULL, 0x74c75f848c2e9356ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"bodytrack", 0x041f7c617cd104a5ULL, 0x041f7c617cd104a5ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"canneal", 0xd1bfda7ab39775a7ULL, 0xd1bfda7ab39775a7ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"dedup", 0xce73ee291503e77aULL, 0xce73ee291503e77aULL,
+     0xce73ee291503e77aULL, 0xce73ee291503e77aULL},
+    {"facesim", 0x9bf40fe8b4e9ce9eULL, 0x9bf40fe8b4e9ce9eULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"ferret", 0x1b4256b25f6f2edbULL, 0x1b4256b25f6f2edbULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"fft", 0xef256243cbeba91eULL, 0xef256243cbeba91eULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"fluidanimate", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"fmm", 0x784ace83cc42013fULL, 0x784ace83cc42013fULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"freqmine", 0xfa55f70d3f885e6fULL, 0xfa55f70d3f885e6fULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"histogram", 0x0de955fe74670b09ULL, 0x30e48b73567e6c45ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"histogram'", 0xc3433ff878f220c5ULL, 0xa059f2c28a0b5b47ULL,
+     0xc3433ff878f220c5ULL, 0xa059f2c28a0b5b47ULL},
+    {"kmeans", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL},
+    {"linear_regression", 0x3f6cd27843ba18a3ULL, 0xe79853c81746a543ULL,
+     0x3f6cd27843ba18a3ULL, 0xe79853c81746a543ULL},
+    {"lu_cb", 0x784ace83cc42013fULL, 0x784ace83cc42013fULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"lu_ncb", 0x49c111b130ad181aULL, 0x49c111b130ad181aULL,
+     0xc928f61ff1adf0feULL, 0xc928f61ff1adf0feULL},
+    {"matrix_multiply", 0xf2170796dec99943ULL, 0xf2170796dec99943ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"ocean_cp", 0x784ace83cc42013fULL, 0x784ace83cc42013fULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"ocean_ncp", 0x784ace83cc42013fULL, 0x784ace83cc42013fULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"pca", 0x8d7cc896e7dcaf7eULL, 0x8d7cc896e7dcaf7eULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"radiosity", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"radix", 0x93edc5e2e69460d7ULL, 0x93edc5e2e69460d7ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"raytrace.parsec", 0xc07937b89d0a25bbULL, 0xc07937b89d0a25bbULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"raytrace.splash2x", 0xc07937b89d0a25bbULL, 0xc07937b89d0a25bbULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"reverse_index", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL},
+    {"streamcluster", 0xa1a8e458a6fd3470ULL, 0xa1a8e458a6fd3470ULL,
+     0xdd91140a12efa71cULL, 0xdd91140a12efa71cULL},
+    {"string_match", 0x56428d5ab015d7e5ULL, 0x56428d5ab015d7e5ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"swaptions", 0x37c5287fa0e7c7e3ULL, 0x37c5287fa0e7c7e3ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"vips", 0x1c60fc064a225016ULL, 0x1c60fc064a225016ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"volrend", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL},
+    {"water_nsquared", 0xd361ec2c148b0336ULL, 0xd361ec2c148b0336ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"water_spatial", 0xd361ec2c148b0336ULL, 0xd361ec2c148b0336ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"word_count", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"x264", 0x47fe0d7eaf8e51e3ULL, 0x47fe0d7eaf8e51e3ULL,
+     0x0000000000000000ULL, 0x0000000000000000ULL},
+};
+
+TEST(InitialImage, MatchesGoldens)
+{
+    const auto &all = allWorkloads();
+    ASSERT_EQ(all.size(), sizeof kGoldenImages / sizeof kGoldenImages[0]);
+    for (const ImageGolden &golden : kGoldenImages) {
+        const WorkloadDef *def = findWorkload(golden.workload);
+        ASSERT_NE(def, nullptr) << golden.workload;
+        for (bool fix : {false, true}) {
+            if (fix && !def->info.hasManualFix)
+                continue;
+            for (double scale : {1.0, 4.0}) {
+                BuildOptions opt;
+                opt.manualFix = fix;
+                opt.scale = scale;
+                const std::uint64_t want =
+                    fix ? (scale == 1.0 ? golden.fixed1 : golden.fixed4)
+                        : (scale == 1.0 ? golden.native1 : golden.native4);
+                EXPECT_EQ(imageDigest(def->build(opt)), want)
+                    << golden.workload << (fix ? " manualFix" : "")
+                    << " scale " << scale;
+            }
+        }
+    }
+}
+
+TEST(InitialImage, AdjacentInitsShareARunAndLaterInitsWin)
+{
+    const std::uint64_t base = mem::Layout::kGlobalsBase;
+    Ctx ctx("image", "image.c", BuildOptions{});
+    ctx.a.halt();
+    ctx.init64(base, 0x1111111111111111ULL);
+    ctx.init64(base + 8, 0x2222222222222222ULL);
+    ctx.init8(base + 16, 0x33);
+    ctx.init8(base + 9, 0x44);  // overlaps the second word
+    ctx.init64(base + 64, 0x55); // a gap starts a run
+    WorkloadBuild build = ctx.finish();
+    ASSERT_EQ(build.runs.size(), 3u);
+    EXPECT_EQ(build.runs[0].size, 17u);
+    EXPECT_EQ(build.bytes.size(), 26u);
+
+    sim::Machine machine(std::move(build.program), {});
+    build.applyTo(machine);
+    const mem::Memory &m = machine.memory();
+    EXPECT_EQ(m.read(base, 8), 0x1111111111111111ULL);
+    EXPECT_EQ(m.read(base + 8, 8), 0x2222222222224422ULL);
+    EXPECT_EQ(m.readByte(base + 16), 0x33);
+    EXPECT_EQ(m.read(base + 64, 8), 0x55u);
+    EXPECT_EQ(m.readByte(base + 17), 0);
+}
 
 // ---------------------------------------------------------------------
 // Workload-specific structure checks
