@@ -13,63 +13,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/sweep_runner.h"
-#include "trace/parallel_replay.h"
-#include "trace/replay.h"
 
 using namespace laser;
-
-namespace {
-
-/**
- * Shard-parallel replay demo on the suite's biggest captured trace:
- * serial full-pipeline replays vs one sharded digest + per-config
- * scans, with the identity invariant enforced.
- */
-void
-shardedReplayDemo(core::SweepRunner &runner,
-                  const std::vector<const workloads::WorkloadDef *> &defs,
-                  const std::vector<double> &thresholds)
-{
-    // Memory hits on the sweep's slots.
-    std::shared_ptr<const trace::TraceFile> biggest;
-    for (const auto *def : defs) {
-        auto file = runner.captureFile(*def, {});
-        if (!biggest || file->recordCount() > biggest->recordCount())
-            biggest = std::move(file);
-    }
-    if (!biggest || biggest->recordCount() == 0)
-        return;
-    trace::TraceReplayer env(biggest->meta(), *biggest);
-    if (!env.ok())
-        return;
-
-    const trace::ShardedReplayCheck check =
-        trace::checkShardedReplay(env, thresholds, 4);
-    if (!check.identical) {
-        std::fprintf(stderr,
-                     "INVARIANT VIOLATION: sharded replay differs from "
-                     "serial at threshold %.0f\n",
-                     check.mismatchThreshold);
-        std::exit(1);
-    }
-    std::printf("\nShard-parallel replay (%s, %zu records): %d shards, "
-                "%zu configs from one digest, reports identical to "
-                "serial; serial %.1fms vs sharded %.1fms -> %.2fx "
-                "speedup.\n",
-                biggest->meta().workload.c_str(),
-                static_cast<std::size_t>(biggest->recordCount()),
-                check.shards, thresholds.size(),
-                1e3 * check.serialSeconds, 1e3 * check.shardedSeconds,
-                check.speedup());
-}
-
-} // namespace
 
 int
 main()
@@ -115,8 +64,6 @@ main()
                 1e3 * sweep.replaySeconds /
                     double(sweep.replays ? sweep.replays : 1),
                 sweep.replaySpeedup());
-
-    shardedReplayDemo(runner, defs, thresholds);
 
     std::printf("\nShape check (paper Fig. 9): FPs fall as the threshold "
                 "rises (log scale); FNs appear only at the high end; the "

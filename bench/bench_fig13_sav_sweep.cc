@@ -7,8 +7,9 @@
  * monitored run is an independent job fanned across cores, and the
  * native baselines — identical for every SAV — are simulated once per
  * seed and served to the other eleven sweep points from the trace
- * cache. Record counts come from an offline detector replay of the
- * captured traces.
+ * cache. Record counts come from the captured traces' block index: the
+ * detector counts every record it is handed, before any filter, so a
+ * replay would only count them again.
  *
  * Paper shape: ~1.5x at SAV=1, falling steeply to ~1.06x by the default
  * SAV=19, flat afterwards — modest sampling removes nearly all of the
@@ -22,7 +23,7 @@
 
 #include "bench_common.h"
 #include "core/sweep_runner.h"
-#include "trace/replay.h"
+#include "trace/trace_file.h"
 
 using namespace laser;
 
@@ -77,25 +78,13 @@ main()
             .count();
     const core::SweepStats stats = runner.stats();
 
-    // Phase 2: record counts via offline detector replay of the traces.
-    std::vector<std::uint64_t> records(nsav, 0);
-    const auto replay_start = std::chrono::steady_clock::now();
-    runner.parallelFor(nsav, [&](std::size_t si) {
-        trace::TraceReplayer replayer(last_trace[si]->meta(),
-                                      *last_trace[si]);
-        records[si] = replayer.replayAtThreshold(1000.0).totalRecords;
-    });
-    const double replay_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      replay_start)
-            .count();
-
     TablePrinter table({"SAV", "normalized runtime", "records"});
     for (std::size_t si = 0; si < nsav; ++si) {
         const double norm = trimmedMean(norms[si]);
         std::string marker = savs[si] == 19 ? "  <- LASER default" : "";
         table.addRow({std::to_string(savs[si]) + marker,
-                      fmtTimes(norm, 3), fmtCount(records[si])});
+                      fmtTimes(norm, 3),
+                      fmtCount(last_trace[si]->recordCount())});
     }
     std::fputs(table.render().c_str(), stdout);
 
@@ -108,14 +97,8 @@ main()
                 (unsigned long long)hits, runner.workers());
     const double per_sim =
         capture_seconds / double(stats.machineRuns ? stats.machineRuns : 1);
-    const double per_replay =
-        replay_seconds / double(nsav ? nsav : 1);
-    std::printf("Timing: capture %.2fs (%.1fms/sim), replay %.2fs "
-                "(%.2fms/pass) -> replay speedup %.1fx vs "
-                "re-simulating each sweep point.\n",
-                capture_seconds, 1e3 * per_sim, replay_seconds,
-                1e3 * per_replay,
-                per_replay > 0.0 ? per_sim / per_replay : 0.0);
+    std::printf("Timing: capture %.2fs (%.1fms/sim).\n", capture_seconds,
+                1e3 * per_sim);
     std::printf("\nShape check (paper): ~1.5x at SAV=1 falling to ~1.06x "
                 "by SAV=19 with no marginal benefit beyond.\n");
 
@@ -124,13 +107,12 @@ main()
         obs::Json r = obs::Json::object();
         r.set("sav", obs::Json(std::uint64_t(savs[si])));
         r.set("normalized_runtime", obs::Json(trimmedMean(norms[si])));
-        r.set("records", obs::Json(records[si]));
+        r.set("records", obs::Json(last_trace[si]->recordCount()));
         sav_rows.push(std::move(r));
     }
     telemetry.results()
         .set("seeds", obs::Json(std::uint64_t(nseed)))
         .set("capture_seconds", obs::Json(capture_seconds))
-        .set("replay_seconds", obs::Json(replay_seconds))
         .set("rows", std::move(sav_rows));
     bench::writeTelemetry(telemetry, &stats);
     return 0;

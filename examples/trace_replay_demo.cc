@@ -1,14 +1,15 @@
 /**
  * @file
  * Minimal tour of the trace subsystem: capture one monitored run, write
- * it to disk, open it back, and replay the detector at two different
- * rate thresholds without re-simulating — the "adjust thresholds
- * offline" workflow of Section 4.
+ * it to disk, open it back, digest its record stream once and report at
+ * two different rate thresholds without re-simulating — the "adjust
+ * thresholds offline" workflow of Section 4.
  */
 
 #include <cstdio>
 
 #include "trace/capture.h"
+#include "trace/parallel_replay.h"
 #include "trace/replay.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
@@ -41,11 +42,14 @@ main()
         return 1;
     }
 
-    // 3. Replay the detector at two thresholds; no simulation happens.
+    // 3. Digest once, report at two thresholds; no simulation happens.
     trace::TraceReplayer replayer(loaded.meta(), loaded);
+    const trace::ParallelReplayer digest(replayer);
     for (double threshold : {1000.0, 16000.0}) {
-        const detect::DetectionReport report =
-            replayer.replayAtThreshold(threshold);
+        detect::DetectorConfig cfg;
+        cfg.rateThreshold = threshold;
+        cfg.sav = loaded.meta().pebs.sav;
+        const detect::DetectionReport report = digest.replay(cfg);
         std::printf("threshold %6.0f HITMs/sec -> %zu reported lines\n",
                     threshold, report.lines.size());
     }

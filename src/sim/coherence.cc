@@ -111,7 +111,9 @@ CoherenceDirectory::checkInvariants() const
             if (li.sharers != (1u << li.owner))
                 return false;
         }
-        if (li.sharers >= (1u << numCores_))
+        // No sharer bit past the last core (widened: 32 cores is a
+        // full mask).
+        if ((std::uint64_t{li.sharers} >> numCores_) != 0)
             return false;
     }
     return true;

@@ -32,20 +32,34 @@ localCost(Op op, const TimingModel &tm)
     return cost;
 }
 
-} // namespace
-
-Machine::Machine(isa::Program prog, MachineConfig cfg)
-    : prog_(std::move(prog)),
-      cfg_(cfg),
-      space_(prog_, cfg.numCores),
-      heap_(mem::Layout::kHeapBase, mem::Layout::kHeapSize),
-      proto_(makeProtocol(cfg.protocol, cfg.numCores, cfg.geometry))
+/**
+ * @p cfg, or std::invalid_argument when the machine cannot model it.
+ * Runs before any member is built from it (one stack region per core).
+ */
+const MachineConfig &
+checkedConfig(const MachineConfig &cfg)
 {
+    if (!validCoreCount(cfg.numCores))
+        throw std::invalid_argument(
+            "invalid core count " + std::to_string(cfg.numCores) +
+            " (must be in [1, " + std::to_string(kMaxCores) + "])");
     if (!cfg.geometry.valid())
         throw std::invalid_argument(
             "invalid cache line size " +
             std::to_string(cfg.geometry.lineBytes) +
             " (must be a power of two in [8, 128])");
+    return cfg;
+}
+
+} // namespace
+
+Machine::Machine(isa::Program prog, MachineConfig cfg)
+    : prog_(std::move(prog)),
+      cfg_(checkedConfig(cfg)),
+      space_(prog_, cfg.numCores),
+      heap_(mem::Layout::kHeapBase, mem::Layout::kHeapSize),
+      proto_(makeProtocol(cfg.protocol, cfg.numCores, cfg.geometry))
+{
     heap_.perturb(cfg.heapPerturbation);
     threads_.reserve(cfg.numCores);
     for (int t = 0; t < cfg.numCores; ++t) {

@@ -158,6 +158,8 @@ struct MachineStats
 class Machine
 {
   public:
+    /** Throws std::invalid_argument when @p cfg's core count is not
+     *  validCoreCount() or its geometry is not valid(). */
     explicit Machine(isa::Program prog, MachineConfig cfg = {});
 
     Machine(const Machine &) = delete;

@@ -66,6 +66,17 @@ struct CacheGeometry
     }
 };
 
+/** Most cores (== threads) a machine can have: sharer sets are 32-bit
+ *  masks with one bit per core. */
+constexpr int kMaxCores = 32;
+
+/** True for a representable core count, [1, kMaxCores]. */
+constexpr bool
+validCoreCount(int cores)
+{
+    return cores >= 1 && cores <= kMaxCores;
+}
+
 /**
  * One coherence backend: classifies accesses, tracks per-line sharing
  * state, and self-checks its protocol invariants (fuzzed by the

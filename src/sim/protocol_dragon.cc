@@ -100,7 +100,9 @@ DragonBus::checkInvariants() const
     return lines_.allOf([this](const LineInfo &li) {
         if (li.sharers == 0)
             return false;
-        if (li.sharers >= (1u << numCores_))
+        // No sharer bit past the last core (widened: 32 cores is a
+        // full mask).
+        if ((std::uint64_t{li.sharers} >> numCores_) != 0)
             return false;
         if (li.owner != -1) {
             // The dirty owner (M or Sm) must itself hold a copy; there

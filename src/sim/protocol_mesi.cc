@@ -106,7 +106,9 @@ MesiDirectory::checkInvariants() const
             // Audit addition: Shared lines are unowned.
             return false;
         }
-        if (li.sharers >= (1u << numCores_))
+        // No sharer bit past the last core (widened: 32 cores is a
+        // full mask).
+        if ((std::uint64_t{li.sharers} >> numCores_) != 0)
             return false;
         return true;
     });

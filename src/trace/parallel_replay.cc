@@ -1,7 +1,6 @@
 #include "trace/parallel_replay.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 
@@ -19,7 +18,7 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
     : env_(&env)
 {
     // The replayer's file stream is canonical by construction.
-    const std::uint64_t n = env.recordCount();
+    const std::uint64_t n = env.file().recordCount();
     shards_ = std::max(1, opt.shards);
     if (static_cast<std::uint64_t>(shards_) > n)
         shards_ = static_cast<int>(std::max<std::uint64_t>(1, n));
@@ -104,45 +103,6 @@ ParallelReplayer::replay(const detect::DetectorConfig &cfg) const
             : detect::scanRateEvents(merged_.rateEvents, cfg);
     return detect::buildReport(env_->context(), cfg, merged_, lines_, scan,
                                env_->meta().runtimeCycles);
-}
-
-ShardedReplayCheck
-checkShardedReplay(const TraceReplayer &env,
-                   const std::vector<double> &thresholds, int shards,
-                   util::ThreadPool *pool)
-{
-    using clock = std::chrono::steady_clock;
-    const auto seconds_since = [](clock::time_point start) {
-        return std::chrono::duration<double>(clock::now() - start)
-            .count();
-    };
-    ShardedReplayCheck check;
-
-    const auto serial_start = clock::now();
-    for (double threshold : thresholds)
-        check.serialReports.push_back(env.replayAtThreshold(threshold));
-    check.serialSeconds = seconds_since(serial_start);
-
-    const auto sharded_start = clock::now();
-    ParallelReplayer::Options opt;
-    opt.shards = shards;
-    opt.pool = pool;
-    ParallelReplayer parallel(env, opt);
-    check.shards = parallel.shards();
-    check.identical = true;
-    for (std::size_t i = 0; i < thresholds.size(); ++i) {
-        detect::DetectorConfig cfg;
-        cfg.rateThreshold = thresholds[i];
-        cfg.sav = env.meta().pebs.sav;
-        if (check.identical &&
-                !detect::reportsIdentical(check.serialReports[i],
-                                          parallel.replay(cfg))) {
-            check.identical = false;
-            check.mismatchThreshold = thresholds[i];
-        }
-    }
-    check.shardedSeconds = seconds_since(sharded_start);
-    return check;
 }
 
 detect::DetectionReport

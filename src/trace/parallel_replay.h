@@ -1,9 +1,12 @@
 /**
  * @file
- * Sharded parallel replay: split one trace's canonical record stream
- * into contiguous cycle windows, digest each window with an independent
+ * Sharded parallel replay, the one full-stream LASER replay of a stored
+ * trace: split the trace's canonical record stream into contiguous
+ * cycle windows, digest each window with an independent Shard-mode
  * DetectorPipeline on a thread pool, merge the shard states in window
- * order, and build the report once.
+ * order, and build each configuration's report from the merged digest.
+ * `laser_trace replay`, core::thresholdSweep, the bench harnesses and
+ * replayDetection() all replay this way.
  *
  * Each shard pulls its window through its own RecordCursor over the
  * replayer's trace::TraceFile, so a replay holds one decoded columnar
@@ -12,8 +15,7 @@
  * shard's pipeline as columns (RecordSink::onColumns). The split is by
  * record index (computed from the file's record count), so exactly the
  * same records land in the same shards as a split of the record vector
- * would and the serial-identity invariant is unaffected by the
- * streaming.
+ * would, whatever the block layout.
  *
  * One shard is digested inline on the calling thread, never queued on
  * the pool: a one-job batch would only wait behind the queue for no
@@ -21,12 +23,13 @@
  * (core::thresholdSweep, which queues them largest first) thereby
  * decides the order they start in.
  *
- * The merged DetectionReport is — by construction, and enforced by
- * tests over every registered workload — identical to the serial
- * replay's: per-line cache-line state is reconciled across shard
- * boundaries and the online repair-trigger semantics are preserved by a
- * sequential merge-time rate scan (see detect/detector_state.h for the
- * argument).
+ * The merged DetectionReport is identical, for any shard count, to the
+ * Streaming-mode pipeline's over the same records: per-line cache-line
+ * state is reconciled across shard boundaries and the online
+ * repair-trigger semantics are preserved by a sequential merge-time
+ * rate scan (see detect/detector_state.h for the argument).
+ * test_parallel_replay checks this for every registered workload at
+ * several shard counts, so no run-time check repeats it.
  *
  * Because the digest is config-independent, it runs once per trace and
  * is reused by every replay(cfg) call (digest-once / report-many). The
@@ -100,39 +103,6 @@ class ParallelReplayer
     /** detect::aggregateLines(merged_). */
     std::vector<detect::LineReport> lines_;
 };
-
-/** Outcome of one serial-vs-sharded comparison run. */
-struct ShardedReplayCheck
-{
-    int shards = 1;
-    bool identical = false;
-    /** First threshold whose reports diverged (when !identical). */
-    double mismatchThreshold = 0.0;
-    double serialSeconds = 0.0;
-    double shardedSeconds = 0.0;
-    /** Serial reports, one per threshold (callers print/reuse these). */
-    std::vector<detect::DetectionReport> serialReports;
-
-    double
-    speedup() const
-    {
-        return shardedSeconds > 0.0 ? serialSeconds / shardedSeconds
-                                    : 0.0;
-    }
-};
-
-/**
- * The identity invariant as a runtime check: replay @p env serially at
- * each threshold (sav from the capture config), then replay the same
- * thresholds from one @p shards-way digest, and compare reports
- * field-exactly. Shared by `laser_trace replay --shards` and
- * bench_fig09 so tool and bench cannot diverge on what "identical"
- * means.
- */
-ShardedReplayCheck
-checkShardedReplay(const TraceReplayer &env,
-                   const std::vector<double> &thresholds, int shards,
-                   util::ThreadPool *pool = nullptr);
 
 /**
  * One-shot sharded detection replay of a captured laser-detect trace at

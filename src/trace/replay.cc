@@ -36,29 +36,14 @@ TraceReplayer::TraceReplayer(const TraceMeta &meta, const TraceFile &file)
         static_cast<int>(meta_->machine.geometry.lineBytes));
 }
 
-void
-TraceReplayer::drive(analysis::RecordSink &sink) const
-{
-    const std::unique_ptr<RecordCursor> cur = file_->cursor();
-    cur->drain(sink);
-    checkStream(cur->status());
-}
-
 detect::DetectionReport
 TraceReplayer::replay(const detect::DetectorConfig &cfg) const
 {
     detect::DetectorPipeline pipeline(*ctx_, cfg);
-    drive(pipeline);
+    const std::unique_ptr<RecordCursor> cur = file_->cursor();
+    cur->drain(pipeline);
+    checkStream(cur->status());
     return pipeline.finish(meta_->runtimeCycles);
-}
-
-detect::DetectionReport
-TraceReplayer::replayAtThreshold(double rate_threshold) const
-{
-    detect::DetectorConfig cfg;
-    cfg.rateThreshold = rate_threshold;
-    cfg.sav = meta_->pebs.sav;
-    return replay(cfg);
 }
 
 baselines::VTuneReport

@@ -1,23 +1,21 @@
 /**
  * @file
- * Trace replay: re-run an analysis over a captured record stream at any
- * configuration, without re-simulating the machine.
+ * Trace replay environment: the program, address space and detector
+ * context a captured record stream is analysed in, rebuilt without
+ * re-simulating the machine.
  *
  * The replayer rebuilds the capture's program from the workload registry
  * (workload builders are deterministic for fixed BuildOptions) and its
- * address-space layout, then runs the scheme's analyzer over the record
- * stream: a fresh DetectorPipeline (an analysis::RecordSink) for the
- * LASER scheme, the VTune offline aggregation or the Sheriff
- * sync-stream decoder.
- * The rebuilt environment (program, address space, parsed maps,
- * load/store sets) is shared and immutable, so one replayer can serve
- * many configurations and many shard pipelines concurrently.
+ * address-space layout. The rebuilt environment (program, address
+ * space, parsed maps, load/store sets) is shared and immutable, so one
+ * replayer can serve many configurations and many shard pipelines
+ * concurrently.
  *
- * The record stream is pull-based: a replayer reads an open
- * trace::TraceFile, whose cursors decode one columnar block at a time,
- * so detection replay never holds more than one decoded block. Only
- * the VTune/Sheriff baseline replays (different, much shorter stream
- * schemes) materialize the stream, through TraceFile::readAll.
+ * A LASER replay of the stored stream is a trace::ParallelReplayer
+ * digest over this environment (parallel_replay.h): digest once, then
+ * one report per configuration. The replayer itself runs only the
+ * VTune and Sheriff baselines, whose streams are different, much
+ * shorter schemes that materialize through TraceFile::readAll.
  */
 
 #ifndef LASER_TRACE_REPLAY_H
@@ -26,7 +24,6 @@
 #include <memory>
 #include <string>
 
-#include "analysis/sink.h"
 #include "baselines/sheriff.h"
 #include "baselines/vtune.h"
 #include "detect/pipeline.h"
@@ -39,7 +36,7 @@ namespace laser::trace {
 
 /**
  * Rebuilt replay environment for one trace. The backing file must
- * outlive the replayer (it is read on every replay() call).
+ * outlive the replayer (every replay reads it).
  */
 class TraceReplayer
 {
@@ -55,21 +52,14 @@ class TraceReplayer
     const std::string &error() const { return error_; }
 
     /**
-     * Stream every record through @p sink in canonical order. Throws
-     * std::runtime_error if the file fails mid-stream (a corrupt block
-     * discovered lazily by its cursor).
+     * One serial Streaming-mode detector pass over the whole stream at
+     * @p cfg. No tool, bench harness or library path calls it: it is
+     * the independent reference bench/pipeline's sweep verification
+     * compares ParallelReplayer against, and goes with that benchmark's
+     * rewrite (ROADMAP item 5). Throws std::runtime_error if the file
+     * fails mid-stream.
      */
-    void drive(analysis::RecordSink &sink) const;
-
-    /** Re-run the detector over the records at @p cfg. */
     detect::DetectionReport replay(const detect::DetectorConfig &cfg) const;
-
-    /**
-     * Replay at a given rate threshold with every other detector knob at
-     * its default and the SAV taken from the capture configuration —
-     * the offline-threshold-adjustment use case of Section 4.
-     */
-    detect::DetectionReport replayAtThreshold(double rate_threshold) const;
 
     /** Offline VTune aggregation over a captured "vtune" stream. */
     baselines::VTuneReport
@@ -88,10 +78,6 @@ class TraceReplayer
     const TraceMeta &meta() const { return *meta_; }
     /** The trace file being replayed. */
     const TraceFile &file() const { return *file_; }
-    std::uint64_t recordCount() const { return file_->recordCount(); }
-
-    const isa::Program &program() const { return program_; }
-    const mem::AddressSpace &space() const { return *space_; }
     /** Shared immutable detector environment (maps, load/store sets). */
     const detect::DetectorContext &context() const { return *ctx_; }
 

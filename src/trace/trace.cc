@@ -147,11 +147,23 @@ getConfig(ByteReader &r, TraceMeta *m, std::string *err)
     b.manualFix = r.boolean();
     b.heapPerturbation = r.var();
     b.numThreads = static_cast<int>(r.zig());
+    if (r.ok && !sim::validCoreCount(b.numThreads)) {
+        *err = "invalid thread count " + std::to_string(b.numThreads);
+        return false;
+    }
     b.inputSeed = r.var();
     b.scale = r.f64();
+    if (r.ok && !workloads::validScale(b.scale)) {
+        *err = "invalid workload scale " + std::to_string(b.scale);
+        return false;
+    }
 
     sim::MachineConfig &mc = m->machine;
     mc.numCores = static_cast<int>(r.zig());
+    if (r.ok && !sim::validCoreCount(mc.numCores)) {
+        *err = "invalid core count " + std::to_string(mc.numCores);
+        return false;
+    }
     getTiming(r, &mc.timing);
     mc.seed = r.var();
     mc.maxInstructions = r.var();

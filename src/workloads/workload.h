@@ -94,15 +94,31 @@ struct BuildOptions
      * MachineConfig::heapPerturbation (LASER attach shifts layout).
      */
     std::uint64_t heapPerturbation = 0;
+    /** Thread count; must satisfy sim::validCoreCount(). */
     int numThreads = 4;
     /** Input-synthesis seed. */
     std::uint64_t inputSeed = 0x5eed;
     /**
      * Work scale factor (1.0 = default "native" input). The Sheriff
      * comparison uses smaller inputs for some workloads (Figure 14).
+     * Must satisfy validScale().
      */
     double scale = 1.0;
 };
+
+/**
+ * Largest BuildOptions::scale: four times the largest input the
+ * harnesses use (4). It keeps every scaled iteration count far inside
+ * int64_t.
+ */
+constexpr double kMaxScale = 16.0;
+
+/** True for a usable scale: finite, > 0 and <= kMaxScale (NaN fails). */
+constexpr bool
+validScale(double scale)
+{
+    return scale > 0.0 && scale <= kMaxScale;
+}
 
 /** A built workload: program + initial memory image. */
 struct WorkloadBuild

@@ -203,9 +203,10 @@ directReport(const TraceReplayer &env, const Trace &captured,
 
 TEST(ParallelReplay, FileBackedCursorsIdenticalToSerialForEveryWorkload)
 {
-    // Every workload written to a trace file, mmapped back, replayed
-    // serially and sharded over per-shard block cursors. Both reports
-    // must stay field-identical to the live pipeline over the captured
+    // Every workload written to a trace file, mmapped back, and
+    // replayed sharded over per-shard block cursors. Each report must
+    // stay field-identical to the live pipeline over the captured
+    // records, as must a streaming pass over the file's decoded
     // records: the index-based shard split sees the same record
     // boundaries whether records come from a vector or from decoded
     // blocks.
@@ -244,12 +245,18 @@ TEST(ParallelReplay, FileBackedCursorsIdenticalToSerialForEveryWorkload)
             failures[i] = w.info.name + ": " + env.error();
             return;
         }
+        Trace decoded;
+        if (file.readAll(&decoded) != TraceStatus::Ok) {
+            failures[i] = w.info.name + ": cannot decode trace file";
+            return;
+        }
         for (const detect::DetectorConfig &cfg : cfgs) {
             const detect::DetectionReport direct =
                 directReport(env, trace, cfg);
-            if (!detect::reportsIdentical(direct, env.replay(cfg))) {
-                failures[i] = w.info.name + ": serial file replay differs "
-                                            "from the live pipeline";
+            if (!detect::reportsIdentical(
+                    direct, directReport(env, decoded, cfg))) {
+                failures[i] = w.info.name + ": decoded records report "
+                                            "differently from captured";
                 return;
             }
             for (int shards : {1, 2, 3, 4, 5, 7}) {

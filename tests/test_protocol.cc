@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "machine_digest.h"
@@ -210,11 +212,23 @@ TEST(ProtocolIdentity, DragonHitmStreamsMatchGoldens)
 // Outcome-equivalence fuzz against the retained CoherenceDirectory
 // ---------------------------------------------------------------------
 
+/** Each seed at the paper's 4 cores, and the last one at kMaxCores. */
+std::vector<std::pair<std::uint64_t, int>>
+seedsAndCores(std::initializer_list<std::uint64_t> seeds)
+{
+    std::vector<std::pair<std::uint64_t, int>> out;
+    for (std::uint64_t seed : seeds)
+        out.emplace_back(seed, 4);
+    out.emplace_back(out.back().first, kMaxCores);
+    return out;
+}
+
 TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
 {
-    for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    // {seed, cores}: kMaxCores fills the 32-bit sharer mask, where
+    // checkInvariants' bound on the mask must stay well-defined.
+    for (const auto &[seed, cores] : seedsAndCores({1, 7, 42, 1234})) {
         std::mt19937_64 rng(seed);
-        const int cores = 4;
         CoherenceDirectory reference(cores);
         MesiDirectory mesi(cores);
 
@@ -237,11 +251,11 @@ TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
             const AccessOutcome actual =
                 mesi.access(core, addr, is_write, is_load_class);
             ASSERT_EQ(actual, expected)
-                << "seed " << seed << " step " << i;
+                << "seed " << seed << " cores " << cores << " step " << i;
             touched.insert(mesi.lineOf(addr));
         }
-        EXPECT_TRUE(reference.checkInvariants());
-        EXPECT_TRUE(mesi.checkInvariants());
+        EXPECT_TRUE(reference.checkInvariants()) << cores;
+        EXPECT_TRUE(mesi.checkInvariants()) << cores;
         EXPECT_EQ(mesi.linesTouched(), reference.linesTouched());
         EXPECT_EQ(mesi.linesTouched(), touched.size());
         for (std::uint64_t line : touched) {
@@ -371,9 +385,8 @@ TEST(ProtocolInvariants, HoldUnderRandomInterleavings)
 {
     for (const ProtocolKind kind :
          {ProtocolKind::Mesi, ProtocolKind::Dragon}) {
-        for (std::uint64_t seed : {3u, 99u, 2016u}) {
+        for (const auto &[seed, cores] : seedsAndCores({3, 99, 2016})) {
             std::mt19937_64 rng(seed);
-            const int cores = 4;
             const auto proto = makeProtocol(kind, cores);
             for (int i = 0; i < 30000; ++i) {
                 const int core = static_cast<int>(rng() % cores);
@@ -384,11 +397,12 @@ TEST(ProtocolInvariants, HoldUnderRandomInterleavings)
                 if (i % 512 == 0) {
                     ASSERT_TRUE(proto->checkInvariants())
                         << protocolName(kind) << " seed " << seed
-                        << " step " << i;
+                        << " cores " << cores << " step " << i;
                 }
             }
             EXPECT_TRUE(proto->checkInvariants())
-                << protocolName(kind) << " seed " << seed;
+                << protocolName(kind) << " seed " << seed << " cores "
+                << cores;
             EXPECT_GT(proto->linesTouched(), 0u);
         }
     }

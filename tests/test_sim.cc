@@ -898,6 +898,20 @@ TEST(Machine, RejectsInvalidCacheGeometry)
     EXPECT_NO_THROW(Machine m(p, cfg));
 }
 
+TEST(Machine, RejectsCoreCountOutsideSharerMask)
+{
+    // Sharer sets are 32-bit masks: core 32 would shift past the mask,
+    // and zero cores would run nothing.
+    const isa::Program p = tidGate([](Asm &a) { a.nop(); });
+    MachineConfig cfg;
+    for (int cores : {0, -1, 33, 64}) {
+        cfg.numCores = cores;
+        EXPECT_THROW(Machine m(p, cfg), std::invalid_argument) << cores;
+    }
+    cfg.numCores = kMaxCores;
+    EXPECT_NO_THROW(Machine m(p, cfg));
+}
+
 // ---------------------------------------------------------------------
 // Truncated runs: the maxInstructions guard
 // ---------------------------------------------------------------------

@@ -17,9 +17,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "analysis/sink.h"
 #include "core/accuracy.h"
 #include "core/experiment.h"
 #include "core/sweep_runner.h"
+#include "detect/pipeline.h"
 #include "trace/capture.h"
 #include "trace/parallel_replay.h"
 #include "trace/replay.h"
@@ -412,10 +414,8 @@ TEST(TraceReplay, MatchesInProcessPipeline)
             const core::RunResult live =
                 runner.run(w, core::Scheme::LaserDetectOnly);
             const auto loaded = roundTrip(captureTrace(w));
-            TraceReplayer replayer(loaded->meta(), *loaded);
-            ASSERT_TRUE(replayer.ok()) << replayer.error();
             EXPECT_TRUE(detect::reportsIdentical(
-                replayer.replayAtThreshold(1000.0), live.detection))
+                replayDetection(*loaded, 1), live.detection))
                 << name;
             const sim::MachineStats &stats = loaded->meta().stats;
             EXPECT_EQ(stats.cycles, live.stats.cycles) << name;
@@ -537,8 +537,8 @@ TEST(SweepRunner, SecondSweepPerformsZeroMachineRuns)
 TEST(SweepRunner, Fig09SweepMatchesGoldenAndSerialReplay)
 {
     // Figure 9 over the whole corpus: the digest-once sweep must give
-    // the recorded table and the rows a serial streaming replay gives
-    // at each threshold.
+    // the recorded table and the rows a Streaming-mode detector gives
+    // over each trace's decoded records at each threshold.
     const std::vector<double> thresholds = {32,   64,   128,  256,
                                             512,  1000, 2000, 4000,
                                             8000, 16000, 32000, 64000};
@@ -562,12 +562,18 @@ TEST(SweepRunner, Fig09SweepMatchesGoldenAndSerialReplay)
         const auto file = runner.captureFile(*def, opt);
         TraceReplayer env(file->meta(), *file);
         ASSERT_TRUE(env.ok()) << def->info.name;
+        Trace decoded;
+        ASSERT_EQ(file->readAll(&decoded), TraceStatus::Ok)
+            << def->info.name;
         for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
             detect::DetectorConfig cfg;
             cfg.rateThreshold = thresholds[ti];
             cfg.sav = opt.sav;
+            detect::DetectorPipeline pipeline(env.context(), cfg);
+            analysis::drain(decoded.records, pipeline);
             const core::AccuracyResult acc = core::evaluateAccuracy(
-                def->info, core::reportLocations(env.replay(cfg)));
+                def->info, core::reportLocations(pipeline.finish(
+                               decoded.meta.runtimeCycles)));
             serial_fn[ti] += acc.falseNegatives;
             serial_fp[ti] += acc.falsePositives;
         }

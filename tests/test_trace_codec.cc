@@ -2,14 +2,17 @@
  * @file
  * Tests for the LSRT columnar layer: per-column codec round-trips and
  * strict rejection, block-index bomb bounds, seek-window decode
- * equivalence, a seeded mutation sweep over TraceFile, and
- * streaming-replay memory bounds.
+ * equivalence, config-section bounds, a seeded mutation sweep over
+ * TraceFile, and streaming-replay memory bounds.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -455,6 +458,88 @@ TEST(TraceFileSeek, CorruptIndexAndTruncationAreTypedAtOpen)
                   TraceStatus::Truncated)
             << "prefix of " << cut << " bytes";
     }
+}
+
+// ---------------------------------------------------------------------
+// Config-section bounds: a run the machine cannot model opens Corrupt,
+// before anything rebuilds its workload or address space from it
+// ---------------------------------------------------------------------
+
+/** Open syntheticMeta() after @p edit; @p error gets the open's error. */
+TraceStatus
+openEditedConfig(const std::function<void(TraceMeta *)> &edit,
+                 std::string *error)
+{
+    TraceMeta meta = syntheticMeta();
+    edit(&meta);
+    TraceWriter writer(meta);
+    writer.appendAll(syntheticRecords(16));
+    TraceFile file;
+    const TraceStatus status = file.openBytes(writer.finalize());
+    *error = file.error();
+    return status;
+}
+
+TEST(TraceConfigBounds, ThreadCountWithinCoreRange)
+{
+    std::string error;
+    for (int threads : {0, -1, 33, INT_MAX}) {
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.numThreads = threads;
+                  }, &error),
+                  TraceStatus::Corrupt)
+            << threads;
+        EXPECT_NE(error.find("invalid thread count"), std::string::npos)
+            << error;
+    }
+    for (int threads : {1, 32})
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.numThreads = threads;
+                  }, &error),
+                  TraceStatus::Ok)
+            << threads << ": " << error;
+}
+
+TEST(TraceConfigBounds, ScaleFinitePositiveAndCapped)
+{
+    std::string error;
+    for (double scale : {std::nan(""), -3.0, 0.0, HUGE_VAL,
+                         workloads::kMaxScale * 2}) {
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.scale = scale;
+                  }, &error),
+                  TraceStatus::Corrupt)
+            << scale;
+        EXPECT_NE(error.find("invalid workload scale"), std::string::npos)
+            << error;
+    }
+    for (double scale : {0.25, workloads::kMaxScale})
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.scale = scale;
+                  }, &error),
+                  TraceStatus::Ok)
+            << scale << ": " << error;
+}
+
+TEST(TraceConfigBounds, CoreCountWithinSharerMask)
+{
+    // 2^31 - 1 cores would build about two billion stack regions.
+    std::string error;
+    for (int cores : {0, -1, 33, INT_MAX}) {
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->machine.numCores = cores;
+                  }, &error),
+                  TraceStatus::Corrupt)
+            << cores;
+        EXPECT_NE(error.find("invalid core count"), std::string::npos)
+            << error;
+    }
+    for (int cores : {1, sim::kMaxCores})
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->machine.numCores = cores;
+                  }, &error),
+                  TraceStatus::Ok)
+            << cores << ": " << error;
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
  *       Run one simulation under a scheme (laser-detect, vtune,
  *       sheriff-detect, sheriff-protect, native) and persist its
  *       analysis-record stream + run metadata as a trace file.
+ *       --threads must be in [1, 32] (the simulated machine's core
+ *       limit) and --scale finite, positive and at most 16.
  *       --protocol selects the coherence backend (mesi, dragon) and
  *       --line-bytes the simulated cache-line size; both are part of
  *       the hashed configuration, so each combination gets its own
@@ -21,17 +23,15 @@
  *
  *   laser_trace replay FILE [--threshold F | --thresholds t1,t2,...]
  *                      [--shards N] [--cycles BEGIN:END]
- *       Re-run the trace's analysis offline — no simulation. For
- *       laser-detect traces, --shards N digests the stream as N
- *       time-window shards in parallel (verifying the merged report
- *       against the serial one and printing the speedup), and
- *       --thresholds replays several configurations from one digest
- *       (multi-config single-pass). --cycles replays only the records
- *       in a cycle window, decoding only the blocks that overlap it
- *       (prints how many payload bytes the seek touched); it replays
- *       serially, so it cannot be combined with --shards.
- *       VTune and Sheriff traces replay through their own offline
- *       analyzers.
+ *       Re-run the trace's analysis offline — no simulation. A
+ *       laser-detect trace is digested once, as N time-window shards
+ *       in parallel (--shards, default 1), and every --thresholds entry
+ *       is reported from that one digest; the reports do not depend on
+ *       N. --cycles replays only the records in a cycle window,
+ *       decoding only the blocks that overlap it (prints how many
+ *       payload bytes the seek touched); it replays serially, so it
+ *       cannot be combined with --shards. VTune and Sheriff traces
+ *       replay through their own offline analyzers.
  *
  *   laser_trace sweep [--workloads a,b,...] [--thresholds t1,t2,...]
  *                     [--cache-dir DIR] [-j N] [--shards N]
@@ -43,8 +43,9 @@
  *       cache geometry. -j is capped at the core count.
  *
  * Integer flags take decimal digits only and must fit the field they
- * set (--sav and --line-bytes 32 bits; --threads, -j and --shards
- * INT_MAX); anything else is an error, never a wrapped value.
+ * set (--sav and --line-bytes 32 bits; -j and --shards INT_MAX;
+ * --threads the range above); anything else is an error, never a
+ * wrapped value.
  *
  * Every command honors LASER_METRICS_OUT=<dir>: on exit the invocation
  * is recorded there as BENCH_laser_trace_<command>.json plus the
@@ -91,7 +92,7 @@ usage()
         stderr,
         "usage: laser_trace <command> [options]\n"
         "  record <workload> [-o FILE] [--scheme S] [--sav N] [--seed N]\n"
-        "                    [--heap-shift N] [--threads N] [--scale F]\n"
+        "                    [--heap-shift N] [--threads 1-32] [--scale F]\n"
         "                    [--protocol mesi|dragon] [--line-bytes N]\n"
         "  info FILE\n"
         "  replay FILE [--threshold F | --thresholds t1,t2,...]\n"
@@ -322,6 +323,19 @@ cmdRecord(int argc, char **argv)
         else
             return usage();
     }
+    if (!sim::validCoreCount(opt.numThreads)) {
+        std::fprintf(stderr,
+                     "laser_trace: --threads must be in [1, %d], got %d\n",
+                     sim::kMaxCores, opt.numThreads);
+        return 1;
+    }
+    if (!workloads::validScale(opt.scale)) {
+        std::fprintf(stderr,
+                     "laser_trace: --scale must be finite, positive and "
+                     "at most %g, got %g\n",
+                     workloads::kMaxScale, opt.scale);
+        return 1;
+    }
 
     const trace::Trace t = trace::captureTrace(*def, opt);
     const trace::TraceStatus status = trace::writeTraceFile(t, out_path);
@@ -440,39 +454,22 @@ replayLaser(const trace::TraceReplayer &replayer,
     if (thresholds.empty())
         thresholds.push_back(1000.0); // the paper's default (Section 7.1)
 
-    std::vector<detect::DetectionReport> serial;
-    if (shards > 1) {
-        // Sharded pass: one config-independent digest, every threshold
-        // from the merged state, identity-checked against serial.
-        const trace::ShardedReplayCheck check =
-            trace::checkShardedReplay(replayer, thresholds, shards);
-        if (!check.identical) {
-            std::fprintf(stderr,
-                         "laser_trace: INVARIANT VIOLATION: sharded "
-                         "replay differs from serial at threshold "
-                         "%.0f\n",
-                         check.mismatchThreshold);
-            return 3;
-        }
-        std::printf("sharded replay: %d shards, %zu configs from one "
-                    "digest, identical to serial; serial %.1fms vs "
-                    "sharded %.1fms -> %.2fx speedup\n\n",
-                    check.shards, thresholds.size(),
-                    1e3 * check.serialSeconds, 1e3 * check.shardedSeconds,
-                    check.speedup());
-        serial = check.serialReports;
-    } else {
-        for (double threshold : thresholds)
-            serial.push_back(replayer.replayAtThreshold(threshold));
-    }
-
+    // One config-independent digest; every threshold's report is built
+    // from it.
+    trace::ParallelReplayer::Options opt;
+    opt.shards = shards;
+    const trace::ParallelReplayer digest(replayer, opt);
+    const trace::TraceMeta &meta = replayer.meta();
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
+        detect::DetectorConfig cfg;
+        cfg.rateThreshold = thresholds[i];
+        cfg.sav = meta.pebs.sav;
         std::printf("replaying %s at %.0f HITMs/sec (sav %u, %zu "
                     "records)\n\n",
-                    replayer.meta().workload.c_str(), thresholds[i],
-                    replayer.meta().pebs.sav,
-                    static_cast<std::size_t>(replayer.recordCount()));
-        printReport(serial[i]);
+                    meta.workload.c_str(), thresholds[i], meta.pebs.sav,
+                    static_cast<std::size_t>(
+                        replayer.file().recordCount()));
+        printReport(digest.replay(cfg));
         if (i + 1 < thresholds.size())
             std::printf("\n");
     }
@@ -495,7 +492,8 @@ replayVTuneTrace(const trace::TraceReplayer &replayer,
         std::printf("replaying %s (vtune) at %.0f HITMs/sec (%zu "
                     "records, %llu events)\n",
                     meta.workload.c_str(), threshold,
-                    static_cast<std::size_t>(replayer.recordCount()),
+                    static_cast<std::size_t>(
+                        replayer.file().recordCount()),
                     (unsigned long long)report.hitmEvents);
         TablePrinter table({"location", "records", "HITM/s"});
         for (const baselines::VTuneLine &line : report.lines)
