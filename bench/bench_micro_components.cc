@@ -147,6 +147,31 @@ BM_CoherenceAccess(benchmark::State &state, sim::ProtocolKind kind)
 BENCHMARK_CAPTURE(BM_CoherenceAccess, mesi, sim::ProtocolKind::Mesi);
 BENCHMARK_CAPTURE(BM_CoherenceAccess, dragon, sim::ProtocolKind::Dragon);
 
+/**
+ * Accesses drawn like BM_CoherenceAccess's, paid for as the machine
+ * pays: the private-hit filter first, the backend only when the filter
+ * cannot answer.
+ */
+static void
+BM_CoherenceFilteredAccess(benchmark::State &state, sim::ProtocolKind kind)
+{
+    const std::unique_ptr<sim::CoherenceProtocol> protocol =
+        sim::makeProtocol(kind, 4);
+    Rng rng(43);
+    for (auto _ : state) {
+        const int core = static_cast<int>(rng.below(4));
+        const std::uint64_t addr = 0x1000 + rng.below(128) * 8;
+        const bool is_write = rng.chance(0.4);
+        benchmark::DoNotOptimize(
+            protocol->privateHit(core, protocol->lineOf(addr), is_write)
+                ? sim::AccessOutcome::L1Hit
+                : protocol->access(core, addr, is_write, true));
+    }
+}
+BENCHMARK_CAPTURE(BM_CoherenceFilteredAccess, mesi, sim::ProtocolKind::Mesi);
+BENCHMARK_CAPTURE(BM_CoherenceFilteredAccess, dragon,
+                  sim::ProtocolKind::Dragon);
+
 namespace {
 
 isa::Program

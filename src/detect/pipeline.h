@@ -128,6 +128,14 @@ class DetectorPipeline final : public analysis::RecordSink
 
     DetectorState takeState() { return std::move(state_); }
 
+    /** Shard mode: room for the rate events of @p records more records
+     *  (a record adds at most one), so the digest never regrows them. */
+    void
+    reserveEvents(std::size_t records)
+    {
+        state_.rateEvents.reserve(state_.rateEvents.size() + records);
+    }
+
     /** Streaming-mode finalize: build the report from the inline scan. */
     DetectionReport finish(std::uint64_t total_cycles) const;
 

@@ -78,6 +78,9 @@ class PebsMonitor : public sim::PmuSink
 
     std::uint64_t onHitm(const sim::HitmEvent &event) override;
 
+    /** PEBS samples HITMs only. */
+    bool observesMemops() const override { return false; }
+
     /** Drain residual per-core buffers (call after Machine::run). */
     void finish();
 

@@ -61,6 +61,13 @@ class PmuSink
         return 0;
     }
 
+    /**
+     * False when onMemop() is the no-op below, so the machine may skip
+     * the call on every access. A sink that overrides onMemop() keeps
+     * the default.
+     */
+    virtual bool observesMemops() const { return true; }
+
     /** A (non-SSB) memory operation executed. */
     virtual std::uint64_t
     onMemop(int core, std::uint32_t pc_index, bool is_write,

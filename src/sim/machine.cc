@@ -122,8 +122,18 @@ Machine::memAccess(ThreadCtx &t, std::uint64_t addr, int size,
         // Sheriff execution model: the access hits the thread's private
         // copy; no coherence traffic, no HITM possible.
         cost += tm.l1Hit;
-        if (sink_)
-            cost += sink_->onMemop(t.tid, t.pc, is_write, t.clock);
+        if (memopSink_)
+            cost += memopSink_->onMemop(t.tid, t.pc, is_write, t.clock);
+        return cost;
+    }
+
+    // A private hit: the backend would answer L1Hit and change nothing
+    // (see sim/protocol.h), so it is not asked.
+    if (proto_->privateHit(t.tid, proto_->lineOf(addr), is_write)) {
+        ++stats_.l1Hits;
+        cost += tm.l1Hit;
+        if (memopSink_)
+            cost += memopSink_->onMemop(t.tid, t.pc, is_write, t.clock);
         return cost;
     }
 
@@ -167,20 +177,19 @@ Machine::memAccess(ThreadCtx &t, std::uint64_t addr, int size,
         break;
     }
 
-    if (sink_) {
-        if (isHitm(outcome)) {
-            HitmEvent ev;
-            ev.core = t.tid;
-            ev.pcIndex = t.pc;
-            ev.vaddr = addr;
-            ev.accessSize = static_cast<std::uint8_t>(size);
-            ev.isLoadUop = outcome == AccessOutcome::HitmLoad;
-            ev.isStore = is_write;
-            ev.cycle = t.clock;
-            cost += sink_->onHitm(ev);
-        }
-        cost += sink_->onMemop(t.tid, t.pc, is_write, t.clock);
+    if (sink_ && isHitm(outcome)) {
+        HitmEvent ev;
+        ev.core = t.tid;
+        ev.pcIndex = t.pc;
+        ev.vaddr = addr;
+        ev.accessSize = static_cast<std::uint8_t>(size);
+        ev.isLoadUop = outcome == AccessOutcome::HitmLoad;
+        ev.isStore = is_write;
+        ev.cycle = t.clock;
+        cost += sink_->onHitm(ev);
     }
+    if (memopSink_)
+        cost += memopSink_->onMemop(t.tid, t.pc, is_write, t.clock);
     return cost;
 }
 

@@ -43,6 +43,15 @@
  * instruction. A truncated run therefore executes exactly the same
  * instructions. With timing.base == 0 every instruction is scheduled
  * singly.
+ *
+ * Most memory accesses are private hits, so memAccess asks the
+ * protocol's per-core rights filter (CoherenceProtocol::privateHit)
+ * before the backend. The filter answers only when the backend would
+ * return L1Hit and change no state (see sim/protocol.h), so the
+ * access's statistics, cycle cost and PMU callbacks are the ones the
+ * backend's answer would give. A sink whose onMemop is the no-op
+ * (observesMemops() false, like the PEBS monitor) is not called per
+ * access.
  */
 
 #ifndef LASER_SIM_MACHINE_H
@@ -175,7 +184,12 @@ class Machine
     const CoherenceProtocol &protocol() const { return *proto_; }
 
     /** Install the PMU observer (PEBS / VTune / Sheriff model). */
-    void setPmuSink(PmuSink *sink) { sink_ = sink; }
+    void
+    setPmuSink(PmuSink *sink)
+    {
+        sink_ = sink;
+        memopSink_ = sink && sink->observesMemops() ? sink : nullptr;
+    }
 
     /** Run all threads to completion; returns the run statistics. */
     MachineStats run();
@@ -249,6 +263,8 @@ class Machine
     /** Per instruction index, plus a zero-length sentinel at the end. */
     std::vector<Block> blocks_;
     PmuSink *sink_ = nullptr;
+    /** sink_ if it observes memops, else nullptr. */
+    PmuSink *memopSink_ = nullptr;
     MachineStats stats_;
     std::vector<TsoEvent> tsoTrace_;
     bool ran_ = false;

@@ -36,7 +36,8 @@ CoherenceProtocol::CoherenceProtocol(int num_cores,
     : numCores_(num_cores),
       geometry_(geometry.valid() ? geometry : CacheGeometry{}),
       lineShift_(static_cast<std::uint32_t>(
-          std::countr_zero(geometry_.lineBytes)))
+          std::countr_zero(geometry_.lineBytes))),
+      filter_(static_cast<std::size_t>(num_cores) * kFilterSlots)
 {
 }
 

@@ -20,6 +20,23 @@
  * CacheGeometry makes line size a first-class simulated parameter; it
  * participates in the LSRT hashed config section so trace-cache keys
  * can never collide across protocols or line sizes.
+ *
+ * Private hits skip the backend. Most accesses hit a line the core
+ * already holds with enough rights, and the backend answers them with
+ * L1Hit and no state change. CoherenceProtocol keeps, per core, a
+ * direct-mapped filter of (line, writable) entries that records such
+ * rights, and the machine asks privateHit() before access(). The
+ * invariant: an entry readable for a line means access(core, read)
+ * would return L1Hit and change nothing; writable means the same for a
+ * write. Only access() updates the filter: after its state change the
+ * accessor's entry gets its exact rights, and every other core whose
+ * rights shrank loses them. MESI grants a read while the core is a
+ * sharer and a write only on an M line it owns (an E line's first write
+ * is the silent E->M change, which must reach the directory). Dragon
+ * grants a read while the core is a sharer and a write only when it is
+ * the owner and sole sharer. Caches have no capacity model, so no other
+ * event ends a right; a slot collision overwrites the older entry,
+ * which then costs one backend call.
  */
 
 #ifndef LASER_SIM_PROTOCOL_H
@@ -28,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/coherence.h"
 
@@ -102,6 +120,37 @@ class CoherenceProtocol
     virtual AccessOutcome access(int core, std::uint64_t addr,
                                  bool is_write, bool is_load_class) = 0;
 
+    /** Filter slots per core; a power of two. */
+    static constexpr std::size_t kFilterSlots = 1024;
+    /** The line of an empty filter slot; no line address is this. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+
+    /** One filter slot: what @p line's holder may do without access(). */
+    struct FilterEntry
+    {
+        std::uint64_t line = kNoLine;
+        bool writable = false;
+    };
+
+    /**
+     * True when access(@p core, an address in @p line, @p is_write, ...)
+     * would return L1Hit and change no state, so the caller may skip
+     * it. False says nothing: call access().
+     */
+    bool
+    privateHit(int core, std::uint64_t line, bool is_write) const
+    {
+        const FilterEntry &e = filter_[slot(core, line)];
+        return e.line == line && (!is_write || e.writable);
+    }
+
+    /** The slot of @p core's filter that @p line maps to (for tests). */
+    const FilterEntry &
+    filterEntry(int core, std::uint64_t line) const
+    {
+        return filter_[slot(core, line)];
+    }
+
     /** Validate all protocol invariants; false on the first violation. */
     virtual bool checkInvariants() const = 0;
 
@@ -121,9 +170,46 @@ class CoherenceProtocol
     const CacheGeometry &geometry() const { return geometry_; }
 
   protected:
+    /** After access() changed @p line: @p core may now read it, and
+     *  write it too when @p writable. */
+    void
+    grant(int core, std::uint64_t line, bool writable)
+    {
+        filter_[slot(core, line)] = {line, writable};
+    }
+
+    /** @p core no longer holds @p line. */
+    void
+    revoke(int core, std::uint64_t line)
+    {
+        FilterEntry &e = filter_[slot(core, line)];
+        if (e.line == line)
+            e = {};
+    }
+
+    /** @p core may still read @p line but no longer write it silently. */
+    void
+    demote(int core, std::uint64_t line)
+    {
+        FilterEntry &e = filter_[slot(core, line)];
+        if (e.line == line)
+            e.writable = false;
+    }
+
     int numCores_;
     CacheGeometry geometry_;
     std::uint32_t lineShift_;
+
+  private:
+    static std::size_t
+    slot(int core, std::uint64_t line)
+    {
+        return static_cast<std::size_t>(core) * kFilterSlots +
+               static_cast<std::size_t>(line & (kFilterSlots - 1));
+    }
+
+    /** kFilterSlots entries per core, core-major. */
+    std::vector<FilterEntry> filter_;
 };
 
 /** Construct the backend for @p kind. Invalid geometry falls back to

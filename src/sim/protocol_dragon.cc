@@ -13,7 +13,25 @@ AccessOutcome
 DragonBus::access(int core, std::uint64_t addr, bool is_write,
                   bool is_load_class)
 {
-    LineInfo &li = lines_[lineOf(addr)];
+    const std::uint64_t line = lineOf(addr);
+    LineInfo &li = lines_[line];
+    const std::int8_t owner_before = li.owner;
+    const AccessOutcome outcome =
+        transition(li, core, is_write, is_load_class);
+
+    // Filter upkeep (sim/protocol.h): copies are never invalidated, but
+    // when a sharer joins or ownership moves the previous owner is no
+    // longer the owner and sole sharer.
+    if (owner_before >= 0 && owner_before != core)
+        demote(owner_before, line);
+    grant(core, line, li.owner == core && li.sharers == (1u << core));
+    return outcome;
+}
+
+AccessOutcome
+DragonBus::transition(LineInfo &li, int core, bool is_write,
+                      bool is_load_class)
+{
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;
     const bool remote_dirty = li.owner >= 0 && li.owner != core;

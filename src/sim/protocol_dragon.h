@@ -66,6 +66,10 @@ class DragonBus final : public CoherenceProtocol
     std::uint64_t busUpdates() const { return busUpdates_; }
 
   private:
+    /** The state change and outcome of one access to @p li. */
+    AccessOutcome transition(LineInfo &li, int core, bool is_write,
+                             bool is_load_class);
+
     FlatTable<LineInfo> lines_;
     std::uint64_t busUpdates_ = 0;
 };

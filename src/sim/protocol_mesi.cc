@@ -13,7 +13,30 @@ AccessOutcome
 MesiDirectory::access(int core, std::uint64_t addr, bool is_write,
                       bool is_load_class)
 {
-    LineInfo &li = lines_[lineOf(addr)];
+    const std::uint64_t line = lineOf(addr);
+    LineInfo &li = lines_[line];
+    const std::uint32_t sharers_before = li.sharers;
+    const std::int8_t owner_before = li.owner;
+    const AccessOutcome outcome =
+        transition(li, core, is_write, is_load_class);
+
+    // Filter upkeep (sim/protocol.h): a write invalidated every other
+    // copy; a read HITM left the old owner a clean sharer.
+    if (is_write) {
+        for (std::uint32_t others = sharers_before & ~(1u << core);
+             others != 0; others &= others - 1)
+            revoke(std::countr_zero(others), line);
+    } else if (outcome == AccessOutcome::HitmLoad) {
+        demote(owner_before, line);
+    }
+    grant(core, line, li.modified && li.owner == core);
+    return outcome;
+}
+
+AccessOutcome
+MesiDirectory::transition(LineInfo &li, int core, bool is_write,
+                          bool is_load_class)
+{
     const std::uint32_t me = 1u << core;
     const bool mine = (li.sharers & me) != 0;
 

@@ -55,6 +55,10 @@ class MesiDirectory final : public CoherenceProtocol
     const LineInfo *probe(std::uint64_t line_addr) const;
 
   private:
+    /** The state change and outcome of one access to @p li. */
+    AccessOutcome transition(LineInfo &li, int core, bool is_write,
+                             bool is_load_class);
+
     FlatTable<LineInfo> lines_;
 };
 

@@ -46,6 +46,7 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
         const std::uint64_t end = n * (s + 1) / shards_;
         detect::DetectorPipeline pipeline(
             env.context(), {}, detect::DetectorPipeline::Mode::Shard);
+        pipeline.reserveEvents(static_cast<std::size_t>(end - begin));
         const std::unique_ptr<RecordCursor> cur =
             env.file().cursorForRecords(begin, end);
         cur->drain(pipeline);
@@ -81,7 +82,11 @@ ParallelReplayer::ParallelReplayer(const TraceReplayer &env, Options opt)
     // this order reproduces the serial processing order exactly.
     {
         LASER_SPAN("replay.merge");
+        std::size_t events = 0;
+        for (const detect::DetectorState &state : states)
+            events += state.rateEvents.size();
         merged_ = std::move(states[0]);
+        merged_.rateEvents.reserve(events);
         for (int s = 1; s < shards_; ++s)
             merged_.mergeFrom(std::move(states[s]));
     }

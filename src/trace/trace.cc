@@ -164,6 +164,13 @@ getConfig(ByteReader &r, TraceMeta *m, std::string *err)
         *err = "invalid core count " + std::to_string(mc.numCores);
         return false;
     }
+    // One thread per core: a capture always writes them equal, and a
+    // replay that took one for the other would model another machine.
+    if (r.ok && mc.numCores != b.numThreads) {
+        *err = "thread count " + std::to_string(b.numThreads) +
+               " differs from core count " + std::to_string(mc.numCores);
+        return false;
+    }
     getTiming(r, &mc.timing);
     mc.seed = r.var();
     mc.maxInstructions = r.var();

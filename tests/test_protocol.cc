@@ -4,10 +4,13 @@
  * the cross-protocol identity guarantee (MESI behind the interface must
  * reproduce the pre-refactor directory's HITM stream bit-for-bit), the
  * Dragon machine's golden HITM streams, outcome equivalence fuzzing
- * against the retained CoherenceDirectory,
- * Dragon transition semantics, invariant property fuzzing over random
- * interleavings of both protocols, and cache-geometry behaviour
- * (line indexing, validity bounds).
+ * against the retained CoherenceDirectory (MESI) and the unfiltered
+ * backend (Dragon) with every access going through the private-hit
+ * filter, the filter's revocations, Dragon transition semantics,
+ * invariant property fuzzing over random interleavings of both
+ * protocols, and cache-geometry behaviour (line indexing, validity
+ * bounds). After every fuzzed access each core's filter entry for the
+ * line is checked against the backend's state.
  */
 
 #include <gtest/gtest.h>
@@ -212,6 +215,82 @@ TEST(ProtocolIdentity, DragonHitmStreamsMatchGoldens)
 // Outcome-equivalence fuzz against the retained CoherenceDirectory
 // ---------------------------------------------------------------------
 
+// ---------------------------------------------------------------------
+// The private-hit filter (sim/protocol.h) against the backend's state
+// ---------------------------------------------------------------------
+
+/** The rule for a writable filter entry: an M line the core owns. */
+bool
+grantsWrite(const MesiDirectory::LineInfo &li, int core)
+{
+    return li.modified && li.owner == core;
+}
+
+/** The rule for a writable filter entry: owner and sole sharer. */
+bool
+grantsWrite(const DragonBus::LineInfo &li, int core)
+{
+    return li.owner == core && li.sharers == (1u << core);
+}
+
+/**
+ * Every core's filter entry in @p line's slot promises no right that
+ * @p proto's line state does not grant: readable needs a copy, writable
+ * needs grantsWrite(). @p accessor, when >= 0, just accessed @p line, so
+ * its entry must hold exactly the rights it has.
+ */
+template <class Proto>
+::testing::AssertionResult
+filterHonest(const Proto &proto, std::uint64_t line, int accessor = -1)
+{
+    for (int core = 0; core < proto.numCores(); ++core) {
+        const CoherenceProtocol::FilterEntry &e =
+            proto.filterEntry(core, line);
+        if (core == accessor) {
+            const auto *li = proto.probe(line);
+            if (e.line != line || li == nullptr ||
+                    e.writable != grantsWrite(*li, core))
+                return ::testing::AssertionFailure()
+                       << "accessor " << core << " lacks its exact rights"
+                       << " on line " << line;
+        }
+        if (e.line == CoherenceProtocol::kNoLine)
+            continue;
+        const auto *li = proto.probe(e.line);
+        if (li == nullptr || (li->sharers & (1u << core)) == 0)
+            return ::testing::AssertionFailure()
+                   << "core " << core << " may read line " << e.line
+                   << " it holds no copy of";
+        if (e.writable && !grantsWrite(*li, core))
+            return ::testing::AssertionFailure()
+                   << "core " << core << " may write line " << e.line
+                   << " without the right";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** filterHonest() through the concrete backend of @p proto. */
+::testing::AssertionResult
+filterHonest(const CoherenceProtocol &proto, std::uint64_t line,
+             int accessor = -1)
+{
+    if (proto.kind() == ProtocolKind::Mesi)
+        return filterHonest(static_cast<const MesiDirectory &>(proto), line,
+                            accessor);
+    return filterHonest(static_cast<const DragonBus &>(proto), line,
+                        accessor);
+}
+
+/** What Machine::memAccess does: ask the filter, else the backend. */
+AccessOutcome
+filteredAccess(CoherenceProtocol &proto, int core, std::uint64_t addr,
+               bool is_write, bool is_load_class)
+{
+    if (proto.privateHit(core, proto.lineOf(addr), is_write))
+        return AccessOutcome::L1Hit;
+    return proto.access(core, addr, is_write, is_load_class);
+}
+
 /** Each seed at the paper's 4 cores, and the last one at kMaxCores. */
 std::vector<std::pair<std::uint64_t, int>>
 seedsAndCores(std::initializer_list<std::uint64_t> seeds)
@@ -248,12 +327,18 @@ TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
 
             const AccessOutcome expected =
                 reference.access(core, addr, is_write, is_load_class);
+            const std::uint64_t line = mesi.lineOf(addr);
+            const bool skipped = mesi.privateHit(core, line, is_write);
             const AccessOutcome actual =
-                mesi.access(core, addr, is_write, is_load_class);
+                filteredAccess(mesi, core, addr, is_write, is_load_class);
             ASSERT_EQ(actual, expected)
                 << "seed " << seed << " cores " << cores << " step " << i;
-            touched.insert(mesi.lineOf(addr));
+            ASSERT_TRUE(filterHonest(mesi, line, skipped ? -1 : core))
+                << "seed " << seed << " cores " << cores << " step " << i;
+            touched.insert(line);
         }
+        for (std::uint64_t line : touched)
+            ASSERT_TRUE(filterHonest(mesi, line)) << "seed " << seed;
         EXPECT_TRUE(reference.checkInvariants()) << cores;
         EXPECT_TRUE(mesi.checkInvariants()) << cores;
         EXPECT_EQ(mesi.linesTouched(), reference.linesTouched());
@@ -273,6 +358,143 @@ TEST(ProtocolIdentity, MesiMatchesCoherenceDirectoryOnRandomStreams)
         EXPECT_EQ(reference.probe(mesi.lineOf(0x7fff0000)), nullptr);
         EXPECT_EQ(mesi.probe(mesi.lineOf(0x7fff0000)), nullptr);
     }
+}
+
+TEST(ProtocolIdentity, DragonFilterPathMatchesBackendOnRandomStreams)
+{
+    // Dragon has no retained reference model; the reference is the same
+    // backend asked on every access, as before the filter.
+    for (const auto &[seed, cores] : seedsAndCores({5, 77, 4321})) {
+        std::mt19937_64 rng(seed);
+        DragonBus reference(cores);
+        DragonBus dragon(cores);
+        std::set<std::uint64_t> touched;
+
+        for (int i = 0; i < 20000; ++i) {
+            const int core = static_cast<int>(rng() % cores);
+            const std::uint64_t addr = rng() % 8 != 0
+                                           ? (rng() % 64) * 8
+                                           : (rng() % 2048) * 4096 + 64;
+            const bool is_write = (rng() & 1) != 0;
+            const bool is_load_class = !is_write || (rng() & 1) != 0;
+
+            const AccessOutcome expected =
+                reference.access(core, addr, is_write, is_load_class);
+            const std::uint64_t line = dragon.lineOf(addr);
+            const bool skipped = dragon.privateHit(core, line, is_write);
+            const AccessOutcome actual = filteredAccess(
+                dragon, core, addr, is_write, is_load_class);
+            ASSERT_EQ(actual, expected)
+                << "seed " << seed << " cores " << cores << " step " << i;
+            ASSERT_TRUE(filterHonest(dragon, line, skipped ? -1 : core))
+                << "seed " << seed << " cores " << cores << " step " << i;
+            touched.insert(line);
+        }
+        EXPECT_TRUE(dragon.checkInvariants()) << cores;
+        EXPECT_EQ(dragon.busUpdates(), reference.busUpdates());
+        EXPECT_EQ(dragon.linesTouched(), touched.size());
+        for (std::uint64_t line : touched) {
+            const DragonBus::LineInfo *want = reference.probe(line);
+            const DragonBus::LineInfo *got = dragon.probe(line);
+            ASSERT_NE(want, nullptr) << "seed " << seed << " line " << line;
+            ASSERT_NE(got, nullptr) << "seed " << seed << " line " << line;
+            EXPECT_EQ(got->sharers, want->sharers) << "line " << line;
+            EXPECT_EQ(got->owner, want->owner) << "line " << line;
+            EXPECT_EQ(got->exclusiveClean, want->exclusiveClean)
+                << "line " << line;
+            ASSERT_TRUE(filterHonest(dragon, line)) << "seed " << seed;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The filter: one directed case per transition that revokes a right
+// ---------------------------------------------------------------------
+
+TEST(PrivateHitFilter, MesiRemoteReadOfModifiedLineDemotesOwner)
+{
+    MesiDirectory mesi(4);
+    const std::uint64_t line = mesi.lineOf(0x1000);
+    EXPECT_EQ(mesi.access(0, 0x1000, true, false), AccessOutcome::MemMiss);
+    EXPECT_TRUE(mesi.privateHit(0, line, true)); // M, owned
+    EXPECT_EQ(mesi.access(1, 0x1000, false, true), AccessOutcome::HitmLoad);
+    // Both hold the line Shared now: either may read, neither write.
+    EXPECT_TRUE(mesi.privateHit(0, line, false));
+    EXPECT_FALSE(mesi.privateHit(0, line, true));
+    EXPECT_TRUE(mesi.privateHit(1, line, false));
+    EXPECT_FALSE(mesi.privateHit(1, line, true));
+    EXPECT_EQ(mesi.access(0, 0x1000, true, false), AccessOutcome::Upgrade);
+}
+
+TEST(PrivateHitFilter, MesiRemoteWriteToSharedLineRevokesSharers)
+{
+    MesiDirectory mesi(4);
+    const std::uint64_t line = mesi.lineOf(0x1000);
+    mesi.access(0, 0x1000, false, true);
+    mesi.access(1, 0x1000, false, true);
+    EXPECT_TRUE(mesi.privateHit(0, line, false));
+    EXPECT_TRUE(mesi.privateHit(1, line, false));
+    EXPECT_EQ(mesi.access(2, 0x1000, true, false), AccessOutcome::RfoShared);
+    EXPECT_FALSE(mesi.privateHit(0, line, false));
+    EXPECT_FALSE(mesi.privateHit(1, line, false));
+    EXPECT_TRUE(mesi.privateHit(2, line, true));
+    EXPECT_EQ(mesi.access(0, 0x1000, false, true), AccessOutcome::HitmLoad);
+}
+
+TEST(PrivateHitFilter, SilentExclusiveWriteReachesTheBackend)
+{
+    // An E line's first write is a state change (E -> M) that the
+    // backend must see, under both protocols.
+    for (const ProtocolKind kind :
+         {ProtocolKind::Mesi, ProtocolKind::Dragon}) {
+        const auto proto = makeProtocol(kind, 4);
+        const std::uint64_t line = proto->lineOf(0x1000);
+        EXPECT_EQ(proto->access(0, 0x1000, false, true),
+                  AccessOutcome::MemMiss); // E
+        EXPECT_TRUE(proto->privateHit(0, line, false)) << protocolName(kind);
+        EXPECT_FALSE(proto->privateHit(0, line, true)) << protocolName(kind);
+        EXPECT_EQ(proto->access(0, 0x1000, true, false),
+                  AccessOutcome::L1Hit);
+        EXPECT_TRUE(proto->privateHit(0, line, true)) << protocolName(kind);
+        // The write made the line dirty: a remote read is a HITM.
+        EXPECT_EQ(proto->access(1, 0x1000, false, true),
+                  AccessOutcome::HitmLoad)
+            << protocolName(kind);
+    }
+}
+
+TEST(PrivateHitFilter, DragonSharerJoiningOwnedLineDemotesOwner)
+{
+    DragonBus dragon(4);
+    const std::uint64_t line = dragon.lineOf(0x1000);
+    dragon.access(0, 0x1000, true, false); // M at core 0
+    EXPECT_TRUE(dragon.privateHit(0, line, true));
+    EXPECT_EQ(dragon.access(1, 0x1000, false, true),
+              AccessOutcome::HitmLoad);
+    // Core 0 still owns the line (Sm) but no longer alone: its writes
+    // are bus updates now.
+    EXPECT_TRUE(dragon.privateHit(0, line, false));
+    EXPECT_FALSE(dragon.privateHit(0, line, true));
+    EXPECT_TRUE(dragon.privateHit(1, line, false));
+    EXPECT_EQ(dragon.access(0, 0x1000, true, false), AccessOutcome::Upgrade);
+    EXPECT_EQ(dragon.busUpdates(), 1u);
+}
+
+TEST(PrivateHitFilter, SlotCollisionCostsOneBackendCall)
+{
+    MesiDirectory mesi(4);
+    const std::uint64_t bytes = mesi.lineBytes();
+    const std::uint64_t a = 0x1000;
+    const std::uint64_t b = a + CoherenceProtocol::kFilterSlots * bytes;
+    ASSERT_EQ(&mesi.filterEntry(0, mesi.lineOf(a)),
+              &mesi.filterEntry(0, mesi.lineOf(b)));
+    mesi.access(0, a, true, false);
+    mesi.access(0, b, true, false);
+    EXPECT_FALSE(mesi.privateHit(0, mesi.lineOf(a), false));
+    EXPECT_TRUE(mesi.privateHit(0, mesi.lineOf(b), true));
+    // The backend still holds a: the call answers L1Hit and re-grants.
+    EXPECT_EQ(mesi.access(0, a, true, false), AccessOutcome::L1Hit);
+    EXPECT_TRUE(mesi.privateHit(0, mesi.lineOf(a), true));
 }
 
 // ---------------------------------------------------------------------
@@ -393,7 +615,13 @@ TEST(ProtocolInvariants, HoldUnderRandomInterleavings)
                 const std::uint64_t addr = (rng() % 128) * 4;
                 const bool is_write = (rng() & 1) != 0;
                 const bool is_load_class = !is_write || (rng() & 1) != 0;
-                proto->access(core, addr, is_write, is_load_class);
+                const std::uint64_t line = proto->lineOf(addr);
+                const bool skipped = proto->privateHit(core, line, is_write);
+                filteredAccess(*proto, core, addr, is_write, is_load_class);
+                ASSERT_TRUE(
+                    filterHonest(*proto, line, skipped ? -1 : core))
+                    << protocolName(kind) << " seed " << seed << " cores "
+                    << cores << " step " << i;
                 if (i % 512 == 0) {
                     ASSERT_TRUE(proto->checkInvariants())
                         << protocolName(kind) << " seed " << seed

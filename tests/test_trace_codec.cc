@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "analysis/sink.h"
 #include "detect/pipeline.h"
@@ -127,6 +128,29 @@ TEST(ColumnCoding, EveryColumnRoundTripsEveryShape)
             EXPECT_EQ(decoded, vals) << col::columnName(c);
         }
     }
+}
+
+TEST(ColumnCoding, EncodedShapeCorpusMatchesPinnedDigest)
+{
+    // FNV-1a over every column's encoding of every shape: the layout is
+    // pinned, so a faster encoder must write the same bytes.
+    std::uint64_t hash = 1469598103934665603ULL;
+    const auto mix = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 1099511628211ULL;
+        }
+    };
+    for (const auto &vals : codecCorpus()) {
+        for (std::size_t c = 0; c < col::kColumnCount; ++c) {
+            std::vector<std::uint8_t> bytes;
+            col::encodeColumn(c, vals, &bytes);
+            mix(bytes.size());
+            for (const std::uint8_t b : bytes)
+                mix(b);
+        }
+    }
+    EXPECT_EQ(hash, 0x5119e394982ca745ULL) << std::hex << hash;
 }
 
 TEST(ColumnCoding, DictPackIsDictionaryThenPackedIndices)
@@ -495,6 +519,7 @@ TEST(TraceConfigBounds, ThreadCountWithinCoreRange)
     for (int threads : {1, 32})
         EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
                       m->build.numThreads = threads;
+                      m->machine.numCores = threads;
                   }, &error),
                   TraceStatus::Ok)
             << threads << ": " << error;
@@ -537,9 +562,36 @@ TEST(TraceConfigBounds, CoreCountWithinSharerMask)
     for (int cores : {1, sim::kMaxCores})
         EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
                       m->machine.numCores = cores;
+                      m->build.numThreads = cores;
                   }, &error),
                   TraceStatus::Ok)
             << cores << ": " << error;
+}
+
+TEST(TraceConfigBounds, ThreadCountEqualsCoreCount)
+{
+    // Each count alone is in range; a replay of such a file would model
+    // a machine the capture never ran on.
+    std::string error;
+    for (const auto &[threads, cores] :
+         {std::pair{2, 8}, std::pair{32, 1}, std::pair{1, 32},
+          std::pair{4, 5}}) {
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.numThreads = threads;
+                      m->machine.numCores = cores;
+                  }, &error),
+                  TraceStatus::Corrupt)
+            << threads << "/" << cores;
+        EXPECT_NE(error.find("differs from core count"), std::string::npos)
+            << error;
+    }
+    for (int n : {1, 4, sim::kMaxCores})
+        EXPECT_EQ(openEditedConfig([&](TraceMeta *m) {
+                      m->build.numThreads = n;
+                      m->machine.numCores = n;
+                  }, &error),
+                  TraceStatus::Ok)
+            << n << ": " << error;
 }
 
 // ---------------------------------------------------------------------
