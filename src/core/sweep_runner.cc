@@ -206,7 +206,10 @@ thresholdSweep(SweepRunner &runner,
     // Phase 1: one monitored simulation per workload (cache permitting),
     // fanned across the pool, plus one replay environment each. Traces
     // are served as seekable files, never materialized: the digest
-    // phase streams them block-at-a-time through shard cursors.
+    // phase streams them block-at-a-time through shard cursors. The
+    // phase is a barrier, so its slowest job holds up every digest;
+    // on a warm cache that is the largest environment build, which is
+    // why an environment builds the program without its input image.
     std::vector<std::shared_ptr<const trace::TraceFile>> traces(nw);
     std::vector<std::unique_ptr<trace::TraceReplayer>> replayers(nw);
     const auto capture_start = std::chrono::steady_clock::now();

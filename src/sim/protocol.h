@@ -122,15 +122,26 @@ class CoherenceProtocol
 
     /** Filter slots per core; a power of two. */
     static constexpr std::size_t kFilterSlots = 1024;
-    /** The line of an empty filter slot; no line address is this. */
+    /**
+     * The bits of an empty filter slot. A line address is below 2^61
+     * (lines are at least 8 bytes), so no entry's bits equal this, and
+     * an empty slot's line() matches no line.
+     */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
 
-    /** One filter slot: what @p line's holder may do without access(). */
+    /**
+     * One filter slot: what line()'s holder may do without access(),
+     * packed into eight bytes as line << 1 | writable.
+     */
     struct FilterEntry
     {
-        std::uint64_t line = kNoLine;
-        bool writable = false;
+        std::uint64_t bits = kNoLine;
+
+        bool empty() const { return bits == kNoLine; }
+        std::uint64_t line() const { return bits >> 1; }
+        bool writable() const { return (bits & 1) != 0; }
     };
+    static_assert(sizeof(FilterEntry) == 8);
 
     /**
      * True when access(@p core, an address in @p line, @p is_write, ...)
@@ -140,8 +151,11 @@ class CoherenceProtocol
     bool
     privateHit(int core, std::uint64_t line, bool is_write) const
     {
-        const FilterEntry &e = filter_[slot(core, line)];
-        return e.line == line && (!is_write || e.writable);
+        // A read ignores the writable bit. An empty slot's bits are all
+        // ones, which no entry (line << 1 | 1, line < 2^61) equals.
+        const std::uint64_t bits = filter_[slot(core, line)].bits;
+        return (bits | static_cast<std::uint64_t>(!is_write)) ==
+               (line << 1 | 1);
     }
 
     /** The slot of @p core's filter that @p line maps to (for tests). */
@@ -175,7 +189,8 @@ class CoherenceProtocol
     void
     grant(int core, std::uint64_t line, bool writable)
     {
-        filter_[slot(core, line)] = {line, writable};
+        filter_[slot(core, line)].bits =
+            line << 1 | static_cast<std::uint64_t>(writable);
     }
 
     /** @p core no longer holds @p line. */
@@ -183,7 +198,7 @@ class CoherenceProtocol
     revoke(int core, std::uint64_t line)
     {
         FilterEntry &e = filter_[slot(core, line)];
-        if (e.line == line)
+        if (e.line() == line)
             e = {};
     }
 
@@ -192,8 +207,8 @@ class CoherenceProtocol
     demote(int core, std::uint64_t line)
     {
         FilterEntry &e = filter_[slot(core, line)];
-        if (e.line == line)
-            e.writable = false;
+        if (e.line() == line)
+            e.bits &= ~std::uint64_t{1};
     }
 
     int numCores_;

@@ -27,8 +27,7 @@ TraceReplayer::TraceReplayer(const TraceMeta &meta, const TraceFile &file)
         error_ = "unknown workload \"" + meta_->workload + "\"";
         return;
     }
-    workloads::WorkloadBuild build = def->build(meta_->build);
-    program_ = std::move(build.program);
+    program_ = def->buildProgram(meta_->build);
     space_ = std::make_unique<mem::AddressSpace>(program_,
                                                  meta_->machine.numCores);
     ctx_ = std::make_unique<detect::DetectorContext>(

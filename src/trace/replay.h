@@ -6,8 +6,11 @@
  *
  * The replayer rebuilds the capture's program from the workload registry
  * (workload builders are deterministic for fixed BuildOptions) and its
- * address-space layout. The rebuilt environment (program, address
- * space, parsed maps, load/store sets) is shared and immutable, so one
+ * address-space layout. It asks for the program alone
+ * (WorkloadDef::buildProgram): a replay never runs the program, so the
+ * initial memory image, histogram's 416k input pixels at scale 4, is
+ * not synthesized. The rebuilt environment (program, address space,
+ * parsed maps, load/store sets) is shared and immutable, so one
  * replayer can serve many configurations and many shard pipelines
  * concurrently.
  *

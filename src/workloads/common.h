@@ -33,12 +33,13 @@ class Ctx
 {
   public:
     Ctx(const std::string &program_name, const std::string &main_file,
-        const BuildOptions &opt)
+        const BuildOptions &opt, Image image)
         : a(program_name, main_file),
           heap(mem::Layout::kHeapBase, mem::Layout::kHeapSize),
           globals(mem::Layout::kGlobalsBase, mem::Layout::kGlobalsSize),
           rng(opt.inputSeed),
-          opt(opt)
+          opt(opt),
+          image_(image)
     {
         heap.perturb(opt.heapPerturbation);
     }
@@ -50,6 +51,13 @@ class Ctx
         const auto v = static_cast<std::int64_t>(double(n) * opt.scale);
         return v > 1 ? v : 1;
     }
+
+    /**
+     * False when the build skips the image: init64/init8 then record
+     * nothing, and a builder may skip input synthesis whose values
+     * (and rng draws) feed only the image.
+     */
+    bool synthesizesImage() const { return image_ == Image::Synthesize; }
 
     /** Record an initial 64-bit memory value. */
     void
@@ -102,6 +110,8 @@ class Ctx
     void
     initBytes(std::uint64_t addr, std::uint64_t value, int size)
     {
+        if (!synthesizesImage())
+            return;
         if (runs_.empty() ||
                 runs_.back().addr + runs_.back().size != addr)
             runs_.push_back({addr, bytes_.size(), 0});
@@ -110,6 +120,7 @@ class Ctx
         runs_.back().size += static_cast<std::uint64_t>(size);
     }
 
+    Image image_;
     std::vector<std::uint8_t> bytes_;
     std::vector<WorkloadBuild::Run> runs_;
 };

@@ -29,9 +29,9 @@ using namespace laser::isa;
 namespace {
 
 WorkloadBuild
-buildBlackscholes(const BuildOptions &opt)
+buildBlackscholes(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("blackscholes", "blackscholes.c", opt);
+    Ctx ctx("blackscholes", "blackscholes.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t options = ctx.scaled(5200);
     const std::uint64_t data = ctx.heap.allocAligned(
@@ -71,7 +71,7 @@ makeBlackscholes()
     def.info.name = "blackscholes";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildBlackscholes;
+    def.builder = buildBlackscholes;
     return def;
 }
 
@@ -82,9 +82,9 @@ makeBlackscholes()
 namespace {
 
 WorkloadBuild
-buildBodytrack(const BuildOptions &opt)
+buildBodytrack(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("bodytrack", "TicketDispenser.cpp", opt);
+    Ctx ctx("bodytrack", "TicketDispenser.cpp", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t tickets = ctx.scaled(2600);
@@ -161,7 +161,7 @@ makeBodytrack()
          "fundamental to load balancing (Section 7.4.2)",
          {"TicketDispenser.cpp:43"}});
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildBodytrack;
+    def.builder = buildBodytrack;
     return def;
 }
 
@@ -172,9 +172,9 @@ makeBodytrack()
 namespace {
 
 WorkloadBuild
-buildCanneal(const BuildOptions &opt)
+buildCanneal(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("canneal", "canneal.cpp", opt);
+    Ctx ctx("canneal", "canneal.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t moves = ctx.scaled(2200);
     const std::int64_t elements = 512;
@@ -228,7 +228,7 @@ makeCanneal()
     def.info.name = "canneal";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildCanneal;
+    def.builder = buildCanneal;
     return def;
 }
 
@@ -244,9 +244,9 @@ namespace {
  * build takes the single queue lock around every operation.
  */
 WorkloadBuild
-buildDedup(const BuildOptions &opt, bool lockfree)
+buildDedup(const BuildOptions &opt, Image image, bool lockfree)
 {
-    Ctx ctx("dedup", "queue.c", opt);
+    Ctx ctx("dedup", "queue.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t items = ctx.scaled(700);
@@ -452,8 +452,8 @@ makeDedup()
           "queue.c:48"}});
     def.info.sheriff = SheriffCompat::Incompatible; // spin locks
     def.info.hasManualFix = true;
-    def.build = [](const BuildOptions &opt) {
-        return buildDedup(opt, opt.manualFix);
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildDedup(opt, image, opt.manualFix);
     };
     return def;
 }
@@ -465,9 +465,9 @@ makeDedup()
 namespace {
 
 WorkloadBuild
-buildFacesim(const BuildOptions &opt)
+buildFacesim(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("facesim", "facesim.cpp", opt);
+    Ctx ctx("facesim", "facesim.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t frames = ctx.scaled(12);
     const std::uint64_t mesh = ctx.heap.allocAligned(
@@ -504,7 +504,7 @@ makeFacesim()
     def.info.name = "facesim";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildFacesim;
+    def.builder = buildFacesim;
     return def;
 }
 
@@ -515,9 +515,9 @@ makeFacesim()
 namespace {
 
 WorkloadBuild
-buildFerret(const BuildOptions &opt)
+buildFerret(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("ferret", "ferret.c", opt);
+    Ctx ctx("ferret", "ferret.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t queries = ctx.scaled(220);
     const std::uint64_t work = ctx.heap.allocAligned(
@@ -561,7 +561,7 @@ makeFerret()
     def.info.name = "ferret";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildFerret;
+    def.builder = buildFerret;
     return def;
 }
 
@@ -572,9 +572,9 @@ makeFerret()
 namespace {
 
 WorkloadBuild
-buildFluidanimate(const BuildOptions &opt)
+buildFluidanimate(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("fluidanimate", "fluidanimate.cpp", opt);
+    Ctx ctx("fluidanimate", "fluidanimate.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t steps = ctx.scaled(170);
     const std::int64_t cells = 128;
@@ -624,7 +624,7 @@ makeFluidanimate()
     def.info.name = "fluidanimate";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildFluidanimate;
+    def.builder = buildFluidanimate;
     return def;
 }
 
@@ -635,9 +635,9 @@ makeFluidanimate()
 namespace {
 
 WorkloadBuild
-buildFreqmine(const BuildOptions &opt)
+buildFreqmine(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("freqmine", "freqmine.cpp", opt);
+    Ctx ctx("freqmine", "freqmine.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t transactions = ctx.scaled(1600);
     const std::uint64_t tree = ctx.heap.allocAligned(32768, 64);
@@ -680,7 +680,7 @@ makeFreqmine()
     def.info.name = "freqmine";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Incompatible; // OpenMP
-    def.build = buildFreqmine;
+    def.builder = buildFreqmine;
     return def;
 }
 
@@ -691,11 +691,11 @@ makeFreqmine()
 namespace {
 
 WorkloadBuild
-buildRaytrace(const BuildOptions &opt, const std::string &name,
+buildRaytrace(const BuildOptions &opt, Image image, const std::string &name,
               const std::string &file, std::int64_t rays_scale,
               std::int64_t counter_period)
 {
-    Ctx ctx(name, file, opt);
+    Ctx ctx(name, file, opt, image);
     Asm &a = ctx.a;
     const std::int64_t rays = ctx.scaled(rays_scale);
     const std::uint64_t bvh = ctx.heap.allocAligned(32768, 64);
@@ -754,8 +754,8 @@ makeRaytraceParsec()
     def.info.name = "raytrace.parsec";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Incompatible;
-    def.build = [](const BuildOptions &opt) {
-        return buildRaytrace(opt, "raytrace_parsec", "rtview.cpp", 2800,
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildRaytrace(opt, image, "raytrace_parsec", "rtview.cpp", 2800,
                              255);
     };
     return def;
@@ -768,9 +768,9 @@ makeRaytraceParsec()
 namespace {
 
 WorkloadBuild
-buildStreamcluster(const BuildOptions &opt)
+buildStreamcluster(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("streamcluster", "streamcluster.cpp", opt);
+    Ctx ctx("streamcluster", "streamcluster.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t points = ctx.scaled(2400);
     // work_mem: per-thread slots padded to 32 bytes — enough for the
@@ -830,7 +830,7 @@ makeStreamcluster()
           "streamcluster.cpp:646"}});
     def.info.sheriff = SheriffCompat::Crash;
     def.info.hasManualFix = true;
-    def.build = buildStreamcluster;
+    def.builder = buildStreamcluster;
     return def;
 }
 
@@ -841,9 +841,9 @@ makeStreamcluster()
 namespace {
 
 WorkloadBuild
-buildSwaptions(const BuildOptions &opt)
+buildSwaptions(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("swaptions", "swaptions.cpp", opt);
+    Ctx ctx("swaptions", "swaptions.cpp", opt, image);
     Asm &a = ctx.a;
     const std::int64_t sims = ctx.scaled(950);
     const std::uint64_t paths = ctx.heap.allocAligned(
@@ -880,7 +880,7 @@ makeSwaptions()
     def.info.name = "swaptions";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildSwaptions;
+    def.builder = buildSwaptions;
     return def;
 }
 
@@ -891,9 +891,9 @@ makeSwaptions()
 namespace {
 
 WorkloadBuild
-buildVips(const BuildOptions &opt)
+buildVips(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("vips", "vips.c", opt);
+    Ctx ctx("vips", "vips.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t tiles = ctx.scaled(420);
     const std::uint64_t input = ctx.heap.allocAligned(65536, 64);
@@ -937,7 +937,7 @@ makeVips()
     def.info.name = "vips";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Incompatible;
-    def.build = buildVips;
+    def.builder = buildVips;
     return def;
 }
 
@@ -948,9 +948,9 @@ makeVips()
 namespace {
 
 WorkloadBuild
-buildX264(const BuildOptions &opt)
+buildX264(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("x264", "x264.c", opt);
+    Ctx ctx("x264", "x264.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t mbs = ctx.scaled(1600);
     constexpr int kSites = 64;
@@ -1002,7 +1002,7 @@ makeX264()
     def.info.name = "x264";
     def.info.suite = Suite::Parsec;
     def.info.sheriff = SheriffCompat::Incompatible;
-    def.build = buildX264;
+    def.builder = buildX264;
     return def;
 }
 

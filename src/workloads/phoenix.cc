@@ -31,9 +31,9 @@ using namespace laser::isa;
 namespace {
 
 WorkloadBuild
-buildLinearRegression(const BuildOptions &opt)
+buildLinearRegression(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("linear_regression", "lreg.c", opt);
+    Ctx ctx("linear_regression", "lreg.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t points_per_thread = ctx.scaled(2600);
@@ -118,7 +118,7 @@ makeLinearRegression()
     def.info.sheriff = SheriffCompat::Works;
     def.info.sheriffDetectsBug = false; // Table 1: Sheriff-Detect FN
     def.info.hasManualFix = true;
-    def.build = buildLinearRegression;
+    def.builder = buildLinearRegression;
     return def;
 }
 
@@ -129,13 +129,14 @@ makeLinearRegression()
 namespace {
 
 WorkloadBuild
-buildHistogram(const BuildOptions &opt, bool alt_input)
+buildHistogram(const BuildOptions &opt, Image image, bool alt_input)
 {
-    Ctx ctx(alt_input ? "histogram_alt" : "histogram", "histogram.c", opt);
+    Ctx ctx(alt_input ? "histogram_alt" : "histogram", "histogram.c", opt,
+            image);
     Asm &a = ctx.a;
 
     const std::int64_t pixels_per_thread = ctx.scaled(26000);
-    const std::uint64_t image = ctx.heap.alloc(
+    const std::uint64_t pixels = ctx.heap.alloc(
         std::uint64_t(pixels_per_thread) * opt.numThreads);
     // Per-thread bin arrays, contiguous: 256 4-byte bins each. Plain
     // malloc puts the block at offset 16 (mod 64), so each boundary line
@@ -150,8 +151,11 @@ buildHistogram(const BuildOptions &opt, bool alt_input)
 
     // Input synthesis: the default image avoids the boundary bins
     // entirely; the alternative image (histogram') concentrates on them.
-    for (std::int64_t i = 0;
-         i < pixels_per_thread * opt.numThreads; ++i) {
+    // The rng draws feed only the image, so a build without the image
+    // skips them.
+    const std::int64_t input_pixels =
+        ctx.synthesizesImage() ? pixels_per_thread * opt.numThreads : 0;
+    for (std::int64_t i = 0; i < input_pixels; ++i) {
         std::uint8_t pixel;
         if (alt_input) {
             // 95% of pixels land in the falsely-shared boundary bins.
@@ -165,14 +169,14 @@ buildHistogram(const BuildOptions &opt, bool alt_input)
         } else {
             pixel = std::uint8_t(16 + ctx.rng.below(224));
         }
-        ctx.init8(image + std::uint64_t(i), pixel);
+        ctx.init8(pixels + std::uint64_t(i), pixel);
     }
 
     a.at(20).tid(R1);
     a.at(22);
     emitThreadAddr(a, R2, R1, counters, stride, R3);
     a.at(24);
-    emitThreadAddr(a, R4, R1, image, pixels_per_thread, R3);
+    emitThreadAddr(a, R4, R1, pixels, pixels_per_thread, R3);
     a.at(25).movi(R5, pixels_per_thread);
     a.movi(R9, 1);
 
@@ -199,8 +203,8 @@ makeHistogram()
     def.info.name = "histogram";
     def.info.suite = Suite::Phoenix;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = [](const BuildOptions &opt) {
-        return buildHistogram(opt, false);
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildHistogram(opt, image, false);
     };
     return def;
 }
@@ -220,8 +224,8 @@ makeHistogramAlt()
     def.info.sheriff = SheriffCompat::Works;
     def.info.sheriffDetectsBug = false; // Table 1: Sheriff-Detect FN
     def.info.hasManualFix = true;
-    def.build = [](const BuildOptions &opt) {
-        return buildHistogram(opt, true);
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildHistogram(opt, image, true);
     };
     return def;
 }
@@ -233,9 +237,9 @@ makeHistogramAlt()
 namespace {
 
 WorkloadBuild
-buildKmeans(const BuildOptions &opt)
+buildKmeans(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("kmeans", "kmeans.c", opt);
+    Ctx ctx("kmeans", "kmeans.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t rounds = ctx.scaled(110);
@@ -363,9 +367,9 @@ buildKmeans(const BuildOptions &opt)
 
 /** Manual fix: sums on the worker stack, `modified` cached (one write). */
 WorkloadBuild
-buildKmeansFixed(const BuildOptions &opt)
+buildKmeansFixed(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("kmeans", "kmeans.c", opt);
+    Ctx ctx("kmeans", "kmeans.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t rounds = ctx.scaled(110);
@@ -473,8 +477,9 @@ makeKmeans()
          {"kmeans.c:80", "kmeans.c:81"}});
     def.info.sheriff = SheriffCompat::Crash;
     def.info.hasManualFix = true;
-    def.build = [](const BuildOptions &opt) {
-        return opt.manualFix ? buildKmeansFixed(opt) : buildKmeans(opt);
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return opt.manualFix ? buildKmeansFixed(opt, image)
+                             : buildKmeans(opt, image);
     };
     return def;
 }
@@ -486,9 +491,9 @@ makeKmeans()
 namespace {
 
 WorkloadBuild
-buildMatrixMultiply(const BuildOptions &opt)
+buildMatrixMultiply(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("matrix_multiply", "mm.c", opt);
+    Ctx ctx("matrix_multiply", "mm.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t n = 24;
@@ -541,7 +546,7 @@ makeMatrixMultiply()
     def.info.name = "matrix_multiply";
     def.info.suite = Suite::Phoenix;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildMatrixMultiply;
+    def.builder = buildMatrixMultiply;
     return def;
 }
 
@@ -552,9 +557,9 @@ makeMatrixMultiply()
 namespace {
 
 WorkloadBuild
-buildPca(const BuildOptions &opt)
+buildPca(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("pca", "pca.c", opt);
+    Ctx ctx("pca", "pca.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t rows = ctx.scaled(200);
@@ -621,7 +626,7 @@ makePca()
     def.info.name = "pca";
     def.info.suite = Suite::Phoenix;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildPca;
+    def.builder = buildPca;
     return def;
 }
 
@@ -638,10 +643,10 @@ namespace {
  */
 WorkloadBuild
 buildUseLenKernel(const std::string &name, const std::string &file,
-                  const BuildOptions &opt, std::int64_t items,
+                  const BuildOptions &opt, Image image, std::int64_t items,
                   std::int64_t items_per_bump, int extra_arith)
 {
-    Ctx ctx(name, file, opt);
+    Ctx ctx(name, file, opt, image);
     Asm &a = ctx.a;
 
     const std::uint64_t text =
@@ -700,9 +705,9 @@ makeReverseIndex()
     // false positive.
     def.info.sheriffReportLocation = "malloc_wrapper.c:12";
     def.info.hasManualFix = true;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         return buildUseLenKernel("reverse_index", "reverse_index.c", opt,
-                                 9000, 12, 2);
+                                 image, 9000, 12, 2);
     };
     return def;
 }
@@ -718,9 +723,9 @@ makeWordCount()
     // entry, and LASER's (correct) report counts as its one Table 1
     // false positive.
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = [](const BuildOptions &opt) {
-        return buildUseLenKernel("word_count", "word_count.c", opt, 11000,
-                                 20, 4);
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildUseLenKernel("word_count", "word_count.c", opt, image,
+                                 11000, 20, 4);
     };
     return def;
 }
@@ -732,9 +737,9 @@ makeWordCount()
 namespace {
 
 WorkloadBuild
-buildStringMatch(const BuildOptions &opt)
+buildStringMatch(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("string_match", "string_match.c", opt);
+    Ctx ctx("string_match", "string_match.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t keys = ctx.scaled(42000);
@@ -775,7 +780,7 @@ makeStringMatch()
     def.info.name = "string_match";
     def.info.suite = Suite::Phoenix;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = buildStringMatch;
+    def.builder = buildStringMatch;
     return def;
 }
 

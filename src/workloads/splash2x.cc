@@ -42,9 +42,9 @@ struct PhasedParams
 };
 
 WorkloadBuild
-buildPhased(const BuildOptions &opt, const PhasedParams &pp)
+buildPhased(const BuildOptions &opt, Image image, const PhasedParams &pp)
 {
-    Ctx ctx(pp.name, pp.file, opt);
+    Ctx ctx(pp.name, pp.file, opt, image);
     Asm &a = ctx.a;
     const std::uint64_t data = ctx.heap.allocAligned(
         std::uint64_t(opt.numThreads) * 32768 + 4096, 64);
@@ -77,9 +77,9 @@ buildPhased(const BuildOptions &opt, const PhasedParams &pp)
 namespace {
 
 WorkloadBuild
-buildBarnes(const BuildOptions &opt)
+buildBarnes(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("barnes", "barnes.c", opt);
+    Ctx ctx("barnes", "barnes.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t bodies = ctx.scaled(450);
     const std::int64_t cells = 64;
@@ -133,7 +133,7 @@ makeBarnes()
     def.info.name = "barnes";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildBarnes;
+    def.builder = buildBarnes;
     return def;
 }
 
@@ -144,9 +144,9 @@ makeBarnes()
 namespace {
 
 WorkloadBuild
-buildFft(const BuildOptions &opt)
+buildFft(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("fft", "fft.c", opt);
+    Ctx ctx("fft", "fft.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t phases = 6;
     const std::int64_t elems = ctx.scaled(550);
@@ -194,7 +194,7 @@ makeFft()
     def.info.name = "fft";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildFft;
+    def.builder = buildFft;
     return def;
 }
 
@@ -209,7 +209,7 @@ makeFmm()
     def.info.name = "fmm";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         PhasedParams pp;
         pp.name = "fmm";
         pp.file = "fmm.c";
@@ -217,7 +217,7 @@ makeFmm()
         pp.inner = 260;
         pp.arith = 7;
         pp.baseLine = 70;
-        return buildPhased(opt, pp);
+        return buildPhased(opt, image, pp);
     };
     return def;
 }
@@ -229,7 +229,7 @@ makeLuCb()
     def.info.name = "lu_cb";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::WorksSmallInput;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         PhasedParams pp;
         pp.name = "lu_cb";
         pp.file = "lu_cb.c";
@@ -239,7 +239,7 @@ makeLuCb()
         pp.arith = 5;
         pp.stores = 2;
         pp.baseLine = 120;
-        return buildPhased(opt, pp);
+        return buildPhased(opt, image, pp);
     };
     return def;
 }
@@ -251,7 +251,7 @@ makeOceanCp()
     def.info.name = "ocean_cp";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         PhasedParams pp;
         pp.name = "ocean_cp";
         pp.file = "ocean_cp.c";
@@ -261,7 +261,7 @@ makeOceanCp()
         pp.arith = 4;
         pp.stores = 1;
         pp.baseLine = 200;
-        return buildPhased(opt, pp);
+        return buildPhased(opt, image, pp);
     };
     return def;
 }
@@ -273,7 +273,7 @@ makeOceanNcp()
     def.info.name = "ocean_ncp";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         PhasedParams pp;
         pp.name = "ocean_ncp";
         pp.file = "ocean_ncp.c";
@@ -283,7 +283,7 @@ makeOceanNcp()
         pp.arith = 3;
         pp.stores = 2;
         pp.baseLine = 230;
-        return buildPhased(opt, pp);
+        return buildPhased(opt, image, pp);
     };
     return def;
 }
@@ -295,9 +295,9 @@ makeOceanNcp()
 namespace {
 
 WorkloadBuild
-buildLuNcb(const BuildOptions &opt)
+buildLuNcb(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("lu_ncb", "lu_ncb.c", opt);
+    Ctx ctx("lu_ncb", "lu_ncb.c", opt, image);
     Asm &a = ctx.a;
 
     const std::int64_t steps = ctx.scaled(30);
@@ -410,7 +410,7 @@ makeLuNcb()
           "lu_ncb.c:144"}});
     def.info.sheriff = SheriffCompat::WorksSmallInput;
     def.info.hasManualFix = true;
-    def.build = buildLuNcb;
+    def.builder = buildLuNcb;
     return def;
 }
 
@@ -421,9 +421,9 @@ makeLuNcb()
 namespace {
 
 WorkloadBuild
-buildRadiosity(const BuildOptions &opt)
+buildRadiosity(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("radiosity", "radiosity.c", opt);
+    Ctx ctx("radiosity", "radiosity.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t tasks = ctx.scaled(420);
     const std::uint64_t task_lock = ctx.globals.allocAligned(64, 64);
@@ -466,7 +466,7 @@ makeRadiosity()
     def.info.name = "radiosity";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Crash;
-    def.build = buildRadiosity;
+    def.builder = buildRadiosity;
     return def;
 }
 
@@ -477,9 +477,9 @@ makeRadiosity()
 namespace {
 
 WorkloadBuild
-buildRadix(const BuildOptions &opt)
+buildRadix(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("radix", "radix.c", opt);
+    Ctx ctx("radix", "radix.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t keys = ctx.scaled(2600);
     const std::uint64_t input = ctx.heap.allocAligned(
@@ -546,7 +546,7 @@ makeRadix()
     def.info.name = "radix";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::WorksSmallInput;
-    def.build = buildRadix;
+    def.builder = buildRadix;
     return def;
 }
 
@@ -561,11 +561,11 @@ makeRaytraceSplash2x()
     def.info.name = "raytrace.splash2x";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = [](const BuildOptions &opt) {
+    def.builder = [](const BuildOptions &opt, Image image) {
         // Same traversal kernel as the parsec version, but with a much
         // hotter global ray-id counter: its dispatch lines are LASER's
         // (and Sheriff's) raytrace.splash2x false positives.
-        Ctx ctx("raytrace_splash2x", "rltotems.c", opt);
+        Ctx ctx("raytrace_splash2x", "rltotems.c", opt, image);
         Asm &a = ctx.a;
         const std::int64_t rays = ctx.scaled(3400);
         const std::uint64_t bvh = ctx.heap.allocAligned(32768, 64);
@@ -621,9 +621,9 @@ makeRaytraceSplash2x()
 namespace {
 
 WorkloadBuild
-buildVolrend(const BuildOptions &opt)
+buildVolrend(const BuildOptions &opt, Image image)
 {
-    Ctx ctx("volrend", "volrend.c", opt);
+    Ctx ctx("volrend", "volrend.c", opt, image);
     Asm &a = ctx.a;
     const std::int64_t tiles = ctx.scaled(1900);
     const std::int64_t batch = opt.manualFix ? 8 : 1;
@@ -677,7 +677,7 @@ makeVolrend()
          {"volrend.c:240", "volrend.c:242", "volrend.c:243"}});
     def.info.sheriff = SheriffCompat::Crash;
     def.info.hasManualFix = true;
-    def.build = buildVolrend;
+    def.builder = buildVolrend;
     return def;
 }
 
@@ -688,11 +688,11 @@ makeVolrend()
 namespace {
 
 WorkloadBuild
-buildWater(const BuildOptions &opt, const std::string &name,
+buildWater(const BuildOptions &opt, Image image, const std::string &name,
            const std::string &file, int lock_sites,
            std::int64_t interactions, int compute_rounds)
 {
-    Ctx ctx(name, file, opt);
+    Ctx ctx(name, file, opt, image);
     Asm &a = ctx.a;
     const std::int64_t mol_count = 32;
     const std::uint64_t mol_locks =
@@ -767,8 +767,8 @@ makeWaterNsquared()
     def.info.name = "water_nsquared";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::Works;
-    def.build = [](const BuildOptions &opt) {
-        return buildWater(opt, "water_nsquared", "water_ns.c", 16, 2600,
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildWater(opt, image, "water_nsquared", "water_ns.c", 16, 2600,
                           14);
     };
     return def;
@@ -781,8 +781,8 @@ makeWaterSpatial()
     def.info.name = "water_spatial";
     def.info.suite = Suite::Splash2x;
     def.info.sheriff = SheriffCompat::WorksSmallInput;
-    def.build = [](const BuildOptions &opt) {
-        return buildWater(opt, "water_spatial", "water_sp.c", 4, 280,
+    def.builder = [](const BuildOptions &opt, Image image) {
+        return buildWater(opt, image, "water_spatial", "water_sp.c", 4, 280,
                           40);
     };
     return def;

@@ -13,15 +13,16 @@
  *
  * A build's initial memory image is one byte buffer plus the runs of
  * consecutive addresses it fills, not an entry per initialized word:
- * histogram's input image is 416k bytes at scale 4, and the trace
- * replayer rebuilds every image it replays.
+ * histogram's input image is 416k bytes at scale 4. Only a simulation
+ * needs the image. Re-analysis of a stored trace needs the program
+ * alone, so WorkloadDef::buildProgram() returns exactly build()'s
+ * program without synthesizing the image.
  */
 
 #ifndef LASER_WORKLOADS_WORKLOAD_H
 #define LASER_WORKLOADS_WORKLOAD_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,13 @@ validScale(double scale)
     return scale > 0.0 && scale <= kMaxScale;
 }
 
+/**
+ * Whether a builder synthesizes the initial memory image. No program
+ * may depend on it: a builder emits the same code either way, and
+ * input draws that feed only the image are skipped with it.
+ */
+enum class Image : std::uint8_t { Synthesize, Skip };
+
 /** A built workload: program + initial memory image. */
 struct WorkloadBuild
 {
@@ -135,7 +143,8 @@ struct WorkloadBuild
     /**
      * The initial memory image: every initialized byte in init order,
      * placed by runs of consecutive addresses. Runs may overlap; a
-     * later run wins, as a later init did.
+     * later run wins, as a later init did. Both are empty when the
+     * build skipped the image.
      */
     std::vector<std::uint8_t> bytes;
     std::vector<Run> runs;
@@ -153,7 +162,26 @@ struct WorkloadBuild
 struct WorkloadDef
 {
     WorkloadInfo info;
-    std::function<WorkloadBuild(const BuildOptions &)> build;
+    /** The suite's builder behind build() and buildProgram(). */
+    WorkloadBuild (*builder)(const BuildOptions &, Image) = nullptr;
+
+    /** Program plus initial memory image: what a simulation loads. */
+    WorkloadBuild
+    build(const BuildOptions &opt) const
+    {
+        return builder(opt, Image::Synthesize);
+    }
+
+    /**
+     * Exactly build(opt).program, without synthesizing the initial
+     * memory image: for callers that analyse a stored trace and never
+     * run the program.
+     */
+    isa::Program
+    buildProgram(const BuildOptions &opt) const
+    {
+        return builder(opt, Image::Skip).program;
+    }
 };
 
 /** All 35 workload configurations, in Table 1 order. */

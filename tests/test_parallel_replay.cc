@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/sink.h"
 #include "core/experiment.h"
@@ -390,6 +391,39 @@ TEST(ParallelReplay, EmptyTraceUsesOneShard)
     cfg.sav = trace.meta.pebs.sav;
     EXPECT_TRUE(detect::reportsIdentical(directReport(env, trace, cfg),
                                          parallel.replay(cfg)));
+}
+
+TEST(ParallelReplay, ConcurrentReplayEnvironmentsMatchSerial)
+{
+    // Every capture's replay environment (a program-only workload
+    // build, its address space and its detector context) is built at
+    // once on a pool, as thresholdSweep's first phase builds them, and
+    // each is digested there too. Every report must equal the serial
+    // replayDetection's: building environments shares no mutable state.
+    const auto &all = workloads::allWorkloads();
+    std::vector<std::unique_ptr<TraceFile>> files(all.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        files[i] = openTrace(captureTrace(all[i]));
+
+    util::ThreadPool pool(4);
+    std::vector<std::unique_ptr<TraceReplayer>> envs(all.size());
+    std::vector<detect::DetectionReport> reports(all.size());
+    pool.parallelFor(all.size(), [&](std::size_t i) {
+        envs[i] = std::make_unique<TraceReplayer>(files[i]->meta(),
+                                                  *files[i]);
+        if (!envs[i]->ok())
+            throw std::runtime_error(envs[i]->error());
+        ParallelReplayer::Options opt;
+        opt.shards = 2;
+        opt.pool = &pool;
+        detect::DetectorConfig cfg;
+        cfg.sav = files[i]->meta().pebs.sav;
+        reports[i] = ParallelReplayer(*envs[i], opt).replay(cfg);
+    });
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_TRUE(detect::reportsIdentical(replayDetection(*files[i], 1),
+                                             reports[i]))
+            << all[i].info.name;
 }
 
 // ---------------------------------------------------------------------

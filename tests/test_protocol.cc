@@ -248,22 +248,22 @@ filterHonest(const Proto &proto, std::uint64_t line, int accessor = -1)
             proto.filterEntry(core, line);
         if (core == accessor) {
             const auto *li = proto.probe(line);
-            if (e.line != line || li == nullptr ||
-                    e.writable != grantsWrite(*li, core))
+            if (e.empty() || e.line() != line || li == nullptr ||
+                    e.writable() != grantsWrite(*li, core))
                 return ::testing::AssertionFailure()
                        << "accessor " << core << " lacks its exact rights"
                        << " on line " << line;
         }
-        if (e.line == CoherenceProtocol::kNoLine)
+        if (e.empty())
             continue;
-        const auto *li = proto.probe(e.line);
+        const auto *li = proto.probe(e.line());
         if (li == nullptr || (li->sharers & (1u << core)) == 0)
             return ::testing::AssertionFailure()
-                   << "core " << core << " may read line " << e.line
+                   << "core " << core << " may read line " << e.line()
                    << " it holds no copy of";
-        if (e.writable && !grantsWrite(*li, core))
+        if (e.writable() && !grantsWrite(*li, core))
             return ::testing::AssertionFailure()
-                   << "core " << core << " may write line " << e.line
+                   << "core " << core << " may write line " << e.line()
                    << " without the right";
     }
     return ::testing::AssertionSuccess();

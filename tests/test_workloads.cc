@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -280,7 +281,7 @@ TEST(InitialImage, MatchesGoldens)
 TEST(InitialImage, AdjacentInitsShareARunAndLaterInitsWin)
 {
     const std::uint64_t base = mem::Layout::kGlobalsBase;
-    Ctx ctx("image", "image.c", BuildOptions{});
+    Ctx ctx("image", "image.c", BuildOptions{}, Image::Synthesize);
     ctx.a.halt();
     ctx.init64(base, 0x1111111111111111ULL);
     ctx.init64(base + 8, 0x2222222222222222ULL);
@@ -300,6 +301,84 @@ TEST(InitialImage, AdjacentInitsShareARunAndLaterInitsWin)
     EXPECT_EQ(m.readByte(base + 16), 0x33);
     EXPECT_EQ(m.read(base + 64, 8), 0x55u);
     EXPECT_EQ(m.readByte(base + 17), 0);
+}
+
+/** The first difference between two programs, or "" when equal. */
+std::string
+programDiff(const isa::Program &a, const isa::Program &b)
+{
+    if (a.name != b.name)
+        return "name " + a.name + " vs " + b.name;
+    if (a.code.size() != b.code.size())
+        return "size " + std::to_string(a.code.size()) + " vs " +
+               std::to_string(b.code.size());
+    for (std::size_t i = 0; i < a.code.size(); ++i) {
+        const isa::Instruction &x = a.code[i];
+        const isa::Instruction &y = b.code[i];
+        if (x.op != y.op || x.dst != y.dst || x.src1 != y.src1 ||
+                x.src2 != y.src2 || x.size != y.size || x.sync != y.sync ||
+                x.useSsb != y.useSsb || x.ssbSkip != y.ssbSkip ||
+                x.target != y.target || x.imm != y.imm ||
+                x.file != y.file || x.line != y.line)
+            return "instruction " + std::to_string(i) + ": " +
+                   a.disassemble(std::uint32_t(i)) + " vs " +
+                   b.disassemble(std::uint32_t(i));
+    }
+    if (a.files.size() != b.files.size())
+        return "file count";
+    for (std::size_t i = 0; i < a.files.size(); ++i) {
+        if (a.files[i].name != b.files[i].name ||
+                a.files[i].isLibrary != b.files[i].isLibrary)
+            return "file " + std::to_string(i);
+    }
+    if (a.segments.size() != b.segments.size())
+        return "segment count";
+    for (std::size_t i = 0; i < a.segments.size(); ++i) {
+        const isa::Segment &x = a.segments[i];
+        const isa::Segment &y = b.segments[i];
+        if (x.name != y.name || x.isLibrary != y.isLibrary ||
+                x.begin != y.begin || x.end != y.end)
+            return "segment " + std::to_string(i);
+    }
+    return "";
+}
+
+TEST(ProgramOnlyBuild, EqualsFullBuildAndCarriesNoImage)
+{
+    for (const WorkloadDef &def : allWorkloads()) {
+        for (bool fix : {false, true}) {
+            if (fix && !def.info.hasManualFix)
+                continue;
+            for (double scale : {0.5, 1.0, 4.0}) {
+                for (int threads : {1, 4, 8}) {
+                    for (std::uint64_t shift : {0, 48}) {
+                        BuildOptions opt;
+                        opt.manualFix = fix;
+                        opt.scale = scale;
+                        opt.numThreads = threads;
+                        opt.heapPerturbation = shift;
+                        const WorkloadBuild full = def.build(opt);
+                        const WorkloadBuild bare =
+                            def.builder(opt, Image::Skip);
+                        const std::string where =
+                            def.info.name + (fix ? " manualFix" : "") +
+                            " scale " + std::to_string(scale) +
+                            " threads " + std::to_string(threads) +
+                            " shift " + std::to_string(shift);
+                        EXPECT_EQ(programDiff(full.program, bare.program),
+                                  "")
+                            << where;
+                        EXPECT_EQ(programDiff(full.program,
+                                              def.buildProgram(opt)),
+                                  "")
+                            << where;
+                        EXPECT_TRUE(bare.bytes.empty()) << where;
+                        EXPECT_TRUE(bare.runs.empty()) << where;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
