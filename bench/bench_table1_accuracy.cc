@@ -86,11 +86,12 @@ main()
             w.info.sheriff == workloads::SheriffCompat::Works ||
             w.info.sheriff == workloads::SheriffCompat::WorksSmallInput;
         if (!sheriff_runs) {
-            sh_fn_str = w.info.sheriff ==
-                                workloads::SheriffCompat::Incompatible
-                            ? "i"
-                            : "x";
-            sh_fp_str = "";
+            // Move-assigned: GCC 12's -Wrestrict misjudges assigning
+            // the literal directly and warns spuriously.
+            sh_fn_str = std::string(
+                w.info.sheriff == workloads::SheriffCompat::Incompatible
+                    ? "i"
+                    : "x");
         } else {
             std::vector<std::string> sites;
             if (w.info.sheriffDetectsBug)

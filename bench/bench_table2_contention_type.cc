@@ -54,7 +54,9 @@ main()
             ++correct;
 
         core::RunResult sh = runner.run(*w, core::Scheme::SheriffDetect);
-        std::string sheriff;
+        // A literal, not a std::string assigned from one: GCC 12's
+        // -Wrestrict misjudges that assignment and warns spuriously.
+        const char *sheriff;
         if (sh.crashed) {
             sheriff = w->info.sheriff ==
                               workloads::SheriffCompat::Incompatible

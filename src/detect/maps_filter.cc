@@ -94,7 +94,7 @@ DataClass
 MapsFilter::classifyData(std::uint64_t addr) const
 {
     // Kernel addresses never appear in a process maps file.
-    if (addr >= 0xffff'8000'0000'0000ULL)
+    if (addr >= kKernelAddrBase)
         return DataClass::Kernel;
     const MapsEntry *e = find(addr);
     return e ? e->dataClass : DataClass::Unmapped;

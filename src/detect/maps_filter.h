@@ -39,6 +39,9 @@ enum class DataClass : std::uint8_t {
     Code,
 };
 
+/** First kernel address: no process maps entry reaches it. */
+constexpr std::uint64_t kKernelAddrBase = 0xffff'8000'0000'0000ULL;
+
 /** Parsed view of one maps line, with its classes resolved. */
 struct MapsEntry
 {
@@ -65,7 +68,7 @@ class MapsFilter
     /** Classify a data address. */
     DataClass classifyData(std::uint64_t addr) const;
 
-    /** Parsed entries (for tests). */
+    /** Parsed entries, sorted by start address. */
     const std::vector<MapsEntry> &entries() const { return entries_; }
 
   private:

@@ -77,6 +77,17 @@ DetectorContext::DetectorContext(const isa::Program &prog,
         pcInfo[i].pcClass = maps.classifyPc(space.indexToPc(index));
         pcInfo[i].access = sets.lookup(index);
     }
+    const std::vector<MapsEntry> &entries = maps.entries();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].dataClass != DataClass::Stack)
+            continue;
+        std::uint64_t end = std::min(entries[i].end, kKernelAddrBase);
+        if (i + 1 < entries.size())
+            end = std::min(end, entries[i + 1].start);
+        if (entries[i].start < end)
+            stackRanges.push_back({entries[i].start,
+                                   end - entries[i].start});
+    }
 }
 
 DetectorPipeline::DetectorPipeline(const DetectorContext &ctx,
@@ -115,7 +126,7 @@ DetectorPipeline::step(std::uint64_t pc, std::uint64_t data_addr,
     }
 
     // Stage 2: stack data addresses are ignored.
-    if (ctx_.maps.classifyData(data_addr) == DataClass::Stack) {
+    if (ctx_.isStack(data_addr)) {
         ++state_.droppedStack;
         return;
     }

@@ -32,7 +32,9 @@
  * DetectorContext also resolves, once per program, everything stages
  * 1, 3 and 4 need to know about an instruction — its PC class and its
  * load/store facts — into one table indexed by instruction, so the
- * per-record path reads one entry instead of searching the maps.
+ * per-record path reads one entry instead of searching the maps. Stage
+ * 2 likewise tests a data address against the few address ranges the
+ * maps call stack, precomputed once, instead of searching the maps.
  *
  * DetectorPipeline implements analysis::RecordSink: the live
  * ExperimentRunner path and trace::TraceReplayer both drive it through
@@ -93,6 +95,32 @@ struct DetectorContext
     int lineShift;
     /** One entry per index space.pcToIndex() can return. */
     std::vector<PcInfo> pcInfo;
+
+    /** [begin, begin + bytes): addresses stage 2 drops as stack. */
+    struct StackRange
+    {
+        std::uint64_t begin = 0;
+        std::uint64_t bytes = 0;
+    };
+    /**
+     * Disjoint, non-empty ranges whose union is exactly the addresses
+     * maps.classifyData() calls DataClass::Stack. Entry i of the
+     * start-sorted maps decides [start_i, start_{i+1}), so a stack
+     * entry contributes [start_i, min(end_i, start_{i+1},
+     * kKernelAddrBase)), when that is not empty.
+     */
+    std::vector<StackRange> stackRanges;
+
+    /** maps.classifyData(addr) == DataClass::Stack, without a search
+     *  and without a branch per range. */
+    bool
+    isStack(std::uint64_t addr) const
+    {
+        bool hit = false;
+        for (const StackRange &r : stackRanges)
+            hit |= addr - r.begin < r.bytes;
+        return hit;
+    }
 
     DetectorContext(const isa::Program &prog,
                     const mem::AddressSpace &space, std::string maps_text,

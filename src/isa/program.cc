@@ -4,6 +4,22 @@
 
 namespace laser::isa {
 
+namespace {
+
+/** A register as disassembly prints it: "r" and its number. */
+struct RegName
+{
+    Reg reg;
+};
+
+std::ostream &
+operator<<(std::ostream &os, RegName r)
+{
+    return os << 'r' << int(r.reg);
+}
+
+} // namespace
+
 const char *
 opName(Op op)
 {
@@ -79,7 +95,7 @@ Program::disassemble(std::uint32_t index) const
     const Instruction &insn = code.at(index);
     std::ostringstream os;
     os << index << ":\t" << opName(insn.op);
-    auto reg = [](Reg r) { return "r" + std::to_string(int(r)); };
+    auto reg = [](Reg r) { return RegName{r}; };
     switch (insn.op) {
       case Op::MovImm:
         os << " " << reg(insn.dst) << ", " << insn.imm;

@@ -11,6 +11,7 @@ namespace {
 
 using wire::ByteReader;
 using wire::ByteWriter;
+using wire::loadLe64;
 
 /** Bits needed to represent @p v (0 for 0). */
 unsigned
@@ -57,16 +58,6 @@ struct BitWriter
         }
     }
 };
-
-/** Little-endian u64 from the 8 bytes at @p p (compiles to one load). */
-std::uint64_t
-loadLe64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned k = 0; k < 8; ++k)
-        v |= static_cast<std::uint64_t>(p[k]) << (8 * k);
-    return v;
-}
 
 /**
  * LSB-first reader of fixed-width fields packed in exactly
@@ -126,6 +117,34 @@ struct PackedFields
         if (shift + width > 64)
             v |= static_cast<std::uint64_t>(data[byte + 8]) << (64 - shift);
         return v & mask;
+    }
+
+    /**
+     * emit(i, field i) for every i < @p count (requires holds(count)),
+     * in order. While the 8 bytes at a field's first byte are readable,
+     * the field is one unaligned load and a shift; the last few fields,
+     * and fields wider than 57 bits (which can spill into a ninth
+     * byte), go through get().
+     */
+    template <typename Emit>
+    void
+    unpack(std::size_t count, Emit emit) const
+    {
+        std::size_t fast = 0;
+        if (readable >= 8 && width <= 57) {
+            // Field i's first byte is (i * width) / 8, readable for
+            // i * width < 8 * (readable - 7).
+            const std::uint64_t bits = 8 * std::uint64_t{readable - 7};
+            fast = width == 0
+                       ? count
+                       : static_cast<std::size_t>(std::min<std::uint64_t>(
+                             count, (bits + width - 1) / width));
+        }
+        std::size_t i = 0;
+        for (std::uint64_t bit = 0; i < fast; ++i, bit += width)
+            emit(i, (loadLe64(data + bit / 8) >> (bit % 8)) & mask);
+        for (; i < count; ++i)
+            emit(i, get(i));
     }
 };
 
@@ -192,13 +211,17 @@ decodeDictPack(const std::uint8_t *data, std::size_t size,
                             bitsFor(dict.size() - 1));
     if (!bits.holds(count))
         return false;
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t idx = bits.get(i);
-        if (idx >= dict.size())
-            return false;
-        out->push_back(dict[static_cast<std::size_t>(idx)]);
-    }
-    return true;
+    // An index past the dictionary is latched, not branched on: its
+    // load is clamped in range and the column is rejected after.
+    const std::uint64_t last = dict.size() - 1;
+    const std::uint64_t *entries = dict.data();
+    std::uint64_t *dst = out->data();
+    bool out_of_range = false;
+    bits.unpack(count, [&](std::size_t i, std::uint64_t idx) {
+        out_of_range |= idx > last;
+        dst[i] = entries[std::min(idx, last)];
+    });
+    return !out_of_range;
 }
 
 // -- DeltaForPack -----------------------------------------------------
@@ -254,7 +277,8 @@ decodeDeltaForPack(const std::uint8_t *data, std::size_t size,
     std::uint64_t prev = r.var();
     if (!r.ok)
         return false;
-    out->push_back(prev);
+    std::uint64_t *dst = out->data();
+    *dst++ = prev;
     std::size_t remaining = count - 1;
     while (remaining > 0) {
         const std::size_t n = std::min(kDeltaGroup, remaining);
@@ -268,11 +292,11 @@ decodeDeltaForPack(const std::uint8_t *data, std::size_t size,
         const PackedFields bits(r.p, group_bytes, r.remaining(), width);
         if (!bits.holds(n)) // nonzero padding bits
             return false;
-        for (std::size_t i = 0; i < n; ++i) {
+        bits.unpack(n, [&](std::size_t, std::uint64_t field) {
             prev += static_cast<std::uint64_t>(
-                wire::zigzagDecode(base + bits.get(i)));
-            out->push_back(prev);
-        }
+                wire::zigzagDecode(base + field));
+            *dst++ = prev;
+        });
         r.skip(group_bytes);
         remaining -= n;
     }
@@ -308,8 +332,7 @@ decodeColumn(std::size_t column, const std::uint8_t *data,
              std::size_t size, std::size_t count,
              std::vector<std::uint64_t> *out)
 {
-    out->clear();
-    out->reserve(count);
+    out->resize(count);
     return column == kColCycle
                ? decodeDeltaForPack(data, size, count, out)
                : decodeDictPack(data, size, count, out);
@@ -350,7 +373,7 @@ BlockIndex::encode(std::vector<std::uint8_t> *out) const
             w.var(b.columnBytes[c]);
         w.u64(b.checksum);
     }
-    w.u64(wire::fnv1a(out->data() + start, out->size() - start));
+    w.u64(wire::wordHash(out->data() + start, out->size() - start));
 }
 
 bool
@@ -364,7 +387,7 @@ BlockIndex::decode(const std::uint8_t *data, std::size_t size,
     }
     ByteReader trailer(data + size - 8, 8);
     const std::uint64_t stored_sum = trailer.u64();
-    if (wire::fnv1a(data, size - 8) != stored_sum) {
+    if (wire::wordHash(data, size - 8) != stored_sum) {
         *err = "block index checksum mismatch";
         return false;
     }

@@ -23,12 +23,18 @@
  *
  * The BlockIndex is the file's seek structure: per block it records the
  * record count, the cycle range, each column's encoded size (offsets
- * are cumulative) and an FNV-1a checksum of the block's bytes. A reader
+ * are cumulative) and a checksum of the block's bytes. A reader
  * binary-searches the index for a cycle window and decodes only the
  * overlapping blocks — no prefix decode, no whole-file checksum pass.
  * The index carries its own trailing checksum and a checksum of the
  * meta (config + results) section, so the seek path still verifies every
- * byte it actually reads.
+ * byte it actually reads. Every one of these checksums is
+ * wire::wordHash, which consumes 8 bytes per step.
+ *
+ * The decoders unpack bit-packed fields with one unaligned 8-byte load
+ * and a shift each while 8 bytes remain readable in the column, and
+ * read the last few fields byte by byte; either way they keep every
+ * strictness check of decodeColumn().
  */
 
 #ifndef LASER_TRACE_COLUMNAR_H
@@ -74,7 +80,8 @@ void encodeColumn(std::size_t column,
  * Strict decode of one @p column: exactly @p count values from exactly
  * [data, data+size). Any structural violation — short or trailing
  * bytes, non-canonical varints, out-of-range dictionary indices,
- * nonzero padding bits — returns false.
+ * nonzero padding bits — returns false. @p out is resized to @p count
+ * either way; its values mean something only when the decode succeeds.
  */
 bool decodeColumn(std::size_t column, const std::uint8_t *data,
                   std::size_t size, std::size_t count,
@@ -93,7 +100,7 @@ struct BlockInfo
     std::uint64_t firstCycle = 0;
     std::uint64_t lastCycle = 0;
     std::uint64_t columnBytes[kColumnCount] = {};
-    /** FNV-1a over the block's encoded bytes (all columns). */
+    /** wire::wordHash over the block's encoded bytes (all columns). */
     std::uint64_t checksum = 0;
 
     std::uint64_t
@@ -124,8 +131,8 @@ struct BlockIndex
     /** Offset of the record blob within the payload (= size of the
      *  config + results sections it follows). */
     std::uint64_t blobOffset = 0;
-    /** FNV-1a over payload[0, blobOffset): lets the seek path verify
-     *  the meta sections without a whole-payload checksum pass. */
+    /** wire::wordHash over payload[0, blobOffset): lets the seek path
+     *  verify the meta sections without a whole-payload checksum pass. */
     std::uint64_t metaChecksum = 0;
     std::vector<BlockInfo> blocks;
 

@@ -15,7 +15,7 @@ namespace {
 
 using wire::ByteReader;
 using wire::ByteWriter;
-using wire::fnv1a;
+using wire::wordHash;
 
 void
 putTiming(ByteWriter &w, const sim::TimingModel &t)
@@ -340,7 +340,7 @@ wrapPayload(const std::vector<std::uint8_t> &payload_bytes,
     out.u64(payload_bytes.size());
     out_bytes.insert(out_bytes.end(), payload_bytes.begin(),
                      payload_bytes.end());
-    out.u64(fnv1a(payload_bytes.data(), payload_bytes.size()));
+    out.u64(wordHash(payload_bytes.data(), payload_bytes.size()));
     return out_bytes;
 }
 
@@ -363,7 +363,7 @@ encodeBlock(const std::vector<std::uint64_t> cols[columnar::kColumnCount],
         columnar::encodeColumn(c, cols[c], out);
         b.columnBytes[c] = out->size() - col_start;
     }
-    b.checksum = fnv1a(out->data() + start, out->size() - start);
+    b.checksum = wordHash(out->data() + start, out->size() - start);
     return b;
 }
 
@@ -392,7 +392,7 @@ configHash(const TraceMeta &meta)
     ByteWriter w(bytes);
     w.u32(kTraceVersion);
     putConfig(w, meta);
-    return fnv1a(bytes.data(), bytes.size());
+    return wordHash(bytes.data(), bytes.size());
 }
 
 namespace detail {
@@ -516,7 +516,7 @@ TraceWriter::finalize() const
     columnar::BlockIndex index = index_;
     index.records = recordCount_;
     index.blobOffset = payload_bytes.size();
-    index.metaChecksum = fnv1a(payload_bytes.data(), payload_bytes.size());
+    index.metaChecksum = wordHash(payload_bytes.data(), payload_bytes.size());
 
     payload_bytes.insert(payload_bytes.end(), blob_.begin(), blob_.end());
     // The current partial block (finalize() is const, so it cannot be

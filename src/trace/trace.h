@@ -19,12 +19,12 @@
  *   0       4     magic "LSRT"
  *   4       4     u32 format version (kTraceVersion)
  *   8       4     u32 endianness marker (kTraceEndianMarker)
- *   12      8     u64 config hash (cache key; FNV-1a of config section)
+ *   12      8     u64 config hash (cache key; wordHash of config section)
  *   20      8     u64 payload size in bytes (n)
  *   28      n     payload
- *   28+n    8     u64 FNV-1a checksum of the payload
+ *   28+n    8     u64 wordHash checksum of the payload
  *
- * Format v7 payload (columnar; see trace/columnar.h for the codecs):
+ * Format v8 payload (columnar; see trace/columnar.h for the codecs):
  *
  *   config section     varint/zigzag-encoded capture configuration
  *   results section    machine stats, runtime, /proc maps text
@@ -35,7 +35,7 @@
  *                      data addr and core, delta frame-of-reference
  *                      packing for cycle
  *   block index        per block: record count, cycle range, per-column
- *                      encoded size, FNV-1a block checksum;
+ *                      encoded size, wordHash block checksum;
  *                      carries a checksum of the config+results
  *                      sections and its own trailing self-checksum
  *   u64 index offset   absolute offset of the block index within the
@@ -84,7 +84,7 @@
 
 namespace laser::trace {
 
-constexpr std::uint32_t kTraceVersion = 7;
+constexpr std::uint32_t kTraceVersion = 8;
 constexpr char kTraceMagic[4] = {'L', 'S', 'R', 'T'};
 constexpr std::uint32_t kTraceEndianMarker = 0x01020304;
 /** Canonical trace-file extension (also used by the sweep cache). */

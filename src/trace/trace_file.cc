@@ -157,7 +157,7 @@ RecordCursor::loadBlock()
     const columnar::BlockInfo &b = file_->index_.blocks[block_];
     const std::uint8_t *bp = file_->blob() + b.blobOffset;
     const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
-    if (wire::fnv1a(bp, bytes) != b.checksum) {
+    if (wire::wordHash(bp, bytes) != b.checksum) {
         status_ = TraceStatus::Corrupt;
         return false;
     }
@@ -335,7 +335,7 @@ TraceFile::validate()
         return fail(TraceStatus::Corrupt,
                     "block sizes do not cover the record blob");
     metaSize_ = static_cast<std::size_t>(index_.blobOffset);
-    if (index_.metaChecksum != wire::fnv1a(payload(), metaSize_))
+    if (index_.metaChecksum != wire::wordHash(payload(), metaSize_))
         return fail(TraceStatus::Corrupt,
                     "meta-section checksum mismatch");
 
@@ -394,7 +394,7 @@ TraceFile::payloadChecksumOk() const
         return false;
     const std::size_t payload_size = static_cast<std::size_t>(payloadSize_);
     wire::ByteReader trailer(payload() + payload_size, kTraceTrailerSize);
-    return trailer.u64() == wire::fnv1a(payload(), payload_size);
+    return trailer.u64() == wire::wordHash(payload(), payload_size);
 }
 
 TraceStatus

@@ -18,7 +18,7 @@
  *   - cursorForCycles(begin, end) binary-searches the blocks' cycle
  *     ranges for the window and skips boundary records outside it;
  *
- * each verifying a block's FNV-1a checksum before trusting its bytes,
+ * each verifying a block's wordHash checksum before trusting its bytes,
  * so every byte actually read is still integrity-checked, and checking
  * the decoded cycles against the block's index range and for
  * non-decreasing order (NonMonotonic otherwise). A cursor holds one

@@ -2,7 +2,7 @@
  * @file
  * Shared wire-format primitives for the LSRT trace format: the
  * little-endian/varint byte encoder and its strict bounds-checked
- * decoder, FNV-1a, and zigzag mapping.
+ * decoder, the word-wise checksum (wordHash), and zigzag mapping.
  *
  * Extracted from the trace reader/writer so the columnar codec layer
  * (trace/columnar.*) and the seekable file reader (trace/trace_file.*)
@@ -16,6 +16,7 @@
 #ifndef LASER_TRACE_WIRE_H
 #define LASER_TRACE_WIRE_H
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -23,13 +24,38 @@
 
 namespace laser::trace::wire {
 
+/** Little-endian u64 from the 8 bytes at @p p: one unaligned load. */
 inline std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size,
-      std::uint64_t h = 1469598103934665603ull)
+loadLe64(const std::uint8_t *p)
 {
-    for (std::size_t i = 0; i < size; ++i) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+/**
+ * The format's one 64-bit hash: every block, index, meta and payload
+ * checksum and the header's config hash. It consumes a little-endian
+ * word per step, h = (h ^ word) * FNV prime, then h ^= h >> 29 so high
+ * bits feed back into low ones, and finishes a ragged tail with
+ * byte-wise FNV-1a. Every step is a bijection of h, so changing any one
+ * word (or any one byte) of the input always changes the sum.
+ */
+inline std::uint64_t
+wordHash(const std::uint8_t *data, std::size_t size)
+{
+    constexpr std::uint64_t kPrime = 1099511628211ull;
+    std::uint64_t h = 1469598103934665603ull;
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        h = (h ^ loadLe64(data + i)) * kPrime;
+        h ^= h >> 29;
+    }
+    for (; i < size; ++i) {
         h ^= data[i];
-        h *= 1099511628211ull;
+        h *= kPrime;
     }
     return h;
 }

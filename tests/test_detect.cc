@@ -14,6 +14,7 @@
 #include "mem/address_space.h"
 #include "pebs/record.h"
 #include "sim/timing.h"
+#include "workloads/workload.h"
 
 namespace laser::detect {
 namespace {
@@ -121,6 +122,88 @@ TEST(MapsFilter, ResolvedClassesFollowThePathRules)
             << std::hex << row.addr;
         EXPECT_EQ(filter.classifyData(row.addr), row.data)
             << std::hex << row.addr;
+    }
+}
+
+/**
+ * DetectorContext's precomputed stage-2 test agrees with the maps
+ * search at the edges of every maps entry: start-1, start, end-1, end.
+ */
+void
+expectStackTestMatchesMaps(const DetectorContext &ctx,
+                           const std::string &what)
+{
+    std::vector<std::uint64_t> probes = {0, ~0ULL, kKernelAddrBase - 1,
+                                         kKernelAddrBase};
+    for (const MapsEntry &e : ctx.maps.entries())
+        probes.insert(probes.end(),
+                      {e.start - 1, e.start, e.end - 1, e.end});
+    for (const std::uint64_t a : probes)
+        EXPECT_EQ(ctx.isStack(a),
+                  ctx.maps.classifyData(a) == DataClass::Stack)
+            << what << " at 0x" << std::hex << a;
+}
+
+TEST(MapsFilter, PrecomputedStackTestMatchesEveryWorkloadsMaps)
+{
+    const sim::TimingModel timing{};
+    for (const workloads::WorkloadDef &def : workloads::allWorkloads()) {
+        const workloads::BuildOptions opt;
+        const isa::Program prog = def.buildProgram(opt);
+        for (const int threads : {opt.numThreads, 32}) {
+            const mem::AddressSpace space(prog, threads);
+            const DetectorContext ctx(prog, space, space.renderProcMaps(),
+                                      timing);
+            EXPECT_EQ(ctx.stackRanges.size(), std::size_t(threads))
+                << def.info.name;
+            expectStackTestMatchesMaps(
+                ctx, def.info.name + " x" + std::to_string(threads));
+        }
+    }
+}
+
+TEST(MapsFilter, PrecomputedStackTestMatchesCraftedMaps)
+{
+    const isa::Program prog = progWithLib();
+    const mem::AddressSpace space(prog, 2);
+    const sim::TimingModel timing{};
+    const std::string line = " rw-p 00000000 00:00 0 ";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"overlap: a heap starts inside a stack",
+         "00001000-00005000" + line + "[stack]\n"
+         "00003000-00004000" + line + "[heap]\n"},
+        {"overlap: a stack starts inside globals and outlives them",
+         "00010000-00020000" + line + "/app/data\n"
+         "00018000-00030000" + line + "[stack:1001]\n"},
+        {"overlap: a stack covers later entries",
+         "00040000-00100000" + line + "[stack]\n"
+         "00050000-00060000" + line + "[heap]\n"
+         "00070000-00080000" + line + "[stack:1002]\n"},
+        {"duplicate starts, stack first",
+         "00200000-00210000" + line + "[stack]\n"
+         "00200000-00220000" + line + "[heap]\n"},
+        {"duplicate starts, stack last",
+         "00300000-00320000" + line + "[heap]\n"
+         "00300000-00310000" + line + "[stack]\n"},
+        {"zero-length and inverted entries",
+         "00400000-00400000" + line + "[stack]\n"
+         "00500000-004ff000" + line + "[stack:1003]\n"
+         "00600000-00601000" + line + "[stack:1004]\n"},
+        {"entries at and across the kernel boundary",
+         "ffff7ffffffff000-ffff800000001000" + line + "[stack]\n"
+         "ffff800000000000-ffff800000010000" + line + "[stack:1005]\n"
+         "ffffffffffff0000-ffffffffffffffff" + line + "[stack:1006]\n"},
+        {"one stack over the whole address space",
+         "00000000-ffffffffffffffff" + line + "[stack]\n"},
+        {"no stack at all", "00001000-00002000" + line + "[heap]\n"},
+    };
+    for (const auto &[what, maps] : cases) {
+        const DetectorContext ctx(prog, space, maps, timing);
+        expectStackTestMatchesMaps(ctx, what);
+        for (const DetectorContext::StackRange &r : ctx.stackRanges) {
+            EXPECT_GT(r.bytes, 0u) << what;
+            EXPECT_LE(r.begin + r.bytes, kKernelAddrBase) << what;
+        }
     }
 }
 

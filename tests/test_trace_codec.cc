@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "trace/replay.h"
 #include "trace/trace.h"
 #include "trace/trace_file.h"
+#include "trace/wire.h"
 
 namespace laser::trace {
 namespace {
@@ -213,6 +215,162 @@ TEST(ColumnCoding, RejectsTruncationAndTrailingBytes)
         EXPECT_FALSE(col::decodeColumn(c, padded.data(), padded.size(),
                                        vals.size(), &decoded))
             << col::columnName(c) << " accepted a trailing byte";
+    }
+}
+
+/**
+ * Overwrite field @p i of the @p width-bit LSB-first packing that
+ * starts at (*bytes)[at] with @p v.
+ */
+void
+setPackedField(std::vector<std::uint8_t> *bytes, std::size_t at,
+               std::size_t i, unsigned width, std::uint64_t v)
+{
+    for (unsigned b = 0; b < width; ++b) {
+        const std::size_t bit = i * width + b;
+        const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+        std::uint8_t &byte = (*bytes)[at + bit / 8];
+        byte = ((v >> b) & 1) ? byte | mask : byte & ~mask;
+    }
+}
+
+TEST(ColumnCoding, DictPackRejectsAnOutOfRangeIndexAtEveryField)
+{
+    // Every field position: the first word, the middle, and each field
+    // of the last 8 bytes, which the decoder reads byte by byte.
+    // Dictionaries of 3, 5 and 100 entries pack 2-, 3- and 7-bit
+    // indices, so each width has indices past the dictionary.
+    for (const std::size_t dict_size : {3u, 5u, 100u}) {
+        const unsigned width = std::bit_width(dict_size - 1);
+        for (const std::size_t count :
+             {dict_size, dict_size + 13, std::size_t{333}}) {
+            std::vector<std::uint64_t> vals;
+            for (std::size_t i = 0; i < count; ++i)
+                vals.push_back(1000 + (i * 7 % dict_size) * 64);
+            std::vector<std::uint8_t> bytes;
+            col::encodeColumn(col::kColPc, vals, &bytes);
+            const std::size_t packed = (count * width + 7) / 8;
+            const std::size_t at = bytes.size() - packed;
+            std::vector<std::uint64_t> decoded;
+            for (std::size_t i = 0; i < count; ++i) {
+                // A valid index at the same spot decodes: the edit
+                // lands on field i and nowhere else.
+                std::vector<std::uint8_t> edited = bytes;
+                const std::uint64_t other = (i * 7 + 1) % dict_size;
+                setPackedField(&edited, at, i, width, other);
+                ASSERT_TRUE(col::decodeColumn(col::kColPc, edited.data(),
+                                              edited.size(), count,
+                                              &decoded));
+                EXPECT_EQ(decoded[i], 1000 + other * 64);
+                const std::uint64_t top = (std::uint64_t{1} << width) - 1;
+                for (const std::uint64_t bad :
+                     {std::uint64_t{dict_size}, top}) {
+                    edited = bytes;
+                    setPackedField(&edited, at, i, width, bad);
+                    EXPECT_FALSE(col::decodeColumn(col::kColPc,
+                                                   edited.data(),
+                                                   edited.size(), count,
+                                                   &decoded))
+                        << "index " << bad << " of " << dict_size
+                        << " at field " << i << " of " << count;
+                }
+            }
+        }
+    }
+}
+
+TEST(ColumnCoding, NonzeroPaddingBitsAreRejected)
+{
+    struct Case
+    {
+        std::size_t column;
+        std::vector<std::uint64_t> vals;
+        unsigned paddingBits;
+    };
+    std::vector<std::uint64_t> dict7; // 100 entries: 7-bit indices
+    for (std::uint64_t i = 0; i < 100; ++i)
+        dict7.push_back(i * 3);
+    const Case cases[] = {
+        // 7 two-bit indices: 14 bits, 2 padding bits.
+        {col::kColCore, {0, 1, 2, 0, 1, 2, 0}, 2},
+        // 100 seven-bit indices: 700 bits, 4 padding bits.
+        {col::kColAddr, dict7, 4},
+        // One group of 5 three-bit deltas: 15 bits, 1 padding bit.
+        {col::kColCycle, {10, 10, 17, 12, 19, 14}, 1},
+    };
+    for (const Case &c : cases) {
+        std::vector<std::uint8_t> bytes;
+        col::encodeColumn(c.column, c.vals, &bytes);
+        std::vector<std::uint64_t> decoded;
+        ASSERT_TRUE(col::decodeColumn(c.column, bytes.data(), bytes.size(),
+                                      c.vals.size(), &decoded));
+        ASSERT_EQ(bytes.back() >> (8 - c.paddingBits), 0)
+            << col::columnName(c.column);
+        for (unsigned b = 8 - c.paddingBits; b < 8; ++b) {
+            std::vector<std::uint8_t> padded = bytes;
+            padded.back() ^= static_cast<std::uint8_t>(1u << b);
+            EXPECT_FALSE(col::decodeColumn(c.column, padded.data(),
+                                           padded.size(), c.vals.size(),
+                                           &decoded))
+                << col::columnName(c.column) << " padding bit " << b;
+        }
+    }
+}
+
+TEST(ColumnCoding, DeltaForPackRoundTripsEveryGroupWidth)
+{
+    // Each group's zigzag deltas span exactly [base, base + 2^width - 1],
+    // so it packs at that width. The delta counts put a group's packed
+    // bytes on both sides of the 8 bytes a word load needs, and the
+    // later ones span several groups.
+    std::uint64_t rng = 0x243f6a8885a308d3ull;
+    std::vector<std::size_t> delta_counts;
+    for (std::size_t n = 1; n <= 20; ++n)
+        delta_counts.push_back(n);
+    for (const std::size_t n : {63, 64, 65, 127, 128, 129, 255, 256, 257})
+        delta_counts.push_back(n);
+    for (unsigned width = 0; width <= 64; ++width) {
+        const std::uint64_t span =
+            width == 64 ? ~0ull : (1ull << width) - 1;
+        for (const std::size_t deltas : delta_counts) {
+            const std::uint64_t base =
+                width == 64 ? 0 : nextRand(&rng) >> width;
+            std::vector<std::uint64_t> vals = {nextRand(&rng)};
+            for (std::size_t i = 0; i < deltas; ++i) {
+                const std::size_t in_group = i % 128;
+                const std::uint64_t offset =
+                    in_group == 0 ? 0
+                    : in_group == 1 ? span
+                                    : nextRand(&rng) & span;
+                vals.push_back(vals.back() + static_cast<std::uint64_t>(
+                                   wire::zigzagDecode(base + offset)));
+            }
+            std::vector<std::uint8_t> bytes;
+            col::encodeColumn(col::kColCycle, vals, &bytes);
+
+            // Walk the layout: first value, then per group its base
+            // varint, its width byte and its packed deltas.
+            wire::ByteReader r(bytes.data(), bytes.size());
+            r.var();
+            for (std::size_t g = 0; g < deltas; g += 128) {
+                const std::size_t n = std::min<std::size_t>(128, deltas - g);
+                r.var();
+                const unsigned got = r.u8();
+                EXPECT_EQ(got, n > 1 ? width : 0)
+                    << deltas << " deltas, group " << g / 128;
+                r.skip((n * got + 7) / 8);
+            }
+            ASSERT_TRUE(r.ok);
+            EXPECT_EQ(r.remaining(), 0u);
+
+            std::vector<std::uint64_t> decoded;
+            ASSERT_TRUE(col::decodeColumn(col::kColCycle, bytes.data(),
+                                          bytes.size(), vals.size(),
+                                          &decoded))
+                << "width " << width << ", " << deltas << " deltas";
+            EXPECT_EQ(decoded, vals)
+                << "width " << width << ", " << deltas << " deltas";
+        }
     }
 }
 
@@ -482,6 +640,81 @@ TEST(TraceFileSeek, CorruptIndexAndTruncationAreTypedAtOpen)
                   TraceStatus::Truncated)
             << "prefix of " << cut << " bytes";
     }
+}
+
+TEST(TraceChecksum, EveryByteAndWordOfABlockIsChecked)
+{
+    const std::vector<pebs::PebsRecord> recs = syntheticRecords(700);
+    const std::vector<std::uint8_t> pristine = multiBlockImage(recs);
+    TraceFile file;
+    ASSERT_EQ(file.openBytes(pristine), TraceStatus::Ok) << file.error();
+    ASSERT_GE(file.index().blocks.size(), 3u);
+
+    std::uint64_t rng = 0x13198a2e03707344ull;
+    bool ragged_tail = false;
+    for (const col::BlockInfo &b : file.index().blocks) {
+        const std::size_t at =
+            kTraceHeaderSize + static_cast<std::size_t>(
+                                   file.index().blobOffset + b.blobOffset);
+        const std::size_t bytes = static_cast<std::size_t>(b.blobBytes());
+        ragged_tail |= bytes % 8 != 0;
+
+        // The edit must change the block's checksum (a decode check
+        // could also reject it) and surface as Corrupt.
+        const auto block_status = [&](std::vector<std::uint8_t> image) {
+            EXPECT_EQ(wire::wordHash(image.data() + at, bytes) == b.checksum,
+                      image == pristine);
+            TraceFile f;
+            // Blocks are not read at open: an edit surfaces in the
+            // cursor that decodes the block.
+            EXPECT_EQ(f.openBytes(std::move(image)), TraceStatus::Ok);
+            const std::unique_ptr<RecordCursor> cur = f.cursorForRecords(
+                b.firstRecord, b.firstRecord + b.records);
+            struct Discard : analysis::RecordSink
+            {
+                void onRecord(const pebs::PebsRecord &) override {}
+            } sink;
+            cur->drain(sink);
+            return cur->status();
+        };
+        ASSERT_EQ(block_status(pristine), TraceStatus::Ok);
+
+        for (std::size_t k = 0; k < bytes; ++k) {
+            std::vector<std::uint8_t> image = pristine;
+            image[at + k] ^= 0xff;
+            EXPECT_EQ(block_status(std::move(image)), TraceStatus::Corrupt)
+                << "byte " << k << " of " << bytes;
+        }
+        for (std::size_t word = 0; word + 8 <= bytes; word += 8) {
+            for (int trial = 0; trial < 3; ++trial) {
+                std::vector<std::uint8_t> image = pristine;
+                const std::uint64_t flip = nextRand(&rng); // never 0
+                for (int i = 0; i < 8; ++i)
+                    image[at + word + i] ^=
+                        static_cast<std::uint8_t>(flip >> (8 * i));
+                EXPECT_EQ(block_status(std::move(image)),
+                          TraceStatus::Corrupt)
+                    << "word at byte " << word << " of " << bytes;
+            }
+        }
+    }
+    // At least one block ends in bytes the checksum reads one by one.
+    EXPECT_TRUE(ragged_tail);
+}
+
+TEST(TraceChecksum, Version7HeaderIsBadVersion)
+{
+    // v7 files used byte-serial FNV-1a checksums; v8 readers refuse
+    // them by version rather than reporting every checksum wrong.
+    std::vector<std::uint8_t> image = multiBlockImage(syntheticRecords(64));
+    ASSERT_EQ(kTraceVersion, 8u);
+    image[4] = 7;
+    for (int i = 5; i < 8; ++i)
+        image[i] = 0;
+    TraceFile file;
+    EXPECT_EQ(file.openBytes(std::move(image)), TraceStatus::BadVersion);
+    EXPECT_NE(file.error().find("version 7"), std::string::npos)
+        << file.error();
 }
 
 // ---------------------------------------------------------------------
